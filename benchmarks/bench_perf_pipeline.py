@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import STUDY_CONFIG, record
+from repro import obs
 from repro.corpus.ddlgen import DdlScribe
 from repro.corpus.generator import generate_corpus
 from repro.diff.engine import diff_schemas
@@ -163,7 +164,7 @@ def test_perf_engine_mode_report(corpus, tmp_path_factory):
 
     assert parallel_res.records == serial_res.records
     assert warm_res.records == serial_res.records
-    hits = warm_timing.timing("records").cache_hits
+    hits = warm_timing.timing("records").counters["cache_hits"]
     assert hits == 151
     assert warm_s < serial_s  # cache loads must beat measuring
 
@@ -194,7 +195,6 @@ def test_perf_incremental_vs_full(corpus):
     trajectory is machine-readable across PRs.
     """
     from repro.history.repository import set_incremental_parse_default
-    from repro.sqlddl.memo import parse_counters, reset_parse_counters
 
     def timed(enabled):
         set_incremental_parse_default(enabled)
@@ -207,9 +207,10 @@ def test_perf_incremental_vs_full(corpus):
             set_incremental_parse_default(True)
 
     full_s, full_res = timed(False)
-    reset_parse_counters()
+    before = obs.snapshot()
     inc_s, inc_res = timed(True)
-    hits, misses = parse_counters()
+    moved = obs.since(before)
+    hits, misses = moved.get("parse_hits", 0), moved.get("parse_misses", 0)
 
     # Golden equivalence: byte-identical records and pattern assignment.
     assert inc_res.records == full_res.records
@@ -268,7 +269,6 @@ def test_perf_records_map(corpus):
     into BENCH_perf_pipeline.json next to the incremental-parse
     trajectory.
     """
-    from repro.history.kernel import kernel_counters, reset_kernel_counters
     from repro.history.repository import set_incremental_parse_default
 
     # Reference: classic full re-parse (the slow, trusted path).
@@ -280,11 +280,13 @@ def test_perf_records_map(corpus):
         set_incremental_parse_default(True)
 
     _forget_parsed_versions(corpus)
-    reset_kernel_counters()
+    before = obs.snapshot()
     started = time.perf_counter()
     records = records_from_corpus(corpus, config=STUDY_CONFIG)
     records_map_s = time.perf_counter() - started
-    series_built, reuse_hits = kernel_counters()
+    moved = obs.since(before)
+    series_built = moved.get("kernel_series", 0)
+    reuse_hits = moved.get("kernel_reuse", 0)
 
     golden_equivalent = (
         records == reference
@@ -331,16 +333,15 @@ def test_perf_incremental_smoke():
     the incremental path fall back to full parsing everywhere, this
     fails fast without timing anything.
     """
-    from repro.sqlddl.memo import parse_counters, reset_parse_counters
-
     population = {Pattern.FLATLINER: 1, Pattern.RADICAL_SIGN: 2,
                   Pattern.SIESTA: 1}
     small = generate_corpus(seed=7, population=population,
                             with_exceptions=False)
-    reset_parse_counters()
+    before = obs.snapshot()
     records = records_from_corpus(small)
     assert len(records) == 4
-    hits, misses = parse_counters()
+    moved = obs.since(before)
+    hits, misses = moved.get("parse_hits", 0), moved.get("parse_misses", 0)
     assert hits > 0
     assert hits / (hits + misses) > 0.2
 
@@ -465,19 +466,19 @@ def test_perf_warm_session(corpus, tmp_path_factory):
         warm_session_s, warm_res, warm_timing = timed(session)
 
         assert warm_res.records == cold_res.records
-        stage = warm_timing.timing("records")
-        assert stage.cache_hits == 151
-        assert stage.cache_misses == 0
+        stage = warm_timing.timing("records").counters
+        assert stage["cache_hits"] == 151
+        assert stage.get("cache_misses", 0) == 0
         # The headline service-shape numbers: no new pool, all hot.
         assert session.pool_spawns == spawns_after_cold
         assert len(session.runs) == 2
-        assert session.runs[1].pool_spawns == 0
-        assert session.runs[1].cache_hit_rate == 1.0
-        assert session.runs[1].hot_hits == 151
-        assert session.runs[0].result_digest == \
-            session.runs[1].result_digest
+        warm_run = session.runs[1]
+        assert warm_run.counters["pool_spawns"] == 0
+        assert warm_run.cache_hit_rate == 1.0
+        assert warm_run.counters["hot_hits"] == 151
+        assert session.runs[0].result_digest == warm_run.result_digest
         total_spawns = session.pool_spawns
-        warm_hot_hits = session.runs[1].hot_hits
+        warm_hot_hits = warm_run.counters["hot_hits"]
 
     with EngineSession(config) as fresh:
         warm_fresh_s, fresh_res, _ = timed(fresh)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
+from repro import obs
 from repro.analysis.records import MEASURE_NAMES, StudyRecord
 from repro.analysis.stats_tables import TABLE1_ROWS
 from repro.diff.changes import N_KINDS
@@ -79,23 +80,6 @@ N_MEASURES = len(MEASURE_NAMES)
 #: One multi-attribute getter pulling all seven label members off a
 #: LabeledProfile in a single C-level call (pack hot loop).
 _LABEL_MEMBERS = attrgetter(*(attr for attr, _ in LABEL_COLUMNS))
-
-
-# ----------------------------------------------------------------------
-# pack counters (worker -> parent, like the parse/kernel memo counters)
-
-_COUNTERS = [0]
-
-
-def pack_counters() -> tuple[int]:
-    """Process-wide pack statistics: ``(rows_packed,)``.
-
-    Worker processes tick their own copy; the executor ships the delta
-    back with each mapped item, exactly like the statement-memo and
-    heartbeat-kernel counters, so ``--timings`` can attribute packing
-    work to the stage that did it.
-    """
-    return (_COUNTERS[0],)
 
 
 class PackedRecord(NamedTuple):
@@ -180,16 +164,18 @@ def pack_record(record: StudyRecord, *,
                 count: bool = True) -> PackedRecord:
     """Flatten one study record into its table row.
 
-    ``count=False`` skips the pack counter — for callers packing a
-    side copy (delta checkpoints) rather than a table row, so the
-    ``--timings`` pack column keeps meaning "columnar rows packed".
+    Each row counts as ``pack_rows`` in :mod:`repro.obs`, so
+    ``--timings`` attributes packing work to the stage that did it.
+    ``count=False`` skips the counter — for callers packing a side copy
+    (delta checkpoints) rather than a table row, so the pack column
+    keeps meaning "columnar rows packed".
     """
     labeled = record.labeled
     profile = labeled.profile
     marks = profile.landmarks
     totals = profile.totals
     if count:
-        _COUNTERS[0] += 1
+        obs.count("pack_rows")
     return PackedRecord(
         name=record.name,
         pattern=PATTERN_INDEX[record.pattern],

@@ -183,13 +183,12 @@ def _fault_exit(report_obj) -> int:
         print(f"warning: {report_obj.quarantined} corrupt cache "
               f"entr{'y' if report_obj.quarantined == 1 else 'ies'} "
               f"quarantined and recomputed", file=sys.stderr)
-    if getattr(report_obj, "pruned", 0):
+    if report_obj.pruned:
         print(f"warning: quarantine cap reached — {report_obj.pruned} "
               f"oldest corrupt entr"
               f"{'y' if report_obj.pruned == 1 else 'ies'} pruned",
               file=sys.stderr)
-    if getattr(report_obj, "write_failures", 0) \
-            or getattr(report_obj, "journal_degraded", False):
+    if report_obj.write_failures or report_obj.journal_degraded:
         print("warning: cache/journal writes failing (disk full or "
               "read-only?) — continuing memory-only; this run is not "
               "resumable", file=sys.stderr)

@@ -31,9 +31,7 @@ from repro.engine.config import ProgressHook, StudyConfig
 from repro.engine.delta import (
     DeltaStore,
     StudyCheckpoint,
-    delta_counters,
     delta_store_for,
-    reset_delta_counters,
 )
 from repro.engine.executor import (
     ExecutionReport,
@@ -144,7 +142,6 @@ __all__ = [
     "compute_records_from_source",
     "corpus_record",
     "corpus_record_key",
-    "delta_counters",
     "delta_store_for",
     "execute_plan",
     "execute_study",
@@ -159,7 +156,6 @@ __all__ = [
     "read_journal",
     "read_ledger",
     "read_ledger_report",
-    "reset_delta_counters",
     "resumable_runs",
     "run_analyses",
     "run_stage",

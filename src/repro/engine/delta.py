@@ -39,11 +39,11 @@ an append already runs the suffix path. Files live under
 envelope and written atomically; a corrupt or alien file reads as "no
 checkpoint".
 
-Process-wide counters (:func:`delta_counters`) mirror the statement
-memo's: projects served by the append path, projects whose checkpoint
-had to be discarded (rewritten), versions reused from checkpoints and
-versions parsed by the suffix kernel. The executor ships them home
-from worker processes alongside the parse/kernel/pack counters.
+The serve path counts in :mod:`repro.obs`: ``delta_appended``
+(projects served by the append path), ``delta_rewritten`` (projects
+whose checkpoint had to be discarded), ``delta_reused`` (versions
+reused from checkpoints) and ``delta_parsed`` (versions parsed by the
+suffix kernel).
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Any, Sequence
 
+from repro import obs
 from repro.analysis.records import StudyRecord
 from repro.analysis.table import pack_record
 from repro.diff.engine import diff_schemas
@@ -86,44 +87,11 @@ DELTA_FORMAT_VERSION = 1
 DELTA_SUBDIR = "delta"
 
 
-# ----------------------------------------------------------------------
-# process-wide delta counters (mirrors repro.sqlddl.memo)
-
-_APPENDED = 0
-_REWRITTEN = 0
-_REUSED = 0
-_PARSED = 0
-
-
-def delta_counters() -> tuple[int, int, int, int]:
-    """``(projects_appended, projects_rewritten, versions_reused,
-    versions_parsed)`` since the last reset.
-
-    Worker processes tick their own copies; the executor ships the
-    per-item deltas back to the parent alongside the parse-memo and
-    kernel counters, so :class:`~repro.engine.executor.StageTiming`
-    totals are correct for serial and parallel runs alike.
-    """
-    return (_APPENDED, _REWRITTEN, _REUSED, _PARSED)
-
-
-def reset_delta_counters() -> None:
-    """Zero the delta counters (benchmarks, tests)."""
-    global _APPENDED, _REWRITTEN, _REUSED, _PARSED
-    _APPENDED = _REWRITTEN = _REUSED = _PARSED = 0
-
-
 def _note_served(reused: int, parsed: int) -> None:
-    global _APPENDED, _REUSED, _PARSED
     if parsed:
-        _APPENDED += 1
-    _REUSED += reused
-    _PARSED += parsed
-
-
-def _note_rewritten() -> None:
-    global _REWRITTEN
-    _REWRITTEN += 1
+        obs.count("delta_appended")
+    obs.count("delta_reused", reused)
+    obs.count("delta_parsed", parsed)
 
 
 # ----------------------------------------------------------------------
@@ -484,8 +452,8 @@ def serve_corpus_delta(store: DeltaStore, pid: str, project,
     The project is already loaded (corpus-directory payloads are one
     cheap JSON read; the cost this path avoids is *parsing* the DDL of
     the prefix versions). ``None`` means "no usable checkpoint — do
-    the full compute"; a rewritten/unusable checkpoint also ticks the
-    ``rewritten`` counter.
+    the full compute"; a rewritten/unusable checkpoint also counts as
+    ``delta_rewritten``.
     """
     cp = store.load(pid, "corpus")
     if cp is None:
@@ -498,7 +466,7 @@ def serve_corpus_delta(store: DeltaStore, pid: str, project,
         series, advanced = extend_checkpoint(
             cp, suffix, history.project_end, history.dialect)
     except _Unusable:
-        _note_rewritten()
+        obs.count("delta_rewritten")
         return None
     profile = _profile_from_series(history.project_name, series,
                                    cp.birth_month, project.source,
@@ -551,7 +519,7 @@ def serve_history_delta(store: DeltaStore, pid: str, source,
         series, advanced = extend_checkpoint(cp, suffix, project_end,
                                              dialect)
     except _Unusable:
-        _note_rewritten()
+        obs.count("delta_rewritten")
         return None
     profile = _profile_from_series(cp.name, series, cp.birth_month,
                                    None, None)

@@ -36,14 +36,15 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
+from repro import obs
 from repro.engine.cache import MISS, fingerprint
 from repro.engine.config import StudyConfig
 from repro.engine.faults import (
@@ -62,189 +63,109 @@ from repro.engine.session import (
     RunRecord,
     source_session_key,
 )
-from repro.analysis.table import pack_counters
-from repro.engine.delta import delta_counters
 from repro.engine.stage import MapStage, Stage, StageEvent, StudyPlan
 from repro.errors import EngineError, RunInterrupted
-from repro.history.kernel import kernel_counters
-from repro.sqlddl.memo import parse_counters
 
-#: Slots of the combined per-item counter vector shipped home from
-#: workers: statement memo (2), heartbeat kernel (2), pack (1), delta
-#: layer (4: projects appended / rewritten, versions reused / parsed).
-N_COUNTER_SLOTS = 9
+#: The counter columns of ``--timings``: header, the counters the cell
+#: shows, and its format. A cell whose counters are all zero shows "-".
+COLUMNS = (
+    ("cache", ("cache_hits", "cache_misses"), "{} hit / {} miss"),
+    ("parse memo", ("parse_hits", "parse_misses"), "{} hit / {} miss"),
+    ("heartbeat kernel", ("kernel_series", "kernel_reuse"),
+     "{} built / {} reuse"),
+    ("pack", ("pack_rows", "pack_merges"), "{} row / {} merge"),
+    ("delta", ("delta_appended", "delta_rewritten", "delta_reused",
+               "delta_parsed"), "{} app / {} rew / {} reuse / {} parse"),
+    ("faults", ("failures", "retries"), "{} fail / {} retry"),
+)
+
+#: Per-session stats a run reads off its session's cache object, as
+#: the change over the run, rather than off the registry: hot-layer
+#: hits, probes that fell through to disk, LRU evictions, corrupt
+#: entries quarantined and recomputed, stores the filesystem refused
+#: (ENOSPC / read-only) and quarantine entries pruned by the cap.
+CACHE_STATS = ("hot_hits", "hot_misses", "evictions", "quarantined",
+               "write_failures", "pruned")
+
+#: Run counters a ledger row leaves out: its ``failures`` key holds the
+#: failure summaries, and the row format has no merge or replayed-item
+#: count.
+UNLEDGERED = ("failures", "pack_merges", "journal_replayed_items")
 
 
 @dataclass(frozen=True)
 class StageTiming:
-    """Wall-clock and cache accounting for one executed stage.
+    """Wall-clock time and counters of one executed stage.
 
     Attributes:
         stage: stage name.
         seconds: wall-clock duration of the stage.
         items: mapped item count (map stages; None otherwise).
-        cache_hits: items served from the result cache.
-        cache_misses: items computed this run.
-        parse_hits: statement-memo hits during the stage (statements the
-            incremental parse path reused instead of re-parsing; summed
-            over worker processes).
-        parse_misses: statement-memo misses (statements actually parsed).
-        kernel_series: activity-series prefix tables built during the
-            stage (heartbeat kernel; summed over worker processes).
-        kernel_reuse: prefix-table lookups served from the per-series
-            memo instead of recomputing the cumulative arrays.
-        failures: items quarantined under a skip/retry error policy.
-        retries: extra attempts spent on transient per-item failures.
         chunk_size: items per pickled work chunk the executor chose
             (0 for serial execution and non-map stages).
-        pack_rows: columnar table rows packed during the stage (summed
-            over worker processes and the parent).
-        pack_merges: partial packs merged FIFO as worker chunks came
-            home (0 for serial and non-packing stages).
-        delta_appended: projects served by the append-only delta path
-            (checkpoint extended by a suffix instead of recomputed).
-        delta_rewritten: projects whose checkpoint had to be discarded
-            (history rewritten or otherwise unusable; full recompute).
-        delta_reused: checkpointed versions reused without re-parsing.
-        delta_parsed: suffix versions the delta kernel parsed.
+        counters: every :mod:`repro.obs` counter the stage moved,
+            summed over the parent and its worker processes; a counter
+            the stage did not move is absent. :data:`COLUMNS` lists the
+            ones ``--timings`` shows.
     """
 
     stage: str
     seconds: float
     items: int | None = None
-    cache_hits: int = 0
-    cache_misses: int = 0
-    parse_hits: int = 0
-    parse_misses: int = 0
-    kernel_series: int = 0
-    kernel_reuse: int = 0
-    failures: int = 0
-    retries: int = 0
     chunk_size: int = 0
-    pack_rows: int = 0
-    pack_merges: int = 0
-    delta_appended: int = 0
-    delta_rewritten: int = 0
-    delta_reused: int = 0
-    delta_parsed: int = 0
+    counters: Mapping[str, int] = field(default_factory=dict)
 
 
 @dataclass
 class ExecutionReport:
-    """Per-stage timings and fault accounting of one plan execution.
+    """Per-stage timings, run counters and faults of one plan execution.
 
     Attributes:
         timings: one :class:`StageTiming` per executed stage.
-        failures: every project quarantined during the run, in stage
-            then item order (empty under the default fail-fast policy,
-            which raises instead).
+        failures: every project quarantined during the run: those the
+            feed lost before the plan saw them (handle-stage failures)
+            first, then stage then item order (empty under the default
+            fail-fast policy, which raises instead).
         degraded: True when the process pool died or timed out and the
             run fell back to serial re-execution for part of the work.
-        quarantined: corrupt cache entries detected, moved aside and
-            recomputed during the run (cache self-healing).
-        hot_hits: result-cache probes served by the session's in-memory
-            hot layer this run (0 without a cache).
-        hot_misses: probes that fell through to disk (or missed).
-        evictions: hot-layer LRU evictions during the run.
+        counters: the run's totals, each present zero or not: every
+            :data:`COLUMNS` counter summed over the stages (with
+            ``failures`` as ``len(failures)``), any other counter a
+            stage moved, the :data:`CACHE_STATS` the run moved on its
+            session's cache, ``pool_spawns`` during the run, and the
+            journal's ``journal_chunks`` (chunks journaled as durable),
+            ``journal_replayed`` (prior-run chunks a ``--resume`` run
+            served entirely from the cache) and
+            ``journal_replayed_items`` (the items of those chunks).
+            Each also reads as an attribute: ``report.cache_hits``.
         run_uid: journal id of this execution (``""`` without a cache
             dir — no journal is kept then).
         resumed_from: journal id the run resumed, or ``None``.
-        journal_chunks: chunks journaled as durable during the run.
-        journal_replayed: prior-run chunks served entirely from the
-            cache on a resume (the "no recompute" acceptance counter).
-        journal_replayed_items: individual journaled items so served.
-        write_failures: cache stores the filesystem refused (ENOSPC /
-            read-only) — the run continued memory-only.
         journal_degraded: the journal itself could not be written and
             fell back to memory-only.
-        pruned: quarantine entries removed by the cap during the run.
     """
 
     timings: list[StageTiming] = field(default_factory=list)
     failures: list[ProjectFailure] = field(default_factory=list)
     degraded: bool = False
-    quarantined: int = 0
-    hot_hits: int = 0
-    hot_misses: int = 0
-    evictions: int = 0
+    counters: dict[str, int] = field(default_factory=dict)
     run_uid: str = ""
     resumed_from: str | None = None
-    journal_chunks: int = 0
-    journal_replayed: int = 0
-    journal_replayed_items: int = 0
-    write_failures: int = 0
     journal_degraded: bool = False
-    pruned: int = 0
+
+    def __getattr__(self, name: str) -> int:
+        # Only reached for names that are not real attributes.
+        try:
+            return self.__dict__["counters"][name]
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute "
+                f"{name!r}") from None
 
     @property
     def total_seconds(self) -> float:
         """Wall-clock total over all stages."""
         return sum(t.seconds for t in self.timings)
-
-    @property
-    def cache_hits(self) -> int:
-        """Items served from the result cache, over all map stages."""
-        return sum(t.cache_hits for t in self.timings)
-
-    @property
-    def cache_misses(self) -> int:
-        """Items computed this run, over all map stages."""
-        return sum(t.cache_misses for t in self.timings)
-
-    @property
-    def parse_hits(self) -> int:
-        """Statement-memo hits over all stages (incremental parsing)."""
-        return sum(t.parse_hits for t in self.timings)
-
-    @property
-    def parse_misses(self) -> int:
-        """Statement-memo misses (statements parsed) over all stages."""
-        return sum(t.parse_misses for t in self.timings)
-
-    @property
-    def kernel_series(self) -> int:
-        """Heartbeat-kernel prefix tables built, over all stages."""
-        return sum(t.kernel_series for t in self.timings)
-
-    @property
-    def kernel_reuse(self) -> int:
-        """Heartbeat-kernel memo-served lookups, over all stages."""
-        return sum(t.kernel_reuse for t in self.timings)
-
-    @property
-    def retries(self) -> int:
-        """Extra per-item attempts spent, over all stages."""
-        return sum(t.retries for t in self.timings)
-
-    @property
-    def pack_rows(self) -> int:
-        """Columnar table rows packed, over all stages."""
-        return sum(t.pack_rows for t in self.timings)
-
-    @property
-    def pack_merges(self) -> int:
-        """Partial packs merged at harvest time, over all stages."""
-        return sum(t.pack_merges for t in self.timings)
-
-    @property
-    def delta_appended(self) -> int:
-        """Projects served by the append-only delta path."""
-        return sum(t.delta_appended for t in self.timings)
-
-    @property
-    def delta_rewritten(self) -> int:
-        """Projects whose study checkpoint was rejected (rewritten)."""
-        return sum(t.delta_rewritten for t in self.timings)
-
-    @property
-    def delta_reused(self) -> int:
-        """Checkpointed versions reused without re-parsing."""
-        return sum(t.delta_reused for t in self.timings)
-
-    @property
-    def delta_parsed(self) -> int:
-        """Suffix versions parsed by the delta kernel."""
-        return sum(t.delta_parsed for t in self.timings)
 
     def format_delta_summary(self) -> str:
         """One line of delta accounting for a refresh run.
@@ -274,98 +195,60 @@ class ExecutionReport:
         """The timings as an aligned text table."""
         from repro.viz.tables import format_table
 
-        def hit_miss(hits: int, misses: int) -> str:
-            if hits or misses:
-                return f"{hits} hit / {misses} miss"
-            return "-"
-
-        def built_reuse(series: int, reuse: int) -> str:
-            if series or reuse:
-                return f"{series} built / {reuse} reuse"
-            return "-"
-
-        def fault_cell(failures: int, retries: int) -> str:
-            if failures or retries:
-                return f"{failures} fail / {retries} retry"
-            return "-"
-
-        def pack_cell(packed: int, merges: int) -> str:
-            if packed or merges:
-                return f"{packed} row / {merges} merge"
-            return "-"
-
-        def delta_cell(appended: int, rewritten: int, reused: int,
-                       parsed: int) -> str:
-            if appended or rewritten or reused or parsed:
-                return (f"{appended} app / {rewritten} rew / "
-                        f"{reused} reuse / {parsed} parse")
-            return "-"
-
-        total_cache = hit_miss(self.cache_hits, self.cache_misses)
-        if self.hot_hits or self.hot_misses or self.evictions:
-            total_cache += (f" [hot {self.hot_hits}/{self.hot_misses}"
-                            f", evict {self.evictions}]")
-        rows = []
-        for entry in self.timings:
-            rows.append([
-                entry.stage,
-                f"{entry.seconds * 1000:.1f} ms",
-                "-" if entry.items is None else entry.items,
-                entry.chunk_size or "-",
-                hit_miss(entry.cache_hits, entry.cache_misses),
-                hit_miss(entry.parse_hits, entry.parse_misses),
-                built_reuse(entry.kernel_series, entry.kernel_reuse),
-                pack_cell(entry.pack_rows, entry.pack_merges),
-                delta_cell(entry.delta_appended, entry.delta_rewritten,
-                           entry.delta_reused, entry.delta_parsed),
-                fault_cell(entry.failures, entry.retries),
-            ])
+        rows = [[entry.stage, f"{entry.seconds * 1000:.1f} ms",
+                 "-" if entry.items is None else entry.items,
+                 entry.chunk_size or "-", *_cells(entry.counters)]
+                for entry in self.timings]
+        total = _cells(self.counters)
+        hot = [self.counters.get(name, 0)
+               for name in ("hot_hits", "hot_misses", "evictions")]
+        if any(hot):
+            total[0] += " [hot {}/{}, evict {}]".format(*hot)
         rows.append(["TOTAL", f"{self.total_seconds * 1000:.1f} ms",
-                     "-", "-",
-                     total_cache,
-                     hit_miss(self.parse_hits, self.parse_misses),
-                     built_reuse(self.kernel_series, self.kernel_reuse),
-                     pack_cell(self.pack_rows, self.pack_merges),
-                     delta_cell(self.delta_appended, self.delta_rewritten,
-                                self.delta_reused, self.delta_parsed),
-                     fault_cell(len(self.failures), self.retries)])
+                     "-", "-", *total])
         title = "Execution report"
         if self.degraded:
             title += " (degraded: pool lost, partial serial fallback)"
         return format_table(
-            ["stage", "time", "items", "chunk", "cache", "parse memo",
-             "heartbeat kernel", "pack", "delta", "faults"], rows,
-            title=title)
+            ["stage", "time", "items", "chunk",
+             *(header for header, _, _ in COLUMNS)], rows, title=title)
+
+
+def _cells(counters: Mapping[str, int]) -> list[str]:
+    """The :data:`COLUMNS` cells of one ``--timings`` row."""
+    cells = []
+    for _, names, form in COLUMNS:
+        values = [counters.get(name, 0) for name in names]
+        cells.append(form.format(*values) if any(values) else "-")
+    return cells
 
 
 def _invoke_map(fn: Callable, transport: Callable | None,
                 pack: Callable | None,
                 extras: tuple, stage_name: str, policy: ErrorPolicy,
                 faults: FaultPlan | None, attempt_base: int, item: Any
-                ) -> tuple[Any, tuple[int, ...], int, Any]:
+                ) -> tuple[Any, dict[str, int], Any]:
     """Apply a map stage to one item (module-level: must pickle).
 
     Runs the item under the error policy: a capturing policy (skip /
     retry) turns exceptions into :class:`ProjectFailure` payloads —
-    retrying transient source errors with backoff first — while the
-    fail-fast policy lets them propagate exactly as before the fault
-    layer existed. ``attempt_base`` offsets the attempt number the
-    fault plan sees, so a pool-crash serial re-run counts as a later
-    attempt and injected one-shot faults do not re-fire.
+    retrying transient source errors with backoff first, each retry
+    counted as ``retries`` — while the fail-fast policy lets them
+    propagate exactly as before the fault layer existed.
+    ``attempt_base`` offsets the attempt number the fault plan sees, so
+    a pool-crash serial re-run counts as a later attempt and injected
+    one-shot faults do not re-fire.
 
     With a ``pack`` function the surviving result is also flattened
     into its columnar row right here — in the worker, overlapping the
     map itself — so the parent only merges finished rows.
 
     Returns the (transported) result or failure record, the
-    statement-memo / heartbeat-kernel / pack / delta-layer counter
-    deltas the call produced (so worker processes can ship their
-    counters back to the parent), the number of retries spent, and the
-    packed row (``None`` for failures or non-packing stages).
+    :mod:`repro.obs` counters the call moved (how worker processes
+    ship their counters home), and the packed row (``None`` for
+    failures or non-packing stages).
     """
-    before = (parse_counters() + kernel_counters() + pack_counters()
-              + delta_counters())
-    retries = 0
+    before = obs.snapshot()
     attempt = 0
     while True:
         attempt += 1
@@ -381,7 +264,7 @@ def _invoke_map(fn: Callable, transport: Callable | None,
             if not policy.captures:
                 raise
             if attempt < policy.attempts_for(exc):
-                retries += 1
+                obs.count("retries")
                 delay = policy.backoff_seconds(item_id(item), attempt)
                 if delay > 0:
                     time.sleep(delay)
@@ -392,12 +275,7 @@ def _invoke_map(fn: Callable, transport: Callable | None,
     row = None
     if pack is not None and not isinstance(payload, ProjectFailure):
         row = pack(payload)
-    after = (parse_counters() + kernel_counters() + pack_counters()
-             + delta_counters())
-    return (payload,
-            tuple(after[slot] - before[slot]
-                  for slot in range(N_COUNTER_SLOTS)),
-            retries, row)
+    return payload, obs.since(before), row
 
 
 def _invoke_chunk(invoke: Callable, items: list) -> list:
@@ -445,15 +323,11 @@ class _MapOutcome:
 
     values: list
     count: int
-    hits: int
-    misses: int
-    worker_delta: tuple[int, ...]
+    shipped: Counter
     failures: list[ProjectFailure]
-    retries: int
     degraded: bool
     chunk_size: int = 0
     pack: Any = None
-    pack_merges: int = 0
 
 
 def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
@@ -477,9 +351,11 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
 
     ``values`` holds only the surviving results, in item order —
     quarantined items are dropped so downstream stages compute over
-    the survivors. ``worker_delta`` sums the statement-memo,
-    heartbeat-kernel and pack counters that ticked in worker
-    processes (invisible to this process's own counters).
+    the survivors. The stage's own accounting — ``cache_hits``,
+    ``cache_misses``, ``failures``, ``pack_merges`` — is counted in
+    :mod:`repro.obs` here in the parent; ``shipped`` sums the counters
+    that moved in worker processes (invisible to this process's
+    registry).
 
     A packing stage additionally flattens each surviving result into
     a columnar row — in the worker for computed items, at probe time
@@ -517,12 +393,9 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
     digests: dict[int, str | None] = {}
     jkeys: dict[int, str | None] = {}
     failures: list[ProjectFailure] = []
-    retries = 0
     degraded = False
-    worker_deltas = [0] * N_COUNTER_SLOTS
+    shipped: Counter = Counter()
     total = 0
-    hits = 0
-    merges = 0
 
     def parent_fault(item: Any) -> None:
         """Fire run-level injected faults at this item's dispatch."""
@@ -544,10 +417,10 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
 
     def probe(index: int, item: Any) -> bool:
         """Serve ``item`` from cache; True when it still needs work."""
-        nonlocal hits
         if faults is not None:
             parent_fault(item)
         if not probe_cache:
+            obs.count("cache_misses")
             return True
         key = stage.cache_key_fn(item, extras, stage.version)
         if faults is not None and faults.wants_cache_corruption(
@@ -556,25 +429,23 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
         value = cache.get(key)
         if value is MISS:
             keys[index] = key
+            obs.count("cache_misses")
             return True
         results[index] = value
         if stage.pack_fn is not None:
             # Cache hits never reach a worker: pack them here so the
             # table covers hot, cold and mixed runs alike.
             rows[index] = stage.pack_fn(value)
-        hits += 1
+        obs.count("cache_hits")
         if replay is not None and replay.contains(key):
             replay.mark(key)
         return False
 
-    def absorb(index: int, outcome: tuple, count_delta: bool,
+    def absorb(index: int, outcome: tuple, from_worker: bool,
                transported: bool) -> None:
-        nonlocal retries
-        payload, delta, item_retries, row = outcome
-        retries += item_retries
-        if count_delta:
-            for slot in range(N_COUNTER_SLOTS):
-                worker_deltas[slot] += delta[slot]
+        payload, moved, row = outcome
+        if from_worker:
+            shipped.update(moved)
         results[index] = payload
         if row is not None:
             rows[index] = row
@@ -602,6 +473,16 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
             entries.append((item_id(item), jkeys.get(index),
                             digests.get(index)))
         journal.chunk(stage.name, entries)
+
+    def land(positions: list[int], outbound: list,
+             outcomes: list) -> None:
+        """Absorb one finished worker chunk and journal it."""
+        for index, outcome in zip(positions, outcomes):
+            absorb(index, outcome, True, True)
+        if stage.pack_fn is not None:
+            # One partial pack merged FIFO into the growing table.
+            obs.count("pack_merges")
+        journal_chunk(positions, outbound)
 
     chosen_chunk = 0
     if config.jobs > 1:
@@ -648,24 +529,19 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
 
         def harvest_oldest() -> None:
             """Absorb the oldest in-flight chunk (FIFO, as submitted)."""
-            nonlocal broken, abandoned, degraded, merges
+            nonlocal broken, abandoned, degraded
             positions, outbound, future = inflight.popleft()
             if broken:
                 # The pool is dead; harvest chunks that finished
                 # before the crash, re-run the rest serially.
                 if future.done() and not future.cancelled() \
                         and future.exception() is None:
-                    for index, triple in zip(positions,
-                                             future.result()):
-                        absorb(index, triple, True, True)
-                    if stage.pack_fn is not None:
-                        merges += 1
-                    journal_chunk(positions, outbound)
+                    land(positions, outbound, future.result())
                 else:
                     backlog.extend(zip(positions, outbound))
                 return
             try:
-                triples = future.result(timeout=config.stage_timeout)
+                outcomes = future.result(timeout=config.stage_timeout)
             except FuturesTimeout:
                 degraded = True
                 abandoned = True
@@ -690,12 +566,7 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
                 degraded = True
                 backlog.extend(zip(positions, outbound))
                 return
-            for index, triple in zip(positions, triples):
-                absorb(index, triple, True, True)
-            if stage.pack_fn is not None:
-                # One partial pack merged FIFO into the growing table.
-                merges += 1
-            journal_chunk(positions, outbound)
+            land(positions, outbound, outcomes)
 
         try:
             for item in items:
@@ -728,12 +599,7 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
                 positions, outbound, future = inflight.popleft()
                 if future.done() and not future.cancelled() \
                         and future.exception() is None:
-                    for index, triple in zip(positions,
-                                             future.result()):
-                        absorb(index, triple, True, True)
-                    if stage.pack_fn is not None:
-                        merges += 1
-                    journal_chunk(positions, outbound)
+                    land(positions, outbound, future.result())
                 else:
                     future.cancel()
             raise
@@ -762,7 +628,7 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
                     guard.check()
                 absorb(index, recover(item), False, True)
             if stage.pack_fn is not None:
-                merges += 1
+                obs.count("pack_merges")
             journal_chunk([index for index, _ in backlog],
                           [item for _, item in backlog])
     else:
@@ -779,6 +645,7 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
                 # becomes durable (and resumable) as soon as it lands.
                 journal_chunk([index], [item])
 
+    obs.count("failures", len(failures))
     if failures and len(failures) == total:
         summary = "; ".join(f.summary() for f in failures[:3])
         raise EngineError(
@@ -791,12 +658,9 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
         # Survivors only, item order — rows parallel `values` exactly.
         pack = stage.pack_finish_fn(
             [rows[index] for index in sorted(rows)])
-    return _MapOutcome(values=values, count=total, hits=hits,
-                       misses=total - hits,
-                       worker_delta=tuple(worker_deltas),
-                       failures=failures, retries=retries,
-                       degraded=degraded, chunk_size=chosen_chunk,
-                       pack=pack, pack_merges=merges)
+    return _MapOutcome(values=values, count=total, shipped=shipped,
+                       failures=failures, degraded=degraded,
+                       chunk_size=chosen_chunk, pack=pack)
 
 
 def _early_fingerprint(inputs: Mapping[str, Any]) -> str | None:
@@ -882,7 +746,8 @@ def _config_summary(config: StudyConfig) -> dict:
 
 def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
                  config: StudyConfig | None = None,
-                 session: EngineSession | None = None
+                 session: EngineSession | None = None,
+                 feed_failures: Sequence[ProjectFailure] = ()
                  ) -> tuple[dict[str, Any], ExecutionReport]:
     """Execute every stage of ``plan`` and return all stage results.
 
@@ -893,11 +758,17 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
         session: the engine session owning pool, warm cache and run
             ledger. ``None`` opens a throwaway session around this one
             call — identical to the historical per-call behavior.
+        feed_failures: projects quarantined before they reached the
+            plan (a handle stream's fingerprint failures). The list is
+            read after the last stage, so a stream that fills it while
+            the map consumes it is complete by then; its entries lead
+            ``report.failures`` and the ledger row's failures.
 
     Returns:
         ``(results, report)`` — results maps every input and stage name
-        to its value; the report carries per-stage timings, quarantined
-        :class:`ProjectFailure` records and the degraded-run flag.
+        to its value; the report carries per-stage timings, run
+        counters, quarantined :class:`ProjectFailure` records and the
+        degraded-run flag.
 
     Raises:
         EngineError: for invalid plans (unknown inputs, cycles), or —
@@ -910,16 +781,12 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
     config = config or StudyConfig()
     if session is None:
         with EngineSession(config) as owned:
-            return execute_plan(plan, inputs, config, session=owned)
+            return execute_plan(plan, inputs, config, session=owned,
+                                feed_failures=feed_failures)
     cache = session.cache_for(config.cache_dir)
     # Session state persists across runs; ledger numbers are deltas.
-    quarantined_before = cache.quarantined if cache is not None else 0
-    hot_before = cache.hot_hits if cache is not None else 0
-    hot_misses_before = cache.hot_misses if cache is not None else 0
-    evictions_before = cache.evictions if cache is not None else 0
-    write_failures_before = \
-        cache.write_failures if cache is not None else 0
-    pruned_before = cache.pruned if cache is not None else 0
+    stats_before = {name: getattr(cache, name) if cache is not None
+                    else 0 for name in CACHE_STATS}
     spawns_before = session.pool_spawns
     started_at = datetime.now(timezone.utc)
     run_started = time.perf_counter()
@@ -961,13 +828,10 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
                 guard.check()
                 config.emit(StageEvent(stage=stage.name, phase="start"))
                 started = time.perf_counter()
-                local_before = (parse_counters() + kernel_counters()
-                                + pack_counters() + delta_counters())
-                hits = misses = stage_failures = stage_retries = 0
-                worker_delta = (0,) * N_COUNTER_SLOTS
+                before = obs.snapshot()
+                shipped: Mapping[str, int] = {}
                 items: int | None = None
                 chunk_size = 0
-                pack_merges = 0
                 if isinstance(stage, MapStage):
                     # The first input may be a lazily enumerated
                     # stream — it is handed to the map stage as-is and
@@ -981,79 +845,53 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
                                              replay=replay,
                                              guard=guard)
                     value = outcome.values
-                    hits, misses = outcome.hits, outcome.misses
-                    worker_delta = outcome.worker_delta
-                    stage_failures = len(outcome.failures)
-                    stage_retries = outcome.retries
+                    shipped = outcome.shipped
                     report.failures.extend(outcome.failures)
                     report.degraded = report.degraded \
                         or outcome.degraded
                     items = outcome.count
                     chunk_size = outcome.chunk_size
-                    pack_merges = outcome.pack_merges
                     if stage.pack_output is not None:
                         results[stage.pack_output] = outcome.pack
                 else:
                     value = stage.fn(*(results[name]
                                        for name in stage.inputs))
                 elapsed = time.perf_counter() - started
-                local_after = (parse_counters() + kernel_counters()
-                               + pack_counters() + delta_counters())
-                # Counter activity of this stage: in-process delta
-                # (serial maps, ordinary stages) plus whatever the
-                # workers shipped back.
-                parse_hits, parse_misses, kernel_series, kernel_reuse, \
-                    pack_rows, delta_appended, delta_rewritten, \
-                    delta_reused, delta_parsed = (
-                        local_after[slot] - local_before[slot]
-                        + worker_delta[slot]
-                        for slot in range(N_COUNTER_SLOTS))
+                # The stage's counters: what moved in this process
+                # (serial maps, ordinary stages, the map's own
+                # accounting) plus what the workers shipped home.
+                counters = Counter(obs.since(before))
+                counters.update(shipped)
+                timing = StageTiming(
+                    stage=stage.name, seconds=elapsed, items=items,
+                    chunk_size=chunk_size, counters=dict(counters))
                 results[stage.name] = value
                 schedule.complete(stage.name)
-                report.timings.append(StageTiming(
-                    stage=stage.name, seconds=elapsed, items=items,
-                    cache_hits=hits, cache_misses=misses,
-                    parse_hits=parse_hits, parse_misses=parse_misses,
-                    kernel_series=kernel_series,
-                    kernel_reuse=kernel_reuse,
-                    failures=stage_failures, retries=stage_retries,
-                    chunk_size=chunk_size, pack_rows=pack_rows,
-                    pack_merges=pack_merges,
-                    delta_appended=delta_appended,
-                    delta_rewritten=delta_rewritten,
-                    delta_reused=delta_reused,
-                    delta_parsed=delta_parsed))
-                config.emit(StageEvent(
-                    stage=stage.name, phase="finish", seconds=elapsed,
-                    items=items or 0, cache_hits=hits,
-                    cache_misses=misses,
-                    parse_hits=parse_hits, parse_misses=parse_misses,
-                    kernel_series=kernel_series,
-                    kernel_reuse=kernel_reuse,
-                    failures=stage_failures, retries=stage_retries,
-                    chunk_size=chunk_size, pack_rows=pack_rows,
-                    pack_merges=pack_merges,
-                    delta_appended=delta_appended,
-                    delta_rewritten=delta_rewritten,
-                    delta_reused=delta_reused,
-                    delta_parsed=delta_parsed))
+                report.timings.append(timing)
+                config.emit(StageEvent(stage=stage.name, phase="finish",
+                                       timing=timing))
         except RunInterrupted:
             interrupted = True
-    if cache is not None:
-        report.quarantined = cache.quarantined - quarantined_before
-        report.hot_hits = cache.hot_hits - hot_before
-        report.hot_misses = cache.hot_misses - hot_misses_before
-        report.evictions = cache.evictions - evictions_before
-        report.write_failures = \
-            cache.write_failures - write_failures_before
-        report.pruned = cache.pruned - pruned_before
+    report.failures[:0] = feed_failures
+    totals = Counter(dict.fromkeys(
+        (name for _, names, _ in COLUMNS for name in names), 0))
+    for timing in report.timings:
+        totals.update(timing.counters)
+    # The TOTAL fault cell counts the feed's failures too.
+    totals["failures"] = len(report.failures)
+    for name in CACHE_STATS:
+        totals[name] = getattr(cache, name) - stats_before[name] \
+            if cache is not None else 0
+    totals["pool_spawns"] = session.pool_spawns - spawns_before
+    totals["journal_chunks"] = journal.chunks if journal is not None else 0
+    totals["journal_replayed"] = \
+        replay.chunks_replayed if replay is not None else 0
+    totals["journal_replayed_items"] = \
+        replay.items_replayed if replay is not None else 0
+    report.counters = dict(totals)
     report.run_uid = run_uid if journal is not None else ""
     report.resumed_from = config.resume_from
-    if replay is not None:
-        report.journal_replayed = replay.chunks_replayed
-        report.journal_replayed_items = replay.items_replayed
     if journal is not None:
-        report.journal_chunks = journal.chunks
         report.journal_degraded = journal.memory_only
         # Flush the run's fate before the ledger row: a crash between
         # the two leaves the journal resumable, never the other way.
@@ -1066,33 +904,14 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
         config=_config_summary(config),
         stages=tuple(_timing_dict(t) for t in report.timings),
         items=sum(t.items or 0 for t in report.timings),
-        cache_hits=report.cache_hits,
-        cache_misses=report.cache_misses,
-        hot_hits=report.hot_hits,
-        hot_misses=report.hot_misses,
-        evictions=report.evictions,
-        parse_hits=report.parse_hits,
-        parse_misses=report.parse_misses,
-        kernel_series=report.kernel_series,
-        kernel_reuse=report.kernel_reuse,
+        counters={name: n for name, n in report.counters.items()
+                  if name not in UNLEDGERED},
         failures=tuple(f.summary() for f in report.failures),
         degraded=report.degraded,
-        quarantined=report.quarantined,
-        retries=report.retries,
-        pack_rows=report.pack_rows,
-        delta_appended=report.delta_appended,
-        delta_rewritten=report.delta_rewritten,
-        delta_reused=report.delta_reused,
-        delta_parsed=report.delta_parsed,
-        pool_spawns=session.pool_spawns - spawns_before,
         result_digest=_result_digest(results),
         run_uid=report.run_uid,
         interrupted=interrupted,
         resumed_from=config.resume_from,
-        journal_chunks=report.journal_chunks,
-        journal_replayed=report.journal_replayed,
-        write_failures=report.write_failures,
-        pruned=report.pruned,
     ), config.cache_dir)
     if interrupted:
         raise RunInterrupted(report.run_uid or None)
@@ -1100,22 +919,18 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
 
 
 def _timing_dict(timing: StageTiming) -> dict:
-    """One :class:`StageTiming` as a compact ledger dict."""
+    """One :class:`StageTiming` as a compact ledger dict: map stages
+    always carry their cache split, every other counter shows only when
+    the stage moved it."""
     entry: dict[str, Any] = {
         "stage": timing.stage,
         "ms": round(timing.seconds * 1000, 3),
     }
     if timing.items is not None:
-        entry["items"] = timing.items
-        entry["cache_hits"] = timing.cache_hits
-        entry["cache_misses"] = timing.cache_misses
-    for name in ("parse_hits", "parse_misses", "kernel_series",
-                 "kernel_reuse", "failures", "retries", "chunk_size",
-                 "pack_rows", "pack_merges", "delta_appended",
-                 "delta_rewritten", "delta_reused", "delta_parsed"):
-        value = getattr(timing, name)
-        if value:
-            entry[name] = value
+        entry.update(items=timing.items, cache_hits=0, cache_misses=0)
+    if timing.chunk_size:
+        entry["chunk_size"] = timing.chunk_size
+    entry.update(timing.counters)
     return entry
 
 

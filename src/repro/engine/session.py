@@ -44,7 +44,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 from repro.engine.cache import MISS, ResultCache, fingerprint
 from repro.engine.config import StudyConfig
@@ -209,25 +209,16 @@ class RunRecord:
         stages: per-stage timing/cache/fault numbers, one dict per
             executed stage.
         items: mapped items over all map stages.
-        cache_hits / cache_misses: result-cache totals of the run.
-        hot_hits: cache hits served from the session's in-memory hot
-            layer (a subset of ``cache_hits``).
-        hot_misses: cache probes that fell through to the disk store.
-        evictions: hot-layer LRU evictions during the run.
-        delta_appended / delta_rewritten: projects served by the
-            append-only delta path / recomputed after their checkpoint
-            was rejected (rewritten history).
-        delta_reused / delta_parsed: checkpointed versions reused vs
-            suffix versions parsed by the delta kernel.
-        parse_hits / parse_misses: statement-memo totals.
-        kernel_series / kernel_reuse: heartbeat-kernel totals.
+        counters: the run's counter totals, one ledger key each, zero
+            or not: ``cache_hits``/``cache_misses``, the hot layer's
+            ``hot_hits``/``hot_misses``/``evictions``, ``parse_*``,
+            ``kernel_*``, ``pack_rows``, ``delta_*``, ``retries``,
+            ``quarantined``, ``pool_spawns`` (0 on a fully warm run —
+            the headline service-shape number), ``journal_chunks``/
+            ``journal_replayed``, ``write_failures`` and ``pruned``
+            (see :class:`~repro.engine.executor.ExecutionReport`).
         failures: quarantined-project summaries, in failure order.
         degraded: the run lost its pool or timed out a chunk.
-        quarantined: corrupt cache entries healed during the run.
-        retries: extra per-item attempts spent.
-        pack_rows: columnar table rows packed during the run.
-        pool_spawns: worker pools spawned *during this run* (0 on a
-            fully warm run — the headline service-shape number).
         result_digest: stable digest of the run's study records, for
             byte-identical-across-runs assertions and lineage.
         run_uid: the run's journal id (``""`` when no cache dir, hence
@@ -236,12 +227,6 @@ class RunRecord:
             graceful drain (its journal lists what completed).
         resumed_from: journal id of the interrupted/killed run this one
             resumed, or ``None`` for a fresh run.
-        journal_chunks: chunks this run journaled as durable.
-        journal_replayed: prior-run journaled chunks served entirely
-            from the result cache during a ``--resume`` run.
-        write_failures: cache/journal stores the filesystem refused
-            (ENOSPC / read-only degradation).
-        pruned: quarantine entries removed by the cap during the run.
     """
 
     run_id: int
@@ -251,39 +236,20 @@ class RunRecord:
     config: dict
     stages: tuple[dict, ...]
     items: int
-    cache_hits: int
-    cache_misses: int
-    hot_hits: int
-    parse_hits: int
-    parse_misses: int
-    kernel_series: int
-    kernel_reuse: int
+    counters: Mapping[str, int]
     failures: tuple[str, ...]
     degraded: bool
-    quarantined: int
-    retries: int
-    pool_spawns: int
     result_digest: str
-    pack_rows: int = 0
-    hot_misses: int = 0
-    evictions: int = 0
-    delta_appended: int = 0
-    delta_rewritten: int = 0
-    delta_reused: int = 0
-    delta_parsed: int = 0
     run_uid: str = ""
     interrupted: bool = False
     resumed_from: str | None = None
-    journal_chunks: int = 0
-    journal_replayed: int = 0
-    write_failures: int = 0
-    pruned: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
         """Fraction of mapped items served from the result cache."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
+        hits = self.counters.get("cache_hits", 0)
+        total = hits + self.counters.get("cache_misses", 0)
+        return hits / total if total else 0.0
 
     def to_dict(self) -> dict:
         """The record as one JSON-serializable dict (ledger line)."""
@@ -295,34 +261,14 @@ class RunRecord:
             "config": self.config,
             "stages": list(self.stages),
             "items": self.items,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
+            **self.counters,
             "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "hot_hits": self.hot_hits,
-            "hot_misses": self.hot_misses,
-            "evictions": self.evictions,
-            "delta_appended": self.delta_appended,
-            "delta_rewritten": self.delta_rewritten,
-            "delta_reused": self.delta_reused,
-            "delta_parsed": self.delta_parsed,
-            "parse_hits": self.parse_hits,
-            "parse_misses": self.parse_misses,
-            "kernel_series": self.kernel_series,
-            "kernel_reuse": self.kernel_reuse,
             "failures": list(self.failures),
             "degraded": self.degraded,
-            "quarantined": self.quarantined,
-            "retries": self.retries,
-            "pack_rows": self.pack_rows,
-            "pool_spawns": self.pool_spawns,
             "result_digest": self.result_digest,
             "run_uid": self.run_uid,
             "interrupted": self.interrupted,
             "resumed_from": self.resumed_from,
-            "journal_chunks": self.journal_chunks,
-            "journal_replayed": self.journal_replayed,
-            "write_failures": self.write_failures,
-            "pruned": self.pruned,
         }
 
 
@@ -463,11 +409,6 @@ class EngineSession:
             cache = HotResultCache(root, hot_entries=self.hot_entries)
             self._caches[key] = cache
         return cache
-
-    @property
-    def hot_hits(self) -> int:
-        """Hot-layer hits over every cache this session opened."""
-        return sum(c.hot_hits for c in self._caches.values())
 
     # -- source registry -----------------------------------------------
 

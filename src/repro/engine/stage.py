@@ -11,9 +11,12 @@ memoize in the content-addressed result cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.errors import EngineError
+
+if TYPE_CHECKING:
+    from repro.engine.executor import StageTiming
 
 
 @dataclass(frozen=True)
@@ -23,55 +26,14 @@ class StageEvent:
     Attributes:
         stage: name of the stage the event concerns.
         phase: ``"start"`` or ``"finish"``.
-        seconds: wall-clock duration (finish events only).
-        items: number of mapped items (map stages only).
-        cache_hits: items served from the result cache (map stages).
-        cache_misses: items that had to be computed (map stages).
-        parse_hits: statement-memo hits during the stage (statements
-            reused instead of re-parsed by the incremental parse path,
-            summed over workers).
-        parse_misses: statement-memo misses (statements parsed).
-        kernel_series: activity-series prefix tables built during the
-            stage (heartbeat kernel; summed over workers).
-        kernel_reuse: prefix-table lookups served from the per-series
-            memo — each one a full cumulative-array recomputation
-            before the columnar kernel layer existed.
-        failures: mapped items that could not be computed and were
-            quarantined under a skip/retry error policy.
-        retries: extra attempts spent on transient failures (both the
-            ones that eventually succeeded and the ones that did not).
-        chunk_size: items per pickled work chunk the executor chose
-            for this stage (0 for serial or non-map stages).
-        pack_rows: columnar table rows packed during the stage (summed
-            over workers and the parent).
-        pack_merges: partial packs merged FIFO as worker chunks were
-            harvested (0 for serial or non-packing stages).
-        delta_appended: projects served by the append-only delta path.
-        delta_rewritten: projects whose study checkpoint was rejected
-            (rewritten history; recomputed in full).
-        delta_reused: checkpointed versions reused without re-parsing.
-        delta_parsed: suffix versions parsed by the delta kernel.
+        timing: the stage's :class:`~repro.engine.executor.StageTiming`
+            — seconds, items, chunk size and counters (finish events
+            only).
     """
 
     stage: str
     phase: str
-    seconds: float = 0.0
-    items: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    parse_hits: int = 0
-    parse_misses: int = 0
-    kernel_series: int = 0
-    kernel_reuse: int = 0
-    failures: int = 0
-    retries: int = 0
-    chunk_size: int = 0
-    pack_rows: int = 0
-    pack_merges: int = 0
-    delta_appended: int = 0
-    delta_rewritten: int = 0
-    delta_reused: int = 0
-    delta_parsed: int = 0
+    timing: StageTiming | None = None
 
 
 @dataclass(frozen=True)

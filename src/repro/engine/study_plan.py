@@ -1010,8 +1010,7 @@ def compute_records_from_source(source,
         build_source_records_plan(delta=store is not None),
         {"handles": feed, "source": source,
          "scheme": config.scheme, "delta_store": store},
-        config, session=session)
-    report.failures[:0] = stream.failures
+        config, session=session, feed_failures=stream.failures)
     return list(results["records"]), report
 
 
@@ -1040,6 +1039,5 @@ def execute_study_from_source(source,
         build_source_study_plan(delta=store is not None),
         {"handles": feed, "source": source, "scheme": config.scheme,
          "delta_store": store},
-        config, session=session)
-    report.failures[:0] = stream.failures
+        config, session=session, feed_failures=stream.failures)
     return results["results"], report

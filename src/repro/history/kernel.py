@@ -5,9 +5,10 @@ cumulative-fraction curve — is consumed many times per project: the
 landmark finder, the activity totals, the 20-point progress vector and
 the chart renderers all walk the same cumulative arrays. This module
 computes those arrays **once** per series, in a single fused pass over
-the flat monthly counts, and exposes process-wide counters so the
-execution engine can report kernel activity next to its cache and
-parse-memo statistics (mirroring :mod:`repro.sqlddl.memo`).
+the flat monthly counts, and counts ``kernel_series`` (prefix tables
+built) and ``kernel_reuse`` (lookups served from a built table) in
+:mod:`repro.obs`, so the execution engine reports kernel activity next
+to its cache and parse-memo statistics.
 
 The naive per-call implementations the kernels replaced are retained
 below as ``naive_*`` functions. They are the *oracles*: the hypothesis
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from repro import obs
 from repro.diff.changes import KIND_ORDER, N_KINDS
 
 __all__ = [
@@ -32,33 +34,22 @@ __all__ = [
     "naive_combine_flat",
     "naive_cumulative",
     "naive_cumulative_fraction",
-    "reset_kernel_counters",
 ]
-
-#: Process-global kernel counters: prefix tables built (one per
-#: distinct ActivitySeries that was ever inspected) and memo-served
-#: reuse hits (lookups answered from an already-built table — each one
-#: a full cumulative-array recomputation before this layer existed).
-_SERIES_BUILT = 0
-_REUSE_HITS = 0
 
 
 def kernel_counters() -> tuple[int, int]:
-    """Process-wide (series_built, reuse_hits) of the prefix kernels."""
-    return _SERIES_BUILT, _REUSE_HITS
-
-
-def reset_kernel_counters() -> None:
-    """Zero the process-wide kernel counters (tests, worker deltas)."""
-    global _SERIES_BUILT, _REUSE_HITS
-    _SERIES_BUILT = 0
-    _REUSE_HITS = 0
+    """(series_built, reuse_hits) of the prefix kernels, as counted in
+    :mod:`repro.obs`: prefix tables built (one per distinct
+    ActivitySeries inspected) and lookups answered from an
+    already-built table (each one a full cumulative-array
+    recomputation before this layer existed)."""
+    counts = obs.snapshot()
+    return counts.get("kernel_series", 0), counts.get("kernel_reuse", 0)
 
 
 def count_reuse() -> None:
     """Record one memo-served prefix lookup."""
-    global _REUSE_HITS
-    _REUSE_HITS += 1
+    obs.count("kernel_reuse")
 
 
 #: The fused prefix state of one activity series:
@@ -73,8 +64,7 @@ def activity_prefix(monthly: Sequence[int]) -> PrefixView:
     and the fraction vector divides it back in (all zeros for a series
     with no activity — the convention the golden outputs pin).
     """
-    global _SERIES_BUILT
-    _SERIES_BUILT += 1
+    obs.count("kernel_series")
     cumulative: list[int] = []
     running = 0
     for value in monthly:

@@ -62,7 +62,6 @@ from repro.sqlddl.memo import (
     ParsedSegment,
     StatementMemo,
     parse_counters,
-    reset_parse_counters,
 )
 from repro.sqlddl.normalize import (
     canonical_type,
@@ -113,7 +112,6 @@ __all__ = [
     "parse_script",
     "parse_statement",
     "parse_token_group",
-    "reset_parse_counters",
     "segment_hash",
     "split_statements",
     "tokenize",

@@ -16,15 +16,16 @@ lex to exactly one statement group). Callers seeing a fallback entry
 must re-run the classic whole-file parse for that version, which
 reproduces the full-parse behaviour bit for bit.
 
-Module-level hit/miss counters aggregate across all memos in the
-process so the execution engine can report them next to its cache
-stats (workers ship their deltas back to the parent).
+Every lookup also counts as ``parse_hits`` or ``parse_misses`` in
+:mod:`repro.obs`, so the execution engine reports memo activity per
+stage next to its cache stats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import obs
 from repro.errors import LexError
 from repro.sqlddl import ast_nodes as ast
 from repro.sqlddl.dialect import Dialect
@@ -36,24 +37,14 @@ __all__ = [
     "ParsedSegment",
     "StatementMemo",
     "parse_counters",
-    "reset_parse_counters",
 ]
-
-#: Process-global memo counters (sum over every StatementMemo).
-_HITS = 0
-_MISSES = 0
 
 
 def parse_counters() -> tuple[int, int]:
-    """Process-wide (hits, misses) over all statement memos."""
-    return _HITS, _MISSES
-
-
-def reset_parse_counters() -> None:
-    """Zero the process-wide memo counters (tests, worker bookkeeping)."""
-    global _HITS, _MISSES
-    _HITS = 0
-    _MISSES = 0
+    """(hits, misses) over all statement memos, as counted in
+    :mod:`repro.obs`."""
+    counts = obs.snapshot()
+    return counts.get("parse_hits", 0), counts.get("parse_misses", 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,14 +78,13 @@ class StatementMemo:
 
     def parse(self, segment: Segment) -> ParsedSegment:
         """The parse outcome of ``segment``, cached by content hash."""
-        global _HITS, _MISSES
         entry = self._entries.get(segment.content_hash)
         if entry is not None:
             self.hits += 1
-            _HITS += 1
+            obs.count("parse_hits")
             return entry
         self.misses += 1
-        _MISSES += 1
+        obs.count("parse_misses")
         entry = self._parse_segment(segment.text)
         self._entries[segment.content_hash] = entry
         return entry

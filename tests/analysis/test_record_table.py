@@ -19,6 +19,7 @@ from repro.analysis.change_mix import compute_change_mix
 from repro.analysis.coverage import compute_coverage
 from repro.analysis.normality import compute_normality
 from repro.analysis.prediction import compute_prediction
+from repro import obs
 from repro.analysis.records import MEASURE_NAMES, measures_of
 from repro.analysis.stats_tables import (
     compute_section34_stats,
@@ -29,7 +30,6 @@ from repro.analysis.table import (
     N_MEASURES,
     PackedRecord,
     RecordTable,
-    pack_counters,
     pack_record,
 )
 from repro.diff.changes import N_KINDS
@@ -71,9 +71,10 @@ class TestPack:
             assert list(ours[name]) == list(theirs[name])
 
     def test_pack_counter_ticks(self, records):
-        before = pack_counters()[0]
+        before = obs.snapshot()
         pack_record(records[0])
-        assert pack_counters()[0] == before + 1
+        pack_record(records[0], count=False)
+        assert obs.since(before) == {"pack_rows": 1}
 
     def test_empty_table(self):
         empty = RecordTable.from_rows([])

@@ -30,6 +30,7 @@ from repro.engine import (
     execute_study,
     execute_study_from_source,
     policy_from_name,
+    read_ledger,
     safe_source_handles,
 )
 from repro.errors import (
@@ -247,7 +248,7 @@ class TestPolicyByFaultMatrix:
         assert failure.error_type == "ParseError"
         assert failure.stage == "records"
         assert failure.attempts == 1
-        assert report.timing("records").failures == 1
+        assert report.timing("records").counters["failures"] == 1
         assert not report.degraded
 
     def test_skip_does_not_retry_transients(self, source):
@@ -262,7 +263,7 @@ class TestPolicyByFaultMatrix:
             faults=FaultPlan.parse("source@flatliner-01*2"))
         assert not report.failures
         assert report.retries == 2
-        assert report.timing("records").retries == 2
+        assert report.timing("records").counters["retries"] == 2
         assert markdown_report(results) == clean_report
 
     def test_retry_budget_exhausted(self, source):
@@ -289,13 +290,15 @@ class TestPolicyByFaultMatrix:
             **config)
         assert report.quarantined == 1
         assert not report.failures
-        assert report.timing("records").cache_hits == len(source) - 1
-        assert report.timing("records").cache_misses == 1
+        counters = report.timing("records").counters
+        assert counters["cache_hits"] == len(source) - 1
+        assert counters["cache_misses"] == 1
         assert markdown_report(corrupted) == clean_report
         assert (tmp_path / "cache" / "corrupt").is_dir()
         # The recompute repopulated the slot: fully warm again.
         warm, warm_report = study(source, **config)
-        assert warm_report.timing("records").cache_hits == len(source)
+        assert warm_report.timing("records").counters["cache_hits"] \
+            == len(source)
 
     def test_crash_recovery_degrades_but_completes(self, source,
                                                    clean_report):
@@ -421,3 +424,14 @@ class TestHandleStageProtection:
         results, report = study(flaky, error_policy=FAST_RETRY)
         assert not report.failures
         assert markdown_report(results) == clean_report
+
+    def test_ledger_records_handle_failures(self, tmp_path):
+        # stderr, --timings and the ledger row name the same failures.
+        flaky = self.make(flaky_pids=["siesta-01"], fail_times=99)
+        _, report = study(flaky, cache_dir=tmp_path)
+        summaries = [f.summary() for f in report.failures]
+        assert summaries[0].startswith(
+            "siesta-01 [handles] TransientSourceError")
+        assert read_ledger(tmp_path)[-1]["failures"] == summaries
+        total = report.format_table().splitlines()[-1]
+        assert total.endswith("| 1 fail / 0 retry")

@@ -70,8 +70,9 @@ class TestGoldenEquivalence:
         assert markdown_report(warm1) == expected
         assert markdown_report(warm2) == expected
         # The second in-session run is pure hits, served hot.
-        assert r1.timing("records").cache_misses == len(source)
-        assert r2.timing("records").cache_hits == len(source)
+        assert r1.timing("records").counters["cache_misses"] \
+            == len(source)
+        assert r2.timing("records").counters["cache_hits"] == len(source)
         assert r2.cache_misses == 0
         assert session.runs[0].result_digest == \
             session.runs[1].result_digest
@@ -90,7 +91,7 @@ class TestPoolPersistence:
             study(source, session, jobs=2)
             study(source, session, jobs=2)
             assert session.pool_spawns == 1
-            assert session.runs[1].pool_spawns == 0
+            assert session.runs[1].counters["pool_spawns"] == 0
 
     def test_jobs_change_retires_the_pool(self, source):
         with EngineSession() as session:
@@ -161,7 +162,7 @@ class TestRunLedger:
             study(source, session, cache_dir=cache_dir)
         assert [r.run_id for r in session.runs] == [1, 2]
         assert session.runs[1].cache_hit_rate == 1.0
-        assert session.runs[1].hot_hits == len(source)
+        assert session.runs[1].counters["hot_hits"] == len(source)
         persisted = read_ledger(cache_dir)
         assert len(persisted) == 2
         assert persisted[0]["result_digest"] == \
@@ -177,7 +178,8 @@ class TestRunLedger:
         record = session.runs[0]
         assert len(record.failures) == 1
         assert "flatliner-01" in record.failures[0]
-        assert record.cache_hits + record.cache_misses > 0
+        assert record.counters["cache_hits"] \
+            + record.counters["cache_misses"] > 0
 
     def test_ledger_survives_torn_lines(self, source, tmp_path):
         with EngineSession() as session:

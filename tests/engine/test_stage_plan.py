@@ -138,10 +138,13 @@ class TestExecutePlan:
         events: list[StageEvent] = []
         plan = StudyPlan([Stage(name="doubled", fn=_double,
                                 inputs=("x",))])
-        execute_plan(plan, {"x": 1},
-                     StudyConfig(progress=events.append))
+        _, report = execute_plan(plan, {"x": 1},
+                                 StudyConfig(progress=events.append))
         phases = [(e.stage, e.phase) for e in events]
         assert phases == [("doubled", "start"), ("doubled", "finish")]
+        # The finish event carries the stage's timing; start has none.
+        assert events[0].timing is None
+        assert events[1].timing is report.timing("doubled")
 
     def test_missing_timing_raises(self):
         plan = StudyPlan([Stage(name="doubled", fn=_double,

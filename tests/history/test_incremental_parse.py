@@ -14,7 +14,7 @@ from repro.history.repository import (
     incremental_parse_default,
     set_incremental_parse_default,
 )
-from repro.sqlddl.memo import parse_counters, reset_parse_counters
+from repro.sqlddl.memo import parse_counters
 from tests.conftest import make_history
 
 
@@ -137,14 +137,13 @@ def test_memo_stats_recorded():
 
 
 def test_global_counters_observe_history_parsing():
-    reset_parse_counters()
+    hits_before, misses_before = parse_counters()
     ddl = "CREATE TABLE a (x INT);"
     history = make_history([ddl, ddl + "\nCREATE TABLE b (y INT);"])
     history.incremental_parse = True
     history.versions()
     hits, misses = parse_counters()
-    assert hits == 1 and misses == 2
-    reset_parse_counters()
+    assert hits - hits_before == 1 and misses - misses_before == 2
 
 
 def test_default_flag_environment(monkeypatch):

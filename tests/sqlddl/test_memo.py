@@ -1,12 +1,9 @@
 """Statement memo: caching behaviour, fallbacks and counters."""
 
+from repro import obs
 from repro.sqlddl import Dialect
 from repro.sqlddl.ast_nodes import CreateTable
-from repro.sqlddl.memo import (
-    StatementMemo,
-    parse_counters,
-    reset_parse_counters,
-)
+from repro.sqlddl.memo import StatementMemo, parse_counters
 from repro.sqlddl.splitter import split_statements
 
 
@@ -53,13 +50,12 @@ def test_memo_falls_back_on_lex_failure():
 
 
 def test_counters_aggregate_process_wide():
-    reset_parse_counters()
+    before = obs.snapshot()
+    hits_before, misses_before = parse_counters()
     memo_a, memo_b = StatementMemo(), StatementMemo()
     (segment,) = segments_of("CREATE TABLE a (x INT);")
     memo_a.parse(segment)
     memo_a.parse(segment)
     memo_b.parse(segment)  # separate memo: its own miss
-    hits, misses = parse_counters()
-    assert (hits, misses) == (1, 2)
-    reset_parse_counters()
-    assert parse_counters() == (0, 0)
+    assert obs.since(before) == {"parse_hits": 1, "parse_misses": 2}
+    assert parse_counters() == (hits_before + 1, misses_before + 2)
