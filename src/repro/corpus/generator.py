@@ -34,6 +34,7 @@ from repro.history.heartbeat import ActivitySeries
 from repro.history.repository import SchemaHistory
 from repro.history.sourcecode import synthetic_source_series
 from repro.patterns.taxonomy import PAPER_POPULATION, Pattern
+from repro.pools import pool_context
 from repro.sqlddl.dialect import Dialect
 
 #: Default corpus seed (arbitrary but fixed: every table/figure in
@@ -230,7 +231,8 @@ def generate_corpus(seed: int | None = None,
     specs = plan_corpus(seed, population, with_exceptions, with_noise)
     if jobs > 1 and len(specs) > 1:
         chunk = max(1, len(specs) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 mp_context=pool_context()) as pool:
             projects = tuple(pool.map(realize_spec, specs,
                                       chunksize=chunk))
     else:

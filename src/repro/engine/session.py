@@ -51,6 +51,7 @@ from repro.engine.config import StudyConfig
 from repro.engine.faults import mark_pool_worker
 from repro.engine.lock import CacheLock, append_line
 from repro.errors import EngineError
+from repro.pools import pool_context
 
 #: Default bound of a session cache's in-memory hot layer (entries).
 DEFAULT_HOT_ENTRIES = 4096
@@ -364,7 +365,8 @@ class EngineSession:
             self._shutdown_pool(wait=True)
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=jobs, initializer=mark_pool_worker)
+                max_workers=jobs, mp_context=pool_context(),
+                initializer=mark_pool_worker)
             self._pool_jobs = jobs
             self.pool_spawns += 1
         return self._pool

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import sys
 from datetime import datetime
 
 import pytest
@@ -29,6 +31,24 @@ def small_corpus():
     """A small deterministic corpus without exception projects."""
     return generate_corpus(seed=99, population=SMALL_POPULATION,
                            with_exceptions=False)
+
+
+@pytest.fixture
+def pinned_start_method():
+    """The start method ``repro``'s worker pools must use: ``fork`` on
+    Linux, the platform default elsewhere.
+
+    While the test runs, the interpreter's default start method is
+    forced to ``spawn``, so a pool that leaves the choice to the
+    interpreter shows up as ``spawn``; the previous default is restored
+    afterwards.
+    """
+    previous = multiprocessing.get_start_method(allow_none=True)
+    expected = "fork" if sys.platform == "linux" \
+        else multiprocessing.get_context().get_start_method()
+    multiprocessing.set_start_method("spawn", force=True)
+    yield expected
+    multiprocessing.set_start_method(previous, force=True)
 
 
 @pytest.fixture(scope="session")

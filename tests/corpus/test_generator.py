@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.corpus import generator
 from repro.corpus.generator import generate_corpus
 from repro.errors import CorpusError
 from repro.patterns.taxonomy import (
@@ -33,6 +34,22 @@ class TestGenerateCorpus:
         assert [p.name for p in a] == [p.name for p in b]
         assert [p.history.commits[0].ddl_text for p in a] \
             == [p.history.commits[0].ddl_text for p in b]
+
+    def test_parallel_pool_start_method_is_pinned(self, monkeypatch,
+                                                  pinned_start_method):
+        started = []
+        real = generator.ProcessPoolExecutor
+
+        def recording(*args, **kwargs):
+            pool = real(*args, **kwargs)
+            started.append(pool._mp_context.get_start_method())
+            return pool
+
+        monkeypatch.setattr(generator, "ProcessPoolExecutor", recording)
+        population = {Pattern.FLATLINER: 2, Pattern.SIESTA: 1}
+        corpus = generate_corpus(seed=5, population=population, jobs=2)
+        assert started == [pinned_start_method]
+        assert len(corpus) == 3
 
     def test_different_seeds_differ(self):
         population = {Pattern.RADICAL_SIGN: 2}

@@ -93,6 +93,13 @@ class TestPoolPersistence:
             assert session.pool_spawns == 1
             assert session.runs[1].counters["pool_spawns"] == 0
 
+    def test_start_method_is_pinned(self, pinned_start_method):
+        # fork on Linux: workers inherit the parent's imported modules
+        # (Python 3.14 would otherwise switch the default to forkserver).
+        with EngineSession() as session:
+            assert session.pool(2)._mp_context.get_start_method() \
+                == pinned_start_method
+
     def test_jobs_change_retires_the_pool(self, source):
         with EngineSession() as session:
             study(source, session, jobs=2)

@@ -1,7 +1,11 @@
 """Integration tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +88,25 @@ class TestChart:
         code = main(["chart", str(history_jsonl), "--svg", str(svg)])
         assert code == 0
         assert svg.read_text().startswith("<svg")
+
+
+class TestRuntimeImports:
+    def test_study_imports_neither_scipy_nor_numpy(self):
+        """The runtime is standard-library only: a CLI study loads no
+        scipy or numpy (they are test oracles, not dependencies)."""
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "status = repro.cli.main(['study', '--sample', '12', "
+            "'--stratified'])\n"
+            "loaded = [name for name in ('scipy', 'numpy') "
+            "if name in sys.modules]\n"
+            "sys.exit(f'imported {loaded}' if loaded else status)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src") \
+            + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "Table 1" in result.stdout
