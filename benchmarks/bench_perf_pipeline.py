@@ -365,6 +365,7 @@ def test_perf_analyses_scaling():
     from repro.analysis.table import RecordTable
     from repro.engine import StudyPlan, execute_plan
     from repro.engine.study_plan import _analysis_stages
+    from tests.analysis.per_record_oracle import oracle_stages
 
     population = {Pattern.FLATLINER: 4, Pattern.RADICAL_SIGN: 4,
                   Pattern.SIGMOID: 4, Pattern.LATE_RISER: 4,
@@ -382,7 +383,8 @@ def test_perf_analyses_scaling():
     pack_s = time.perf_counter() - pack_started
 
     def timed(columnar):
-        plan = StudyPlan(_analysis_stages(columnar))
+        plan = StudyPlan(_analysis_stages() if columnar
+                         else oracle_stages())
         inputs = {"records": records}
         if columnar:
             inputs["table"] = table

@@ -12,16 +12,21 @@ hot-layer caches, the source-handle registry and the run ledger —
 lives in an :class:`EngineSession`; every entry point takes an
 optional ``session=`` and opens a throwaway one otherwise.
 
+Every source — synthetic, corpus directory, git checkout or
+in-memory objects — maps through one handle-driven records plan.
+
 Typical use::
 
     from repro.corpus.generator import generate_corpus
-    from repro.engine import EngineSession, StudyConfig, execute_study
+    from repro.engine import (EngineSession, StudyConfig,
+                              execute_study_from_source)
+    from repro.sources import InMemorySource
 
     config = StudyConfig(jobs=4, cache_dir="~/.cache/repro")
-    corpus = generate_corpus(config=config)
+    source = InMemorySource(generate_corpus(config=config).projects)
     with EngineSession(config) as session:
-        results, report = execute_study(corpus.projects, config,
-                                        session=session)
+        results, report = execute_study_from_source(source, config,
+                                                    session=session)
         # ... re-run later: warm pool + hot cache, pure hit latency
     print(report.format_table())
 """
@@ -80,21 +85,13 @@ from repro.engine.study_plan import (
     RECORDS_STAGE_VERSION,
     bare_history,
     build_analysis_plan,
-    build_records_plan,
     build_source_records_plan,
     build_source_study_plan,
-    build_study_plan,
-    compute_records,
     compute_records_from_source,
     corpus_record,
-    corpus_record_key,
-    execute_study,
     execute_study_from_source,
     history_record,
-    history_record_key,
     run_analyses,
-    safe_source_handles,
-    source_handles,
     source_record,
     source_record_delta,
     source_record_key,
@@ -133,22 +130,16 @@ __all__ = [
     "append_line",
     "bare_history",
     "build_analysis_plan",
-    "build_records_plan",
     "build_source_records_plan",
     "build_source_study_plan",
-    "build_study_plan",
     "canonical",
-    "compute_records",
     "compute_records_from_source",
     "corpus_record",
-    "corpus_record_key",
     "delta_store_for",
     "execute_plan",
-    "execute_study",
     "execute_study_from_source",
     "fingerprint",
     "history_record",
-    "history_record_key",
     "interrupt_guard",
     "list_journals",
     "load_replay",
@@ -161,8 +152,6 @@ __all__ = [
     "run_stage",
     "sample_handles",
     "source_session_key",
-    "safe_source_handles",
-    "source_handles",
     "source_record",
     "source_record_delta",
     "source_record_key",

@@ -682,8 +682,8 @@ def _source_fingerprint(inputs: Mapping[str, Any]) -> str:
     """A stable content identity of what a plan execution studied.
 
     Prefers the source's own session key, then the handle fingerprints,
-    then the mapped item ids — each a cheap, already-available proxy
-    for the studied content.
+    then the analysed record names — each a cheap, already-available
+    proxy for the studied content.
     """
     source = inputs.get("source")
     if source is not None:
@@ -701,11 +701,10 @@ def _source_fingerprint(inputs: Mapping[str, Any]) -> str:
             return fingerprint("run-handles",
                                [(h.pid, h.fingerprint)
                                 for h in handles])
-    for name in ("projects", "records"):
-        items = inputs.get(name)
-        if items:
-            return fingerprint(f"run-{name}",
-                               [item_id(item) for item in items])
+    records = inputs.get("records")
+    if records:
+        return fingerprint("run-records",
+                           [item_id(record) for record in records])
     return fingerprint("run-inputs", sorted(inputs))
 
 

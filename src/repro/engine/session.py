@@ -414,34 +414,13 @@ class EngineSession:
 
     # -- source registry -----------------------------------------------
 
-    def handles_for(self, source: Any, policy: Any = None
-                    ) -> tuple[list, list]:
-        """Handles (and fingerprint failures) of ``source``, memoized.
-
-        Enumeration and fingerprinting — git walks, manifest reads,
-        corpus planning — happen once per session per source identity;
-        re-studies reuse the handle list. Sources without an identity
-        (in-memory adapters) and enumerations that produced failures
-        are never memoized, so retries stay live.
-        """
-        key = source_session_key(source)
-        if key is not None and key in self._handles:
-            handles, failures = self._handles[key]
-            return list(handles), list(failures)
-        from repro.engine.study_plan import safe_source_handles
-        handles, failures = safe_source_handles(source, policy)
-        if key is not None and not failures:
-            self._handles[key] = (list(handles), list(failures))
-        return handles, failures
-
     def replay_handles(self, key: str | None
                        ) -> tuple[list, list] | None:
         """A previous enumeration of source identity ``key``, if any.
 
-        Streaming counterpart of :meth:`handles_for`: the
-        :class:`~repro.engine.stream.HandleStream` replays this list
-        instead of re-walking the source. ``None`` (unknown identity,
-        or an identity-less source) means enumerate live.
+        The :class:`~repro.engine.stream.HandleStream` replays this
+        list instead of re-walking the source. ``None`` (unknown
+        identity, or an identity-less source) means enumerate live.
         """
         if key is None:
             return None

@@ -1,9 +1,11 @@
 """Lazily enumerated handle streams and deterministic sampling.
 
-A :class:`HandleStream` is the engine-side face of a lightweight
-source's project enumeration: single-use, pulled one handle at a time
-by the executor's bounded in-flight window, never a materialized list.
-It folds in everything the old eager path did on the side —
+A :class:`HandleStream` is the engine-side face of a source's project
+enumeration: single-use, pulled one handle at a time by the
+executor's bounded in-flight window, never a materialized list. For a
+source that is not lightweight it attaches each loaded project to its
+handle, so plain, fault-capturing and sampled feeds all carry it. It
+folds in everything handle enumeration needs on the side —
 
 * **failure capture** — under a skip/retry error policy, a project
   whose fingerprinting raises is quarantined as a
@@ -27,6 +29,7 @@ in the config seed and corpus order.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import time
@@ -51,7 +54,7 @@ class HandleStream:
     """A single-use, lazily enumerated stream of source handles.
 
     Args:
-        source: a lightweight :class:`~repro.sources.base.HistorySource`.
+        source: any :class:`~repro.sources.base.HistorySource`.
         policy: the run's error policy; a capturing one quarantines
             per-project fingerprint failures into :attr:`failures`,
             ``None`` or fail-fast lets them propagate.
@@ -118,7 +121,11 @@ class HandleStream:
             return
         collected: list[SourceHandle] | None = \
             [] if session is not None and key is not None else None
+        attach = not self.source.lightweight
         for handle in self._iter_capturing():
+            if attach:
+                handle = dataclasses.replace(
+                    handle, item=self.source.load(handle.pid))
             if collected is not None:
                 collected.append(handle)
                 if len(collected) > REGISTRY_HANDLE_LIMIT:
@@ -158,8 +165,7 @@ class HandleStream:
             return
         # A generator cannot resume past an exception, so the
         # capturing path bridges via project_ids() and retries each
-        # fingerprint itself — the streaming twin of
-        # :func:`~repro.engine.study_plan.safe_source_handles`.
+        # fingerprint itself.
         for pid in self.source.project_ids():
             attempt = 0
             while True:

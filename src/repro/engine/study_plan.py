@@ -3,25 +3,25 @@
 Two plans are built here:
 
 * the **records plan** — one :class:`~repro.engine.stage.MapStage`
-  turning each project (or external history) into a classified
+  turning each source handle into a classified
   :class:`~repro.analysis.records.StudyRecord`: history → profile →
   labels → classification. Embarrassingly parallel and content-cached.
+  Every source — synthetic, corpus directory, git checkout or
+  in-memory objects — maps through it.
 * the **analysis plan** — the corpus-level stages of the paper
   (Tables 1/2, §3.4, Fig. 2 correlations, the Fig. 5 tree, §5.2
   centroids, Fig. 6 coverage, Fig. 7 prediction, §6.1 activity, §6.3
   change mix, §3.4.1 normality, strict agreement) assembled into one
   :class:`~repro.study.pipeline.StudyResults` bundle.
 
-The analyses run in two interchangeable backends. The default
-**columnar** backend computes every stage as a fused kernel over the
+Every analysis is a fused kernel over the
 :class:`~repro.analysis.table.RecordTable` — the flat column pack the
 map stage assembles incrementally at harvest time — with Table 1, the
 §3.4 statistics and strict agreement fused into one pass over the
-label columns. The **per-record** backend (``columnar=False``) is the
-original object-walking implementation, kept verbatim as the
-differential oracle: both produce byte-identical
-:class:`StudyResults`, and the golden/differential tests hold them to
-it.
+label columns. The original object-walking implementations live on as
+the differential oracle in ``tests/analysis/per_record_oracle.py``:
+both produce byte-identical :class:`StudyResults`, and the
+golden/differential tests hold them to it.
 
 All stage bodies are module-level functions so the process backend can
 pickle them by reference.
@@ -32,38 +32,31 @@ from __future__ import annotations
 import copy
 import dataclasses
 import statistics
-import time
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from repro.analysis.activity_relation import (
     ActivityRelationResult,
     ActivityRow,
-    compute_activity_relation,
 )
 from repro.analysis.change_mix import (
     TABLE_GRANULE_INDEXES,
     ChangeMixResult,
     ChangeMixRow,
-    compute_change_mix,
 )
 from repro.analysis.coverage import (
     CoverageResult,
     agm_bucket,
-    compute_coverage,
 )
-from repro.analysis.normality import compute_normality, normality_of
+from repro.analysis.normality import normality_of
 from repro.analysis.prediction import (
     PredictionResult,
     birth_bucket,
-    compute_prediction,
 )
-from repro.analysis.records import StudyRecord, measures_of
+from repro.analysis.records import StudyRecord
 from repro.analysis.stats_tables import (
     TABLE1_ROWS,
     Section34Stats,
     Table1Result,
-    compute_section34_stats,
-    compute_table1,
 )
 from repro.analysis.table import (
     LABEL_INDEX,
@@ -79,7 +72,6 @@ from repro.diff.changes import KIND_ORDER, N_KINDS
 from repro.engine.cache import fingerprint
 from repro.engine.config import StudyConfig
 from repro.engine.executor import ExecutionReport, execute_plan
-from repro.engine.faults import ProjectFailure
 from repro.engine.stage import MapStage, Stage, StudyPlan
 from repro.errors import AnalysisError
 from repro.history.repository import SchemaHistory
@@ -87,14 +79,13 @@ from repro.labels.classes import BirthVolumeClass
 from repro.labels.quantization import LabelScheme, label_profile
 from repro.metrics.profile import ProjectProfile
 from repro.mining.centroids import centroid_report
-from repro.mining.correlation import spearman_matrix, spearman_matrix_ranked
+from repro.mining.correlation import spearman_matrix_ranked
 from repro.mining.decision_tree import DecisionTree
 from repro.patterns.classifier import (
-    ClassificationResult,
     classify,
     classify_with_tolerance,
 )
-from repro.patterns.exceptions import ExceptionReport, exception_report
+from repro.patterns.exceptions import ExceptionReport
 from repro.patterns.taxonomy import Pattern, REAL_PATTERNS
 
 #: Bump when the history → record computation changes observably; this
@@ -152,26 +143,6 @@ def history_fingerprint_parts(history: SchemaHistory) -> list:
     ]
 
 
-def corpus_record_key(project, extras: tuple, version: str) -> str:
-    """Content hash of one generated project's record computation."""
-    (scheme,) = extras
-    return fingerprint(
-        "corpus-record", version, scheme.to_dict(),
-        project.name, project.intended_pattern,
-        project.is_exception, project.exception_kind,
-        history_fingerprint_parts(project.history),
-        tuple(project.source.monthly) if project.source else None,
-    )
-
-
-def history_record_key(history: SchemaHistory, extras: tuple,
-                       version: str) -> str:
-    """Content hash of one external history's record computation."""
-    (scheme,) = extras
-    return fingerprint("history-record", version, scheme.to_dict(),
-                       history_fingerprint_parts(history))
-
-
 def bare_history(history: SchemaHistory | None) -> SchemaHistory | None:
     """A shallow copy of ``history`` without its parsed-version cache."""
     if history is None or history._versions is None:
@@ -204,18 +175,34 @@ def strip_record(record: StudyRecord) -> StudyRecord:
     return dataclasses.replace(record, labeled=labeled)
 
 
+def strip_handle(handle):
+    """A copy of a handle whose attached project is stripped (pre-pickle).
+
+    Handles of lightweight sources carry no project and pass through.
+    """
+    item = handle.item
+    if item is None:
+        return handle
+    bare = bare_history(item) if isinstance(item, SchemaHistory) \
+        else strip_project(item)
+    if bare is item:
+        return handle
+    return dataclasses.replace(handle, item=bare)
+
+
 def source_record(handle, source, scheme: LabelScheme) -> StudyRecord:
     """Load one project from its source and turn it into a record.
 
     This is the worker side of the handle-based fan-out: the engine
-    ships only ``(handle, source)`` — the source being a lightweight
-    path-or-spec object — and the expensive materialization
-    (generation, file parsing, git extraction) happens here, in
-    whichever process runs the item. Dispatch follows ``source.mode``:
-    ``"corpus"`` loads carry ground truth, ``"histories"`` loads are
-    classified blindly.
+    ships only ``(handle, source)``. For a lightweight source — a
+    path-or-spec object — the expensive materialization (generation,
+    file parsing, git extraction) happens here, in whichever process
+    runs the item; other sources' handles arrive with the project
+    attached. Dispatch follows ``source.mode``: ``"corpus"`` loads
+    carry ground truth, ``"histories"`` loads are classified blindly.
     """
-    loaded = source.load(handle.pid)
+    loaded = handle.item if handle.item is not None \
+        else source.load(handle.pid)
     if source.mode == "corpus":
         return corpus_record(loaded, scheme)
     return history_record(loaded, scheme)
@@ -283,30 +270,7 @@ def source_record_delta(handle, source, scheme: LabelScheme,
 
 
 # ----------------------------------------------------------------------
-# corpus-level analysis stages — per-record backend (the differential
-# oracles; the fused columnar kernels below must match them byte for
-# byte)
-
-
-def _stage_table1(records):
-    return compute_table1(records)
-
-
-def _stage_stats34(records):
-    return compute_section34_stats(records)
-
-
-def _stage_table2(records):
-    # Table 2 needs (labeled, result)-style pairs; rebuild results from
-    # the records' assignment.
-    return exception_report(
-        (r.labeled, ClassificationResult(pattern=r.pattern,
-                                         is_exception=r.is_exception))
-        for r in records)
-
-
-def _stage_correlations(records):
-    return spearman_matrix(measures_of(records))
+# corpus-level analysis stages — fused kernels over the RecordTable
 
 
 def tree_sample(record: StudyRecord) -> dict[str, str]:
@@ -318,65 +282,6 @@ def tree_sample(record: StudyRecord) -> dict[str, str]:
         "interval_birth_to_top": labeled.interval_birth_to_top.value,
         "agm_bucket": agm_bucket(labeled.active_growth_months),
     }
-
-
-def _stage_tree_features(records):
-    samples = [tree_sample(r) for r in records]
-    labels = [r.pattern.value for r in records]
-    return samples, labels
-
-
-def _stage_tree(features):
-    samples, labels = features
-    return DecisionTree(max_depth=4).fit(samples, labels)
-
-
-def _stage_tree_misclassified(tree, features, records):
-    samples, labels = features
-    return tuple(records[i].name
-                 for i in tree.training_errors(samples, labels))
-
-
-def _stage_centroids(records):
-    vector_groups: dict[str, list] = {}
-    for record in records:
-        if record.pattern is Pattern.UNCLASSIFIED:
-            continue
-        vector_groups.setdefault(record.pattern.value, []).append(
-            record.profile.vector)
-    return centroid_report(vector_groups)
-
-
-def _stage_coverage(records):
-    return compute_coverage(records)
-
-
-def _stage_prediction(records):
-    return compute_prediction(records)
-
-
-def _stage_activity(records):
-    return compute_activity_relation(records)
-
-
-def _stage_change_mix(records):
-    return compute_change_mix(records)
-
-
-def _stage_normality(records):
-    return compute_normality(records)
-
-
-def _stage_strict_agreement(records):
-    # Oracle form: re-classifies every record from scratch. The fused
-    # kernel reads the carried is_exception flag instead (agreement and
-    # the exception flag are complementary by construction).
-    return sum(1 for r in records if classify(r.labeled) is r.pattern)
-
-
-# ----------------------------------------------------------------------
-# corpus-level analysis stages — fused columnar kernels over the
-# RecordTable (the default backend)
 
 
 #: Dense birth-volume label indexes the §3.4 kernel compares against.
@@ -495,6 +400,11 @@ def _stage_tree_features_table(table: RecordTable):
     ]
     labels = [PATTERN_VALUES[p] for p in table.pattern]
     return samples, labels
+
+
+def _stage_tree(features):
+    samples, labels = features
+    return DecisionTree(max_depth=4).fit(samples, labels)
 
 
 def _stage_tree_misclassified_table(tree, features, table: RecordTable):
@@ -657,187 +567,104 @@ def _stage_results(records, table1, stats34, table2, correlations, tree,
     )
 
 
-def _analysis_stages(columnar: bool = True) -> list[Stage]:
+def _analysis_stages() -> list[Stage]:
     """The corpus-level stages of :func:`run_study`, as a DAG.
 
-    Args:
-        columnar: with the default True, every analysis is a fused
-            kernel over the ``table`` value (the map stage's packed
-            secondary output, or an explicit packing stage in
-            analysis-only plans); Table 1, §3.4 and strict agreement
-            share one ``core_stats`` pass, split back into their
-            historical stage names by three unpacking stages so
-            reports and ``timing(...)`` lookups keep working. False
-            selects the per-record oracle implementations.
+    Every analysis is a fused kernel over the ``table`` value (the map
+    stage's packed secondary output, or an explicit packing stage in
+    analysis-only plans); Table 1, §3.4 and strict agreement share one
+    ``core_stats`` pass, split back into their historical stage names
+    by three unpacking stages so reports and ``timing(...)`` lookups
+    keep working.
     """
-    if columnar:
-        stages = [
-            Stage(name="core_stats", fn=_stage_core_stats,
-                  inputs=("table",)),
-            Stage(name="table1", fn=_stage_core_table1,
-                  inputs=("core_stats",)),
-            Stage(name="stats34", fn=_stage_core_stats34,
-                  inputs=("core_stats",)),
-            Stage(name="strict_agreement", fn=_stage_core_agreement,
-                  inputs=("core_stats",)),
-            Stage(name="table2", fn=_stage_table2_table,
-                  inputs=("table",)),
-            Stage(name="correlations", fn=_stage_correlations_table,
-                  inputs=("table",)),
-            Stage(name="tree_features", fn=_stage_tree_features_table,
-                  inputs=("table",)),
-            Stage(name="centroids", fn=_stage_centroids_table,
-                  inputs=("table",)),
-            Stage(name="coverage", fn=_stage_coverage_table,
-                  inputs=("table",)),
-            Stage(name="prediction", fn=_stage_prediction_table,
-                  inputs=("table",)),
-            Stage(name="activity", fn=_stage_activity_table,
-                  inputs=("table",)),
-            Stage(name="change_mix", fn=_stage_change_mix_table,
-                  inputs=("table",)),
-            Stage(name="normality", fn=_stage_normality_table,
-                  inputs=("table",)),
-            Stage(name="tree", fn=_stage_tree,
-                  inputs=("tree_features",)),
-            Stage(name="tree_misclassified",
-                  fn=_stage_tree_misclassified_table,
-                  inputs=("tree", "tree_features", "table")),
-        ]
-    else:
-        on_records = [
-            ("table1", _stage_table1),
-            ("stats34", _stage_stats34),
-            ("table2", _stage_table2),
-            ("correlations", _stage_correlations),
-            ("tree_features", _stage_tree_features),
-            ("centroids", _stage_centroids),
-            ("coverage", _stage_coverage),
-            ("prediction", _stage_prediction),
-            ("activity", _stage_activity),
-            ("change_mix", _stage_change_mix),
-            ("normality", _stage_normality),
-            ("strict_agreement", _stage_strict_agreement),
-        ]
-        stages = [Stage(name=name, fn=fn, inputs=("records",))
-                  for name, fn in on_records]
-        stages.append(Stage(name="tree", fn=_stage_tree,
-                            inputs=("tree_features",)))
-        stages.append(Stage(name="tree_misclassified",
-                            fn=_stage_tree_misclassified,
-                            inputs=("tree", "tree_features", "records")))
-    stages.append(Stage(
-        name="results", fn=_stage_results,
-        inputs=("records", "table1", "stats34", "table2", "correlations",
-                "tree", "tree_misclassified", "centroids", "coverage",
-                "prediction", "activity", "change_mix", "normality",
-                "strict_agreement")))
-    return stages
+    return [
+        Stage(name="core_stats", fn=_stage_core_stats,
+              inputs=("table",)),
+        Stage(name="table1", fn=_stage_core_table1,
+              inputs=("core_stats",)),
+        Stage(name="stats34", fn=_stage_core_stats34,
+              inputs=("core_stats",)),
+        Stage(name="strict_agreement", fn=_stage_core_agreement,
+              inputs=("core_stats",)),
+        Stage(name="table2", fn=_stage_table2_table,
+              inputs=("table",)),
+        Stage(name="correlations", fn=_stage_correlations_table,
+              inputs=("table",)),
+        Stage(name="tree_features", fn=_stage_tree_features_table,
+              inputs=("table",)),
+        Stage(name="centroids", fn=_stage_centroids_table,
+              inputs=("table",)),
+        Stage(name="coverage", fn=_stage_coverage_table,
+              inputs=("table",)),
+        Stage(name="prediction", fn=_stage_prediction_table,
+              inputs=("table",)),
+        Stage(name="activity", fn=_stage_activity_table,
+              inputs=("table",)),
+        Stage(name="change_mix", fn=_stage_change_mix_table,
+              inputs=("table",)),
+        Stage(name="normality", fn=_stage_normality_table,
+              inputs=("table",)),
+        Stage(name="tree", fn=_stage_tree,
+              inputs=("tree_features",)),
+        Stage(name="tree_misclassified",
+              fn=_stage_tree_misclassified_table,
+              inputs=("tree", "tree_features", "table")),
+        Stage(name="results", fn=_stage_results,
+              inputs=("records", "table1", "stats34", "table2",
+                      "correlations", "tree", "tree_misclassified",
+                      "centroids", "coverage", "prediction", "activity",
+                      "change_mix", "normality", "strict_agreement")),
+    ]
 
 
 # ----------------------------------------------------------------------
 # plan builders
 
 
-def records_map_stage(source: str = "corpus",
-                      packed: bool = False) -> MapStage:
-    """The per-project map stage.
-
-    Args:
-        source: ``"corpus"`` for generated projects (ground-truth
-            pattern), ``"histories"`` for external histories (blind,
-            tolerant classification).
-        packed: also assemble the :class:`RecordTable` incrementally at
-            harvest time and publish it as the secondary output
-            ``table`` — the feed of the columnar analysis kernels.
-            Records-only plans leave it off; caching is unaffected
-            either way (packed rows never enter the result cache).
-    """
-    pack = dict(pack_fn=pack_record,
-                pack_finish_fn=RecordTable.from_rows,
-                pack_output="table") if packed else {}
-    if source == "corpus":
-        return MapStage(name="records", fn=corpus_record,
-                        inputs=("projects", "scheme"),
-                        version=RECORDS_STAGE_VERSION,
-                        cache_key_fn=corpus_record_key,
-                        transport_fn=strip_record,
-                        item_transport_fn=strip_project, **pack)
-    if source == "histories":
-        return MapStage(name="records", fn=history_record,
-                        inputs=("projects", "scheme"),
-                        version=RECORDS_STAGE_VERSION,
-                        cache_key_fn=history_record_key,
-                        transport_fn=strip_record,
-                        item_transport_fn=bare_history, **pack)
-    raise AnalysisError(f"unknown records source {source!r}")
-
-
-def build_records_plan(source: str = "corpus") -> StudyPlan:
-    """A plan computing only the classified study records."""
-    return StudyPlan([records_map_stage(source)])
-
-
-def build_analysis_plan(columnar: bool = True) -> StudyPlan:
+def build_analysis_plan() -> StudyPlan:
     """The corpus-level analyses, given precomputed records.
 
-    The columnar backend packs the given records into a
-    :class:`RecordTable` in one explicit stage, then runs the fused
-    kernels; ``columnar=False`` runs the per-record oracles directly.
+    The given records are packed into a :class:`RecordTable` in one
+    explicit stage, then the fused kernels run.
     """
-    if columnar:
-        return StudyPlan([
-            Stage(name="table", fn=_stage_pack_table,
-                  inputs=("records",)),
-            *_analysis_stages(),
-        ])
-    return StudyPlan(_analysis_stages(columnar=False))
-
-
-def build_study_plan(source: str = "corpus",
-                     columnar: bool = True) -> StudyPlan:
-    """The full study DAG: per-project map + every paper analysis.
-
-    With the default columnar backend the map stage packs the table
-    incrementally while it maps, so the analyses start from the flat
-    columns without a second pass over the records.
-    """
-    return StudyPlan([records_map_stage(source, packed=columnar),
-                      *_analysis_stages(columnar)])
+    return StudyPlan([
+        Stage(name="table", fn=_stage_pack_table,
+              inputs=("records",)),
+        *_analysis_stages(),
+    ])
 
 
 def source_map_stage(packed: bool = False,
                      delta: bool = False) -> MapStage:
     """The per-project map stage over source handles.
 
-    Unlike :func:`records_map_stage`, the mapped items are
-    :class:`~repro.sources.base.SourceHandle`\\ s — (pid, fingerprint)
-    pairs a few dozen bytes each — and the source object travels to
-    workers once as a broadcast extra. No ``item_transport_fn`` is
-    needed: there is nothing to strip from a handle. ``packed`` wires
-    the harvest-time table pack exactly as in
-    :func:`records_map_stage`. ``delta`` additionally broadcasts a
-    checkpoint store (the ``delta_store`` initial input — a picklable
-    path holder; workers read and write the checkpoint files
-    themselves) and maps through :func:`source_record_delta`; version
-    and cache keys are untouched, so delta and plain plans share the
-    result cache.
+    The mapped items are :class:`~repro.sources.base.SourceHandle`\\ s
+    — (pid, fingerprint) pairs a few dozen bytes each, plus the
+    project itself for a source that is not lightweight — and the
+    source object travels to workers as a broadcast extra.
+    :func:`strip_handle` sheds an attached project's parse cache
+    before its handle is pickled. ``packed`` also assembles the
+    :class:`RecordTable` incrementally at harvest time and publishes
+    it as the secondary output ``table`` — the feed of the analysis
+    kernels; records-only plans leave it off, and caching is
+    unaffected either way (packed rows never enter the result cache).
+    ``delta`` additionally broadcasts a checkpoint store (the
+    ``delta_store`` initial input — a picklable path holder; workers
+    read and write the checkpoint files themselves) and maps through
+    :func:`source_record_delta`; version and cache keys are untouched,
+    so delta and plain plans share the result cache.
     """
     pack = dict(pack_fn=pack_record,
                 pack_finish_fn=RecordTable.from_rows,
                 pack_output="table") if packed else {}
+    fn, inputs = source_record, ("handles", "source", "scheme")
     if delta:
-        return MapStage(name="records", fn=source_record_delta,
-                        inputs=("handles", "source", "scheme",
-                                "delta_store"),
-                        version=RECORDS_STAGE_VERSION,
-                        cache_key_fn=source_record_key,
-                        transport_fn=strip_record, **pack)
-    return MapStage(name="records", fn=source_record,
-                    inputs=("handles", "source", "scheme"),
+        fn, inputs = source_record_delta, (*inputs, "delta_store")
+    return MapStage(name="records", fn=fn, inputs=inputs,
                     version=RECORDS_STAGE_VERSION,
                     cache_key_fn=source_record_key,
-                    transport_fn=strip_record, **pack)
+                    transport_fn=strip_record,
+                    item_transport_fn=strip_handle, **pack)
 
 
 def build_source_records_plan(delta: bool = False) -> StudyPlan:
@@ -845,130 +672,39 @@ def build_source_records_plan(delta: bool = False) -> StudyPlan:
     return StudyPlan([source_map_stage(delta=delta)])
 
 
-def build_source_study_plan(columnar: bool = True,
-                            delta: bool = False) -> StudyPlan:
-    """The full study DAG driven by source handles."""
-    return StudyPlan([source_map_stage(packed=columnar, delta=delta),
-                      *_analysis_stages(columnar)])
+def build_source_study_plan(delta: bool = False) -> StudyPlan:
+    """The full study DAG driven by source handles.
+
+    The map stage packs the table incrementally while it maps, so the
+    analyses start from the flat columns without a second pass over
+    the records.
+    """
+    return StudyPlan([source_map_stage(packed=True, delta=delta),
+                      *_analysis_stages()])
 
 
 # ----------------------------------------------------------------------
 # high-level entry points
 
 
-def compute_records(projects: Iterable[Any],
-                    config: StudyConfig | None = None,
-                    source: str = "corpus",
-                    session=None
-                    ) -> tuple[list[StudyRecord], ExecutionReport]:
-    """Run the per-project map stage over ``projects``."""
-    config = config or StudyConfig()
-    results, report = execute_plan(
-        build_records_plan(source),
-        {"projects": list(projects), "scheme": config.scheme},
-        config, session=session)
-    return list(results["records"]), report
-
-
 def run_analyses(records: Sequence[StudyRecord],
                  config: StudyConfig | None = None,
-                 session=None,
-                 columnar: bool = True):
+                 session=None):
     """Run every corpus-level analysis over classified records.
-
-    ``columnar=False`` selects the per-record oracle backend — same
-    results, used by the differential tests and the scaling benchmark.
 
     Raises:
         AnalysisError: for an empty record list.
     """
     if not records:
         raise AnalysisError("cannot run the study on zero records")
-    results, _ = execute_plan(build_analysis_plan(columnar),
+    results, _ = execute_plan(build_analysis_plan(),
                               {"records": tuple(records)}, config,
                               session=session)
     return results["results"]
 
 
-def execute_study(projects: Iterable[Any],
-                  config: StudyConfig | None = None,
-                  source: str = "corpus",
-                  session=None):
-    """Run the whole study DAG: map + analyses, one plan execution.
-
-    Returns:
-        ``(StudyResults, ExecutionReport)``.
-
-    Raises:
-        AnalysisError: for an empty project list.
-    """
-    projects = list(projects)
-    if not projects:
-        raise AnalysisError("cannot run the study on zero records")
-    config = config or StudyConfig()
-    results, report = execute_plan(
-        build_study_plan(source),
-        {"projects": projects, "scheme": config.scheme},
-        config, session=session)
-    return results["results"], report
-
-
-# ----------------------------------------------------------------------
-# source-driven entry points
-
-
-def source_handles(source) -> list:
-    """One :class:`SourceHandle` per project of ``source``.
-
-    Listing and fingerprinting stay in the parent process (they are
-    cheap by protocol contract); loading does not happen here.
-    """
-    handles, _ = safe_source_handles(source, None)
-    return handles
-
-
-def safe_source_handles(source, policy=None
-                        ) -> tuple[list, "list[ProjectFailure]"]:
-    """Handles plus the projects whose fingerprinting failed.
-
-    Fingerprinting runs in the parent, before the map stage — a git
-    invocation can fail right here. Under a capturing error policy the
-    failing project is quarantined (after the policy's retry budget,
-    for transient errors) instead of killing the listing; with no
-    policy, or fail-fast, the exception propagates unchanged.
-    """
-    from repro.sources.base import SourceHandle
-    handles: list = []
-    failures: list[ProjectFailure] = []
-    for pid in source.project_ids():
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                handles.append(SourceHandle(
-                    pid=pid, fingerprint=source.fingerprint(pid)))
-                break
-            except Exception as exc:
-                if policy is None or not policy.captures:
-                    raise
-                if attempt < policy.attempts_for(exc):
-                    delay = policy.backoff_seconds(pid, attempt)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                failures.append(ProjectFailure.from_exception(
-                    pid, "handles", exc, attempts=attempt))
-                break
-    return handles, failures
-
-
-def _legacy_inputs(source) -> list:
-    """Every project of a non-lightweight source, loaded eagerly."""
-    return [source.load(pid) for pid in source.project_ids()]
-
-
 def _handle_feed(source, config: StudyConfig, session):
-    """The map-stage feed of a lightweight source.
+    """The map-stage feed of a source.
 
     Returns ``(feed, stream)``: the feed is the lazily enumerated
     :class:`~repro.engine.stream.HandleStream` itself (the executor
@@ -986,6 +722,18 @@ def _handle_feed(source, config: StudyConfig, session):
     return feed, stream
 
 
+def _execute_source_plan(build, source, config: StudyConfig, session):
+    """Execute ``build(delta=...)`` over ``source``'s handle feed."""
+    from repro.engine.delta import delta_store_for
+    store = delta_store_for(source, config)
+    feed, stream = _handle_feed(source, config, session)
+    return execute_plan(
+        build(delta=store is not None),
+        {"handles": feed, "source": source, "scheme": config.scheme,
+         "delta_store": store},
+        config, session=session, feed_failures=stream.failures)
+
+
 def compute_records_from_source(source,
                                 config: StudyConfig | None = None,
                                 session=None
@@ -993,24 +741,12 @@ def compute_records_from_source(source,
                                            ExecutionReport]:
     """Run the per-project map stage over a history source.
 
-    Lightweight sources fan out as a streamed handle feed (workers
-    load; the parent never materializes the handle list unless
-    sampling); others fall back to the item-based plan — same
-    results, and the legacy cache keys keep working for callers that
-    adapt in-memory objects.
+    The source fans out as a streamed handle feed: the parent never
+    materializes the handle list unless sampling.
     """
-    config = config or StudyConfig()
-    if not source.lightweight:
-        return compute_records(_legacy_inputs(source), config,
-                               source.mode, session=session)
-    from repro.engine.delta import delta_store_for
-    store = delta_store_for(source, config)
-    feed, stream = _handle_feed(source, config, session)
-    results, report = execute_plan(
-        build_source_records_plan(delta=store is not None),
-        {"handles": feed, "source": source,
-         "scheme": config.scheme, "delta_store": store},
-        config, session=session, feed_failures=stream.failures)
+    results, report = _execute_source_plan(
+        build_source_records_plan, source, config or StudyConfig(),
+        session)
     return list(results["records"]), report
 
 
@@ -1025,19 +761,10 @@ def execute_study_from_source(source,
     Raises:
         AnalysisError: for a source with zero projects.
     """
-    config = config or StudyConfig()
-    if not source.lightweight:
-        return execute_study(_legacy_inputs(source), config,
-                             source.mode, session=session)
     from repro.sources.base import source_count
     if source_count(source) == 0:
         raise AnalysisError("cannot run the study on zero records")
-    from repro.engine.delta import delta_store_for
-    store = delta_store_for(source, config)
-    feed, stream = _handle_feed(source, config, session)
-    results, report = execute_plan(
-        build_source_study_plan(delta=store is not None),
-        {"handles": feed, "source": source, "scheme": config.scheme,
-         "delta_store": store},
-        config, session=session, feed_failures=stream.failures)
+    results, report = _execute_source_plan(
+        build_source_study_plan, source, config or StudyConfig(),
+        session)
     return results["results"], report

@@ -7,8 +7,8 @@ implements the three-method :class:`HistorySource` protocol —
 declares a ``mode`` (``"corpus"`` for generated projects with ground
 truth, ``"histories"`` for blind classification) plus a
 ``lightweight`` flag (True when the source is a small picklable object
-the engine can ship to workers, fanning projects out as
-:class:`SourceHandle`\\ s instead of loaded histories).
+workers load projects from; otherwise the engine attaches each loaded
+project to its :class:`SourceHandle`).
 
 Shipped sources:
 

@@ -10,13 +10,16 @@ three methods:
   WITHOUT loading it (a child seed, a file digest, a git sha list);
 * ``load(pid)`` — materialize one project.
 
-Sources with ``lightweight = True`` are small picklable objects (a
-seed, a path); the engine fans their projects out to worker processes
-as :class:`SourceHandle`\\ s (pid + fingerprint) and each worker calls
-``load`` itself, so no :class:`~repro.history.repository.SchemaHistory`
-ever crosses the parent→worker pickling boundary, and the
-content-addressed cache keys directly off the fingerprint without
-loading anything at all on a hit.
+The engine fans every source's projects out to worker processes as
+:class:`SourceHandle`\\ s (pid + fingerprint), and the
+content-addressed cache keys directly off the fingerprint. Sources
+with ``lightweight = True`` are small picklable objects (a seed, a
+path): each worker calls ``load`` itself, so no
+:class:`~repro.history.repository.SchemaHistory` crosses the
+parent→worker pickling boundary and a cache hit loads nothing at all.
+Other sources get each project attached to its handle in the parent
+(``SourceHandle.item``), so it crosses to a worker once, with its
+handle.
 
 Sources may additionally implement a **streaming surface** —
 ``iter_handles()`` yielding one :class:`SourceHandle` at a time and
@@ -32,7 +35,7 @@ module level so the engine can depend on it without a cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.errors import SourceError
@@ -64,10 +67,14 @@ class SourceHandle:
         pid: the project's id within its source.
         fingerprint: the source's content hash for the project — the
             cache key material; loading is not required to compute it.
+        item: the loaded project, attached in the parent for sources
+            that are not lightweight; ``None`` otherwise. It takes no
+            part in equality or repr.
     """
 
     pid: str
     fingerprint: str
+    item: Any = field(default=None, compare=False, repr=False)
 
 
 @runtime_checkable
@@ -79,8 +86,9 @@ class HistorySource(Protocol):
             truth) or ``"histories"`` (items are bare histories,
             classified blindly).
         lightweight: True when the source itself is a small picklable
-            object, letting the engine ship it to workers and fan out
-            over :class:`SourceHandle` instead of loaded projects.
+            object that workers load projects from; False makes the
+            engine load each project in the parent and attach it to
+            its :class:`SourceHandle`.
 
     Sources may additionally implement ``identity() -> list`` — a
     cheap, canonicalizable description of everything that determines
@@ -136,12 +144,14 @@ class HistorySource(Protocol):
 class InMemorySource:
     """A source over objects that already live in this process.
 
-    The adapter behind :func:`repro.study.pipeline.records_from_corpus`
-    and :func:`~repro.study.pipeline.records_from_histories`: it wraps
-    generated projects (``mode="corpus"``) or schema histories
-    (``mode="histories"``) that the caller constructed eagerly. It is
-    NOT lightweight — pickling it would pickle every wrapped object —
-    so the engine keeps the legacy item-based fan-out for it.
+    The adapter behind :func:`repro.study.pipeline.records_from_corpus`,
+    :func:`~repro.study.pipeline.records_from_histories` and
+    ``--corpus FILE``: it wraps generated projects (``mode="corpus"``)
+    or schema histories (``mode="histories"``) that the caller
+    constructed eagerly. Project ids are the project names; only a
+    repeated name gets a suffix (``name#2``, ``name#3``, …). It is not
+    lightweight: the engine attaches each project to its handle, and a
+    pickled copy of the source travels empty.
 
     Args:
         items: generated projects or histories, in study order.
@@ -156,9 +166,18 @@ class InMemorySource:
     def __init__(self, items: Iterable[Any], mode: str = "corpus"):
         self.mode = check_mode(mode)
         self._items: dict[str, Any] = {}
-        for index, item in enumerate(items):
+        for item in items:
             name = item.name if mode == "corpus" else item.project_name
-            self._items[f"{index:05d}:{name}"] = item
+            pid, repeat = name, 1
+            while pid in self._items:
+                repeat += 1
+                pid = f"{name}#{repeat}"
+            self._items[pid] = item
+
+    def __reduce__(self):
+        # The handles already carry the projects; the copy the map
+        # stage broadcasts to workers travels empty.
+        return (InMemorySource, ((), self.mode))
 
     def project_ids(self) -> tuple[str, ...]:
         return tuple(self._items)

@@ -3,7 +3,9 @@
 Since the engine refactor this module is a thin compatibility facade:
 the actual execution lives in :mod:`repro.engine.study_plan`, which
 expresses the study as a stage DAG with parallel per-project mapping
-and content-addressed caching. :func:`records_from_corpus`,
+and content-addressed caching. In-memory corpora and histories are
+wrapped in an :class:`~repro.sources.base.InMemorySource` and map as
+source handles, like every other source. :func:`records_from_corpus`,
 :func:`records_from_histories` and :func:`run_study` keep their
 historical signatures; :func:`run_full_study` is the engine-native
 entry point that also returns per-stage timings.
@@ -26,7 +28,6 @@ from repro.engine.config import StudyConfig
 from repro.engine.executor import ExecutionReport
 from repro.engine.study_plan import (
     compute_records_from_source,
-    execute_study,
     execute_study_from_source,
     run_analyses,
     tree_sample,
@@ -151,19 +152,13 @@ def records_from_histories(histories: Iterable[SchemaHistory],
 
 def run_study(records: Sequence[StudyRecord],
               config: StudyConfig | None = None,
-              session=None,
-              columnar: bool = True) -> StudyResults:
+              session=None) -> StudyResults:
     """Run every analysis of the paper over classified records.
-
-    ``columnar=False`` runs the per-record oracle backend instead of
-    the fused columnar kernels (identical results, slower — kept for
-    differential testing and benchmarking).
 
     Raises:
         AnalysisError: for an empty record list.
     """
-    return run_analyses(records, config, session=session,
-                        columnar=columnar)
+    return run_analyses(records, config, session=session)
 
 
 def run_full_study(corpus: Corpus,
@@ -188,8 +183,9 @@ def run_full_study(corpus: Corpus,
     Raises:
         AnalysisError: for an empty corpus.
     """
-    return execute_study(corpus.projects, config, source="corpus",
-                         session=session)
+    return run_full_study_from_source(
+        InMemorySource(corpus.projects, mode="corpus"), config,
+        session=session)
 
 
 def run_full_study_from_source(source,
@@ -198,11 +194,12 @@ def run_full_study_from_source(source,
                                ) -> tuple[StudyResults, ExecutionReport]:
     """Any history source in, complete study out.
 
-    Lightweight sources (synthetic specs, corpus directories, git
-    repositories) stream to workers as handles and load lazily there —
-    the executor keeps only a bounded window of work in flight, so
-    handle-side memory stays flat no matter how many projects the
-    source enumerates; in-memory sources take the legacy eager path.
+    Every source streams to workers as handles. Lightweight sources
+    (synthetic specs, corpus directories, git repositories) load
+    lazily there — the executor keeps only a bounded window of work
+    in flight, so handle-side memory stays flat no matter how many
+    projects the source enumerates; in-memory sources ship each
+    project once, attached to its handle.
     ``config.sample``/``config.stratified`` restrict the run to a
     deterministic seeded subset. Either way the returned pair matches
     :func:`run_full_study`, including the survivors-only semantics of

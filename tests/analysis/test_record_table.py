@@ -36,6 +36,7 @@ from repro.diff.changes import N_KINDS
 from repro.errors import AnalysisError
 from repro.mining.correlation import spearman_matrix
 from repro.study.pipeline import records_from_corpus, run_study
+from tests.analysis.per_record_oracle import run_oracle_study
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +112,7 @@ class TestKernelsMatchOracles:
 
     @pytest.fixture(scope="class")
     def oracle(self, records):
-        return run_study(records, columnar=False)
+        return run_oracle_study(records)
 
     def test_table1(self, fused, oracle, records):
         assert fused.table1 == oracle.table1 == compute_table1(records)

@@ -58,6 +58,15 @@ def full_corpus():
 
 
 @pytest.fixture(scope="session")
+def default_corpus_json(tmp_path_factory):
+    """``repro-schema generate FILE`` at the default seed (the file)."""
+    from repro.cli import main
+    path = tmp_path_factory.mktemp("generated") / "corpus.json"
+    assert main(["generate", str(path)]) == 0
+    return path
+
+
+@pytest.fixture(scope="session")
 def full_study():
     """The complete study results on the full corpus."""
     from repro.study.pipeline import records_from_corpus, run_study

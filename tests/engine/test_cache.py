@@ -11,9 +11,8 @@ from repro.engine import (
     RECORDS_STAGE_VERSION,
     ResultCache,
     canonical,
-    corpus_record_key,
     fingerprint,
-    history_record_key,
+    source_record_key,
 )
 from repro.engine.cache import (
     ENVELOPE_MAGIC,
@@ -26,8 +25,19 @@ from repro.history.commit import Commit
 from repro.history.repository import SchemaHistory
 from repro.labels.quantization import DEFAULT_SCHEME, LabelScheme
 from repro.patterns.taxonomy import Pattern
+from repro.sources import InMemorySource
+from repro.sources.base import SourceHandle
 
 POPULATION = {Pattern.FLATLINER: 1, Pattern.SIESTA: 1}
+
+
+def record_key(item, scheme=DEFAULT_SCHEME, version=RECORDS_STAGE_VERSION,
+               mode="corpus"):
+    """The records-stage cache key of one in-memory project or history."""
+    source = InMemorySource([item], mode=mode)
+    (pid,) = source.project_ids()
+    handle = SourceHandle(pid=pid, fingerprint=source.fingerprint(pid))
+    return source_record_key(handle, (source, scheme), version)
 
 
 @pytest.fixture(scope="module")
@@ -72,12 +82,8 @@ class TestRecordCacheKey:
                             with_exceptions=False)
         b = generate_corpus(seed=11, population=POPULATION,
                             with_exceptions=False)
-        keys_a = [corpus_record_key(p, (DEFAULT_SCHEME,),
-                                    RECORDS_STAGE_VERSION)
-                  for p in a.projects]
-        keys_b = [corpus_record_key(p, (DEFAULT_SCHEME,),
-                                    RECORDS_STAGE_VERSION)
-                  for p in b.projects]
+        keys_a = [record_key(p) for p in a.projects]
+        keys_b = [record_key(p) for p in b.projects]
         assert keys_a == keys_b
 
     def test_ddl_text_change_invalidates(self, project):
@@ -92,21 +98,15 @@ class TestRecordCacheKey:
                                 project_end=old.project_end,
                                 dialect=old.dialect)
         modified = dataclasses.replace(project, history=touched)
-        assert corpus_record_key(project, (DEFAULT_SCHEME,),
-                                 RECORDS_STAGE_VERSION) \
-            != corpus_record_key(modified, (DEFAULT_SCHEME,),
-                                 RECORDS_STAGE_VERSION)
+        assert record_key(project) != record_key(modified)
 
     def test_scheme_boundary_change_invalidates(self, project):
         shifted = LabelScheme(timing_bounds=(0.30, 0.75))
-        assert corpus_record_key(project, (DEFAULT_SCHEME,),
-                                 RECORDS_STAGE_VERSION) \
-            != corpus_record_key(project, (shifted,),
-                                 RECORDS_STAGE_VERSION)
+        assert record_key(project) != record_key(project, scheme=shifted)
 
     def test_stage_version_bump_invalidates(self, project):
-        assert corpus_record_key(project, (DEFAULT_SCHEME,), "1") \
-            != corpus_record_key(project, (DEFAULT_SCHEME,), "2")
+        assert record_key(project, version="1") \
+            != record_key(project, version="2")
 
     def test_history_key_tracks_window(self, project):
         history = project.history
@@ -116,8 +116,8 @@ class TestRecordCacheKey:
             project_end=history.project_end.replace(
                 year=history.project_end.year + 1),
             dialect=history.dialect)
-        assert history_record_key(history, (DEFAULT_SCHEME,), "1") \
-            != history_record_key(widened, (DEFAULT_SCHEME,), "1")
+        assert record_key(history, mode="histories") \
+            != record_key(widened, mode="histories")
 
 
 class TestResultCache:

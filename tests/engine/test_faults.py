@@ -26,12 +26,11 @@ from repro.engine import (
     ProjectFailure,
     StudyConfig,
     StudyPlan,
+    HandleStream,
     execute_plan,
-    execute_study,
     execute_study_from_source,
     policy_from_name,
     read_ledger,
-    safe_source_handles,
 )
 from repro.errors import (
     EngineError,
@@ -40,7 +39,7 @@ from repro.errors import (
     TransientSourceError,
 )
 from repro.report.markdown import markdown_report
-from repro.sources import SyntheticSource
+from repro.sources import InMemorySource, SyntheticSource
 from tests.conftest import SMALL_POPULATION
 
 #: A zero-sleep retry policy so tests never wait on backoff.
@@ -336,8 +335,8 @@ class TestGoldenSurvivors:
         assert sorted(f.project for f in report.failures) == sorted(bad)
         survivors = [p for p in small_corpus.projects
                      if p.name not in bad]
-        clean, _ = execute_study(survivors, StudyConfig(),
-                                 source="corpus")
+        clean, _ = execute_study_from_source(
+            InMemorySource(survivors, mode="corpus"), StudyConfig())
         assert markdown_report(skipped) == markdown_report(clean)
 
     def test_parallel_skip_same_bytes(self, source):
@@ -405,7 +404,7 @@ class TestHandleStageProtection:
     def test_no_policy_propagates(self):
         flaky = self.make(flaky_pids=["siesta-01"])
         with pytest.raises(TransientSourceError):
-            safe_source_handles(flaky, None)
+            list(HandleStream(flaky, None))
 
     def test_fail_policy_propagates(self):
         flaky = self.make(flaky_pids=["siesta-01"])

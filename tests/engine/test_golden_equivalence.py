@@ -9,11 +9,12 @@ identical to the straight-line legacy computation on a seeded corpus.
 import pytest
 
 from repro.analysis.records import StudyRecord
-from repro.engine import StudyConfig, execute_study
+from repro.engine import StudyConfig, execute_study_from_source
 from repro.labels.quantization import DEFAULT_SCHEME, label_profile
 from repro.metrics.profile import ProjectProfile
 from repro.patterns.classifier import classify
 from repro.report.markdown import markdown_report
+from repro.sources import InMemorySource
 from repro.study.pipeline import (
     records_from_corpus,
     run_full_study,
@@ -105,7 +106,8 @@ class TestEngineOnHistories:
         parallel = records_from_histories(
             histories, config=StudyConfig(jobs=2))
         assert parallel == serial
-        results, _ = execute_study(histories, source="histories")
+        results, _ = execute_study_from_source(
+            InMemorySource(histories, mode="histories"))
         assert tuple(serial) == results.records
 
 
@@ -113,4 +115,4 @@ class TestEmptyInput:
     def test_empty_projects_raise(self):
         from repro.errors import AnalysisError
         with pytest.raises(AnalysisError):
-            execute_study([], StudyConfig())
+            execute_study_from_source(InMemorySource([]), StudyConfig())

@@ -232,9 +232,11 @@ class TestHandleRegistry:
     def test_in_memory_source_never_memoized(self, small_corpus):
         source = InMemorySource(small_corpus.projects, mode="corpus")
         with EngineSession() as session:
-            handles, _ = session.handles_for(source)
+            results, _ = execute_study_from_source(source,
+                                                   session=session)
             assert session._handles == {}
-            assert len(handles) == len(source)
+            assert session._shard_handles == {}
+            assert len(results.records) == len(source)
 
 
 class TestSourceSessionKey:

@@ -1,25 +1,27 @@
-"""The handle-based source fan-out must match the legacy pipeline.
+"""Every source must render the same study through the handle plan.
 
 Same acceptance bar as test_golden_equivalence, one layer up: a study
 driven by ``SyntheticSource`` — serial, process-parallel and warm-cache
-— must render a byte-identical report to the item-based engine path,
-workers must receive nothing heavier than :class:`SourceHandle`\\ s,
-and a warm cache must serve the whole study without a single
+— must render a byte-identical report to the same corpus studied from
+memory, workers must receive nothing heavier than
+:class:`SourceHandle`\\ s (an in-memory project crosses once, on its
+handle), and a warm cache must serve the whole study without a single
 ``load()`` call.
 """
+
+import pickle
 
 import pytest
 
 from repro.engine import (
+    HandleStream,
     StudyConfig,
     compute_records_from_source,
-    execute_study,
     execute_study_from_source,
-    source_handles,
 )
 from repro.report.markdown import markdown_report
-from repro.sources import CorpusDirSource, SyntheticSource, \
-    export_corpus_dir
+from repro.sources import CorpusDirSource, InMemorySource, \
+    SyntheticSource, export_corpus_dir
 from repro.sources.base import SourceHandle
 from tests.conftest import SMALL_POPULATION
 
@@ -32,8 +34,9 @@ def source():
 
 @pytest.fixture(scope="module")
 def legacy_report(small_corpus):
-    results, _ = execute_study(small_corpus.projects, StudyConfig(),
-                               source="corpus")
+    results, _ = execute_study_from_source(
+        InMemorySource(small_corpus.projects, mode="corpus"),
+        StudyConfig())
     return markdown_report(results)
 
 
@@ -89,6 +92,38 @@ class TestHandlesOnlyCrossTheBoundary:
         assert len(shipped) == len(source)
         assert all(isinstance(item, SourceHandle) for item in shipped)
 
+    def test_in_memory_projects_cross_once(self, small_corpus,
+                                           legacy_report, monkeypatch):
+        """Each project rides its handle; the broadcast stays small."""
+        import repro.engine.session as session_mod
+        shipped = []
+        broadcasts = []
+
+        class SpyPool(session_mod.ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                # _invoke_chunk(invoke, items): ``invoke`` binds the
+                # stage's broadcast inputs (source, scheme).
+                if len(args) == 2 and isinstance(args[1], list):
+                    broadcasts.append(len(pickle.dumps(args[0])))
+                    shipped.extend(args[1])
+                return super().submit(fn, *args, **kwargs)
+
+        # The serial study behind legacy_report parsed these histories
+        # in place; what crosses to a worker must not carry that cache.
+        assert small_corpus.projects[0].history._versions is not None
+        monkeypatch.setattr(session_mod, "ProcessPoolExecutor", SpyPool)
+        source = InMemorySource(small_corpus.projects, mode="corpus")
+        results, _ = execute_study_from_source(source,
+                                               StudyConfig(jobs=2))
+        assert markdown_report(results) == legacy_report
+        names = [project.name for project in small_corpus.projects]
+        assert [handle.pid for handle in shipped] == names
+        assert [handle.item.name for handle in shipped] == names
+        assert all(handle.item.history._versions is None
+                   for handle in shipped)
+        assert len(broadcasts) > 1
+        assert max(broadcasts) <= 4096
+
 
 class TestWarmCacheNeverLoads:
     def test_second_run_skips_load(self, tmp_path):
@@ -111,7 +146,7 @@ class TestWarmCacheNeverLoads:
 
 class TestHandles:
     def test_one_handle_per_project(self, source):
-        handles = source_handles(source)
+        handles = list(HandleStream(source))
         assert len(handles) == len(source)
         assert [h.pid for h in handles] == list(source.project_ids())
         assert all(h.fingerprint == source.fingerprint(h.pid)

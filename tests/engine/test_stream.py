@@ -183,6 +183,14 @@ class TestSampling:
         assert len(records) == 6
         assert [r.name for r in records] == [r.name for r in again]
 
+    def test_in_memory_corpus_is_sampled(self, synthetic, small_corpus):
+        from repro.study.pipeline import records_from_corpus
+        config = StudyConfig(sample=6, seed=3)
+        records = records_from_corpus(small_corpus, config=config)
+        expected, _ = compute_records_from_source(synthetic, config)
+        assert [r.name for r in records] == [r.name for r in expected]
+        assert len(records) == 6
+
     def test_config_validation(self):
         with pytest.raises(EngineError, match="sample"):
             StudyConfig(sample=0)

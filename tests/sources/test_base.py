@@ -1,5 +1,7 @@
 """The HistorySource protocol, SourceHandle and the in-memory adapter."""
 
+import pickle
+
 import pytest
 
 from repro.errors import SourceError
@@ -44,6 +46,13 @@ class TestProtocol:
         with pytest.raises(AttributeError):
             handle.pid = "other"
 
+    def test_attached_item_is_not_identity(self):
+        bare = SourceHandle(pid="p", fingerprint="f")
+        loaded = SourceHandle(pid="p", fingerprint="f", item=["project"])
+        assert loaded == bare
+        assert hash(loaded) == hash(bare)
+        assert repr(loaded) == repr(bare)
+
 
 class TestInMemorySource:
     def test_corpus_mode(self, small_corpus):
@@ -54,6 +63,26 @@ class TestInMemorySource:
         assert len(pids) == len(set(pids))
         first = source.load(pids[0])
         assert first is small_corpus.projects[0]
+
+    def test_pids_are_project_names(self, small_corpus):
+        source = InMemorySource(small_corpus.projects, mode="corpus")
+        assert source.project_ids() \
+            == tuple(p.name for p in small_corpus.projects)
+
+    def test_only_repeated_names_get_a_suffix(self):
+        histories = [make_history(["CREATE TABLE t (a INT);"], name=name)
+                     for name in ("p", "q", "p", "p", "p#2")]
+        source = InMemorySource(histories, mode="histories")
+        assert source.project_ids() == ("p", "q", "p#2", "p#3", "p#2#2")
+        assert all(source.load(pid) is history for pid, history
+                   in zip(source.project_ids(), histories))
+
+    def test_pickles_empty(self):
+        history = make_history(["CREATE TABLE t (a INT);"])
+        source = InMemorySource([history], mode="histories")
+        copy = pickle.loads(pickle.dumps(source))
+        assert copy.mode == "histories"
+        assert copy.project_ids() == ()
 
     def test_histories_mode(self):
         history = make_history(["CREATE TABLE t (a INT);"])

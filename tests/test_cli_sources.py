@@ -182,3 +182,34 @@ class TestSampledStudyCli:
         assert main(["study", "--source", f"dir:{cdir}",
                      "--sample", "6"]) == 0
         assert capsys.readouterr().out == first
+
+
+class TestCorpusFileSampling:
+    """``--corpus FILE`` samples exactly like the source it was saved from."""
+
+    def study_stdout(self, capsys, *argv):
+        capsys.readouterr()
+        assert main(["study", *argv]) == 0
+        return capsys.readouterr().out
+
+    def test_sample_matches_synthetic(self, default_corpus_json, capsys):
+        assert self.study_stdout(capsys, "--corpus",
+                                 str(default_corpus_json),
+                                 "--sample", "20") \
+            == self.study_stdout(capsys, "--sample", "20")
+
+    def test_stratified_sample_matches_synthetic(self, default_corpus_json,
+                                                 capsys):
+        assert self.study_stdout(capsys, "--corpus",
+                                 str(default_corpus_json),
+                                 "--sample", "20", "--stratified") \
+            == self.study_stdout(capsys, "--sample", "20",
+                                 "--stratified")
+
+    def test_export_writes_the_sample(self, default_corpus_json,
+                                      tmp_path, capsys):
+        out = tmp_path / "export"
+        assert main(["export", str(out), "--corpus",
+                     str(default_corpus_json), "--sample", "20"]) == 0
+        rows = (out / "measurements.csv").read_text().splitlines()
+        assert len(rows) == 1 + 20
