@@ -13,8 +13,9 @@ from repro.viz.tables import format_table
 from benchmarks.conftest import record
 
 
-def test_ablation_table_level(benchmark, records):
-    result = benchmark(compute_table_level, records)
+def test_ablation_table_level(benchmark, corpus):
+    histories = [project.history for project in corpus]
+    result = benchmark(compute_table_level, histories)
 
     assert result.total_lives > 400
     # The table-level aversion-to-change trait.

@@ -13,8 +13,9 @@ from repro.viz.tables import format_table
 from benchmarks.conftest import record
 
 
-def test_coevolution(benchmark, records):
-    result = benchmark(compute_coevolution, records)
+def test_coevolution(benchmark, corpus, records):
+    sources = {project.name: project.source for project in corpus}
+    result = benchmark(compute_coevolution, records, sources)
 
     assert len(result.rows) == 151
     # Schema birth lags the project start for the late-born patterns;

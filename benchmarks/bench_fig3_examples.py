@@ -13,10 +13,9 @@ def _gallery(corpus):
     for pattern in REAL_PATTERNS:
         exemplar = next(p for p in by_pattern[pattern]
                         if not p.is_exception)
-        profile = ProjectProfile.from_history(exemplar.history,
-                                              source=exemplar.source)
+        profile = ProjectProfile.from_history(exemplar.history)
         charts.append(ascii_chart(
-            profile.heartbeat, source=profile.source,
+            profile.heartbeat, source=exemplar.source,
             width=56, height=10,
             title=f"{pattern.value} — {exemplar.name} "
                   f"({profile.pup_months} months)"))

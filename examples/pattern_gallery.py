@@ -22,20 +22,19 @@ def main() -> None:
     for pattern in REAL_PATTERNS:
         exemplar = next(p for p in by_pattern[pattern]
                         if not p.is_exception)
-        profile = ProjectProfile.from_history(exemplar.history,
-                                              source=exemplar.source)
+        profile = ProjectProfile.from_history(exemplar.history)
         family = family_of(pattern)
         title = (f"{pattern.value}  [{family.value}]  "
                  f"— {exemplar.name}, {profile.pup_months} months, "
                  f"{profile.total_activity} affected attributes")
-        print(ascii_chart(profile.heartbeat, source=profile.source,
+        print(ascii_chart(profile.heartbeat, source=exemplar.source,
                           width=64, height=12, title=title))
         print()
 
         slug = pattern.value.lower().replace(" ", "_")
         svg_path = out_dir / f"gallery_{slug}.svg"
         svg_path.write_text(svg_chart(profile.heartbeat,
-                                      source=profile.source,
+                                      source=exemplar.source,
                                       title=pattern.value))
     print(f"SVG charts written next to {__file__}")
 

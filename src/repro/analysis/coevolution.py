@@ -7,16 +7,21 @@ explicit caveat that the source side carries no real signal beyond its
 construction (spread over the whole project, first/last month active).
 The measures themselves are the real deliverable: point them at real
 paired histories and they report the paper-[45]-style facts.
+
+The source series come from the source's projects
+(:attr:`~repro.corpus.generator.GeneratedProject.source`), keyed by
+project name: study records hold the schema side only.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.analysis.records import StudyRecord
 from repro.errors import AnalysisError
+from repro.history.heartbeat import ActivitySeries
 from repro.mining.correlation import spearman_rho
 
 
@@ -62,10 +67,8 @@ class CoevolutionResult:
     share_born_with_project: float
 
 
-def _project_row(record: StudyRecord) -> CoevolutionRow | None:
-    source = record.profile.source
-    if source is None:
-        return None
+def _project_row(record: StudyRecord,
+                 source: ActivitySeries) -> CoevolutionRow:
     schema = record.profile.heartbeat
     months = schema.months
     schema_active = set(schema.active_month_indices)
@@ -84,15 +87,21 @@ def _project_row(record: StudyRecord) -> CoevolutionRow | None:
     )
 
 
-def compute_coevolution(records: Sequence[StudyRecord]
+def compute_coevolution(records: Sequence[StudyRecord],
+                        sources: Mapping[str, ActivitySeries]
                         ) -> CoevolutionResult:
     """Compute the joint schema/source measures over a corpus.
 
+    Args:
+        records: the study records (the schema side).
+        sources: project name → source-code activity series; records
+            without an entry are left out.
+
     Raises:
-        AnalysisError: when no record carries a source series.
+        AnalysisError: when no record has a source series.
     """
-    rows = [row for row in (_project_row(r) for r in records)
-            if row is not None]
+    rows = [_project_row(record, sources[record.name])
+            for record in records if record.name in sources]
     if not rows:
         raise AnalysisError("no project carries a source-code series")
     return CoevolutionResult(

@@ -11,16 +11,19 @@ schema-level patterns:
 * rigidity conditioned on the birth quarter of the table,
 * survival (share of tables alive at the end of their project),
 * update intensity of the survivors.
+
+Study records hold measured facts only, so the table lives are derived
+from the source's histories, not from the records.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
-from repro.analysis.records import StudyRecord
 from repro.errors import AnalysisError
+from repro.history.repository import SchemaHistory
 from repro.metrics.tables import TableLife, table_lives
 
 
@@ -54,30 +57,22 @@ def _birth_quarter(life: TableLife, pup_months: int) -> int:
     return min(int(pct * 4), 3)
 
 
-def compute_table_level(records: Sequence[StudyRecord]
+def compute_table_level(histories: Iterable[SchemaHistory]
                         ) -> TableLevelResult:
-    """Aggregate table lives over a study corpus.
+    """Aggregate table lives over a corpus of schema histories.
 
     Raises:
         AnalysisError: for an empty corpus or a corpus without any table.
     """
-    if not records:
-        raise AnalysisError("empty corpus")
     lives: list[TableLife] = []
     quarters: list[int] = []
-    for record in records:
-        history = record.profile.history
-        if history is None:
-            continue
+    for history in histories:
         project_lives = table_lives(history)
         lives.extend(project_lives)
-        quarters.extend(_birth_quarter(l, record.profile.pup_months)
+        quarters.extend(_birth_quarter(l, history.pup_months)
                         for l in project_lives)
     if not lives:
-        raise AnalysisError(
-            "no table lives available: the profiles carry no history "
-            "handle (profiles built via ProjectProfile.from_history "
-            "always do)")
+        raise AnalysisError("no table lives in the given histories")
 
     rigid_flags = [life.update_events == 0 for life in lives]
     per_quarter: list[list[bool]] = [[], [], [], []]

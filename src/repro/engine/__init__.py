@@ -96,7 +96,6 @@ from repro.engine.study_plan import (
     source_record_delta,
     source_record_key,
     strip_project,
-    strip_record,
 )
 
 __all__ = [
@@ -156,5 +155,4 @@ __all__ = [
     "source_record_delta",
     "source_record_key",
     "strip_project",
-    "strip_record",
 ]

@@ -422,9 +422,7 @@ def extend_checkpoint(cp: StudyCheckpoint, suffix: Sequence,
 
 
 def _profile_from_series(name: str, series: ActivitySeries,
-                         birth_month: int,
-                         source: ActivitySeries | None,
-                         history: SchemaHistory | None) -> ProjectProfile:
+                         birth_month: int) -> ProjectProfile:
     """Rebuild the profile exactly as ``ProjectProfile.from_history``
     does, from an already-extended series."""
     landmarks = compute_landmarks(series, birth_month=birth_month)
@@ -435,8 +433,6 @@ def _profile_from_series(name: str, series: ActivitySeries,
         totals=totals,
         vector=heartbeat_vector(series, DEFAULT_POINTS),
         heartbeat=series,
-        source=source,
-        history=history,
     )
 
 
@@ -469,8 +465,7 @@ def serve_corpus_delta(store: DeltaStore, pid: str, project,
         obs.count("delta_rewritten")
         return None
     profile = _profile_from_series(history.project_name, series,
-                                   cp.birth_month, project.source,
-                                   history)
+                                   cp.birth_month)
     labeled = label_profile(profile, scheme)
     strict = classify(labeled)
     record = StudyRecord(
@@ -494,9 +489,8 @@ def serve_history_delta(store: DeltaStore, pid: str, source,
 
     Unlike the corpus path, old payloads are never read: the chain
     (git shas) proves the prefix, and only the suffix commits are
-    fetched via the source's ``load_delta``. The rebuilt record
-    carries ``history=None`` — the optional table-level extension
-    skips such records; every study analysis reads only the profile.
+    fetched via the source's ``load_delta``. The rebuilt record has
+    the shape of a cold one: profiles never carry their history.
     """
     load_delta = getattr(source, "load_delta", None)
     cp = store.load(pid, "histories")
@@ -521,8 +515,7 @@ def serve_history_delta(store: DeltaStore, pid: str, source,
     except _Unusable:
         obs.count("delta_rewritten")
         return None
-    profile = _profile_from_series(cp.name, series, cp.birth_month,
-                                   None, None)
+    profile = _profile_from_series(cp.name, series, cp.birth_month)
     labeled = label_profile(profile, scheme)
     result = classify_with_tolerance(labeled)
     record = StudyRecord(

@@ -223,9 +223,8 @@ def _cells(counters: Mapping[str, int]) -> list[str]:
     return cells
 
 
-def _invoke_map(fn: Callable, transport: Callable | None,
-                pack: Callable | None,
-                extras: tuple, stage_name: str, policy: ErrorPolicy,
+def _invoke_map(fn: Callable, pack: Callable | None, extras: tuple,
+                stage_name: str, policy: ErrorPolicy,
                 faults: FaultPlan | None, attempt_base: int, item: Any
                 ) -> tuple[Any, dict[str, int], Any]:
     """Apply a map stage to one item (module-level: must pickle).
@@ -243,7 +242,7 @@ def _invoke_map(fn: Callable, transport: Callable | None,
     into its columnar row right here — in the worker, overlapping the
     map itself — so the parent only merges finished rows.
 
-    Returns the (transported) result or failure record, the
+    Returns the result or failure record, the
     :mod:`repro.obs` counters the call moved (how worker processes
     ship their counters home), and the packed row (``None`` for
     failures or non-packing stages).
@@ -257,8 +256,6 @@ def _invoke_map(fn: Callable, transport: Callable | None,
                 faults.check(item_id(item), stage_name,
                              attempt_base + attempt)
             payload = fn(item, *extras)
-            if transport is not None:
-                payload = transport(payload)
             break
         except Exception as exc:
             if not policy.captures:
@@ -441,8 +438,7 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
             replay.mark(key)
         return False
 
-    def absorb(index: int, outcome: tuple, from_worker: bool,
-               transported: bool) -> None:
+    def absorb(index: int, outcome: tuple, from_worker: bool) -> None:
         payload, moved, row = outcome
         if from_worker:
             shipped.update(moved)
@@ -454,13 +450,8 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
         else:
             key = keys.pop(index, None)
             if key is not None:
-                stripped = payload
-                if stage.transport_fn is not None and not transported:
-                    # Serial path: results stay untransported; shed
-                    # the derived caches only for the on-disk copy.
-                    stripped = stage.transport_fn(payload)
                 jkeys[index] = key
-                digests[index] = cache.put(key, stripped)
+                digests[index] = cache.put(key, payload)
 
     def journal_chunk(positions: list[int], outbound: list) -> None:
         """Journal one harvested chunk's computed survivors."""
@@ -478,7 +469,7 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
              outcomes: list) -> None:
         """Absorb one finished worker chunk and journal it."""
         for index, outcome in zip(positions, outcomes):
-            absorb(index, outcome, True, True)
+            absorb(index, outcome, True)
         if stage.pack_fn is not None:
             # One partial pack merged FIFO into the growing table.
             obs.count("pack_merges")
@@ -490,9 +481,8 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
             or _auto_chunk(_count_hint(items), config.jobs)
         chosen_chunk = chunk
         window = WINDOW_PER_JOB * config.jobs
-        worker = partial(_invoke_map, stage.fn, stage.transport_fn,
-                         stage.pack_fn, extras, stage.name, policy,
-                         faults, 0)
+        worker = partial(_invoke_map, stage.fn, stage.pack_fn, extras,
+                         stage.name, policy, faults, 0)
         pool = None
         inflight: deque[tuple[list[int], list, Any]] = deque()
         backlog: list[tuple[int, Any]] = []
@@ -620,27 +610,26 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
             # Pool-crash / abandon recovery: finish in-process, one
             # attempt later than the pool pass so one-shot injected
             # crashes do not re-fire.
-            recover = partial(_invoke_map, stage.fn,
-                              stage.transport_fn, stage.pack_fn,
+            recover = partial(_invoke_map, stage.fn, stage.pack_fn,
                               extras, stage.name, policy, faults, 1)
             for index, item in backlog:
                 if guard is not None:
                     guard.check()
-                absorb(index, recover(item), False, True)
+                absorb(index, recover(item), False)
             if stage.pack_fn is not None:
                 obs.count("pack_merges")
             journal_chunk([index for index, _ in backlog],
                           [item for _, item in backlog])
     else:
-        invoke = partial(_invoke_map, stage.fn, None, stage.pack_fn,
-                         extras, stage.name, policy, faults, 0)
+        invoke = partial(_invoke_map, stage.fn, stage.pack_fn, extras,
+                         stage.name, policy, faults, 0)
         for item in items:
             if guard is not None:
                 guard.check()
             index = total
             total += 1
             if probe(index, item):
-                absorb(index, invoke(item), False, False)
+                absorb(index, invoke(item), False)
                 # Serial chunks are single items: each computed item
                 # becomes durable (and resumable) as soon as it lands.
                 journal_chunk([index], [item])

@@ -51,8 +51,11 @@ def append_line(path: Path, data: bytes, fsync: bool = False) -> None:
     """Append ``data`` (a complete ``...\\n`` line) atomically to ``path``.
 
     The whole line goes down in a single ``write`` on an ``O_APPEND``
-    descriptor, so concurrent readers never observe a torn record and
-    two appenders never interleave bytes. ``fsync=True`` additionally
+    descriptor, so two appenders never interleave bytes. A concurrent
+    reader can still observe a prefix of the line — the kernel may
+    expose a write that crosses a page boundary one page at a time —
+    so readers treat a last line without its ``\\n`` as still being
+    written. ``fsync=True`` additionally
     forces the line to stable storage before returning. Raises
     ``OSError`` when the filesystem refuses (full disk, read-only).
     """

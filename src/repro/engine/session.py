@@ -482,8 +482,10 @@ class EngineSession:
         append-only across sessions and processes. The append is one
         locked, fsynced ``write`` of the whole line (see
         :mod:`repro.engine.lock`): concurrent sessions sharing a cache
-        dir serialize through the lock, concurrent readers never see a
-        torn record, and a power cut cannot lose an acknowledged run.
+        dir serialize through the lock, and a power cut cannot lose an
+        acknowledged run. A concurrent reader may see the line's first
+        bytes before the rest; :func:`read_ledger_report` leaves such an
+        unterminated tail for the next read.
         Still best-effort — the ledger is an ops aid, never a crash.
         """
         self.runs.append(record)
@@ -518,12 +520,17 @@ def read_ledger_report(cache_dir: str | Path
     caller can surface it once instead of the ledger under-counting
     forever. Valid records after a torn line are still returned (the
     file stays append-only; one bad line does not poison the tail).
+
+    A final fragment without its ``\\n`` is an append still in flight
+    (the reader holds no lock, and a row that crosses a page boundary
+    can show its first part early): it is neither a record nor torn.
     """
     path = Path(cache_dir) / LEDGER_NAME
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError:
         return [], []
+    text = data[:data.rfind(b"\n") + 1].decode("utf-8")
     records: list[dict] = []
     torn: list[int] = []
     for number, line in enumerate(text.splitlines(), start=1):

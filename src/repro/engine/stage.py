@@ -82,21 +82,18 @@ class MapStage(Stage):
         cache_key_fn: optional ``fn(item, extras, version) -> str``
             producing the content hash under which one item's result is
             cached; ``None`` disables caching for the stage.
-        transport_fn: optional ``fn(result) -> result`` applied before a
-            result crosses a pickling boundary (worker → parent, or the
-            on-disk cache). Used to shed derived caches that are cheap
-            to rebuild but expensive to serialize.
         item_transport_fn: optional ``fn(item) -> item`` applied to each
-            input item before it is pickled to a worker process — the
-            inbound counterpart of ``transport_fn``.
+            input item before it is pickled to a worker process. Used
+            to shed derived caches that are cheap to rebuild but
+            expensive to serialize.
         chunk_size: per-stage override for items per pickled work
             chunk. Precedence is ``config.chunk_size`` (the global /
             CLI knob), then this, then the executor's auto heuristic;
             ``None`` defers to the next level.
         pack_fn: optional ``fn(result) -> row`` flattening one mapped
-            result into a columnar row. Workers pack alongside the map
-            (after ``transport_fn``), shipping rows back with results
-            so the pack overlaps the map itself.
+            result into a columnar row. Workers pack alongside the map,
+            shipping rows back with results so the pack overlaps the
+            map itself.
         pack_finish_fn: ``fn(rows) -> pack`` assembling the harvested
             rows (item order, survivors only) into the stage's
             secondary output.
@@ -105,8 +102,6 @@ class MapStage(Stage):
     """
 
     cache_key_fn: Callable[[Any, tuple, str], str] | None = field(
-        default=None, compare=False)
-    transport_fn: Callable[[Any], Any] | None = field(
         default=None, compare=False)
     item_transport_fn: Callable[[Any], Any] | None = field(
         default=None, compare=False)

@@ -91,7 +91,9 @@ from repro.patterns.taxonomy import Pattern, REAL_PATTERNS
 #: Bump when the history → record computation changes observably; this
 #: invalidates every cached StudyRecord (the cache key mixes it in).
 #: "2": columnar ChangeBreakdown — cached record pickles changed shape.
-RECORDS_STAGE_VERSION = "2"
+#: "3": profiles no longer carry ``history`` or ``source`` — a cached
+#: record from "2" would unpickle with fields the class lacks.
+RECORDS_STAGE_VERSION = "3"
 
 
 # ----------------------------------------------------------------------
@@ -105,8 +107,7 @@ def corpus_record(project, scheme: LabelScheme) -> StudyRecord:
     counterpart of the paper's manual annotation; the exception flag is
     recomputed from the formal definitions.
     """
-    profile = ProjectProfile.from_history(project.history,
-                                          source=project.source)
+    profile = ProjectProfile.from_history(project.history)
     labeled = label_profile(profile, scheme)
     strict = classify(labeled)
     return StudyRecord(
@@ -143,9 +144,9 @@ def history_fingerprint_parts(history: SchemaHistory) -> list:
     ]
 
 
-def bare_history(history: SchemaHistory | None) -> SchemaHistory | None:
+def bare_history(history: SchemaHistory) -> SchemaHistory:
     """A shallow copy of ``history`` without its parsed-version cache."""
-    if history is None or history._versions is None:
+    if history._versions is None:
         return history
     bare = copy.copy(history)
     bare._versions = None
@@ -161,18 +162,10 @@ def strip_project(project):
 
 
 def strip_record(record: StudyRecord) -> StudyRecord:
-    """Shed the parsed-version cache before a record is pickled.
-
-    The materialized :class:`SchemaVersion` list dominates a record's
-    pickle size yet is a pure derivation of the commits; consumers
-    rebuild it lazily. The original record is left untouched.
+    """``record`` as it is pickled: records hold no derived caches, so
+    this is the identity (kept for callers sizing what a worker ships).
     """
-    bare = bare_history(record.profile.history)
-    if bare is record.profile.history:
-        return record
-    profile = dataclasses.replace(record.profile, history=bare)
-    labeled = dataclasses.replace(record.labeled, profile=profile)
-    return dataclasses.replace(record, labeled=labeled)
+    return record
 
 
 def strip_handle(handle):
@@ -663,7 +656,6 @@ def source_map_stage(packed: bool = False,
     return MapStage(name="records", fn=fn, inputs=inputs,
                     version=RECORDS_STAGE_VERSION,
                     cache_key_fn=source_record_key,
-                    transport_fn=strip_record,
                     item_transport_fn=strip_handle, **pack)
 
 

@@ -7,7 +7,7 @@ computed once from its history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.diff.engine import DiffOptions
 from repro.history.heartbeat import ActivitySeries, schema_heartbeat
@@ -27,12 +27,10 @@ class ProjectProfile:
         totals: change-volume aggregates (§6.1, §6.3).
         vector: the 20-point cumulative-progress vector (§5.2).
         heartbeat: the underlying monthly series (kept for charts).
-        source: optional source-code series for joint charts.
-        history: the originating history (kept so table-level analyses
-            can re-derive per-table views; None for deserialized
-            profiles). Excluded from equality: two profiles measured
-            from identical histories — in different processes, or one
-            revived from the result cache — compare equal.
+
+    A profile holds measured facts only, never the history behind them,
+    so it compares and pickles the same whichever process, cache or
+    delta checkpoint produced it.
     """
 
     name: str
@@ -40,8 +38,6 @@ class ProjectProfile:
     totals: ActivityTotals
     vector: tuple[float, ...]
     heartbeat: ActivitySeries
-    source: ActivitySeries | None = None
-    history: SchemaHistory | None = field(default=None, compare=False)
 
     # Convenience passthroughs used across the analysis layer -----------
 
@@ -62,7 +58,6 @@ class ProjectProfile:
 
     @classmethod
     def from_history(cls, history: SchemaHistory,
-                     source: ActivitySeries | None = None,
                      diff_options: DiffOptions | None = None,
                      vector_points: int = DEFAULT_POINTS
                      ) -> "ProjectProfile":
@@ -70,8 +65,6 @@ class ProjectProfile:
 
         Args:
             history: the project's DDL history.
-            source: optional source-code activity series (must span the
-                same PUP as the history when provided).
             diff_options: options for the logical diff engine.
             vector_points: grid size of the cumulative-progress vector.
         """
@@ -85,6 +78,4 @@ class ProjectProfile:
             totals=totals,
             vector=heartbeat_vector(series, vector_points),
             heartbeat=series,
-            source=source,
-            history=history,
         )

@@ -26,8 +26,7 @@ def _legacy_records(corpus, scheme=DEFAULT_SCHEME):
     """The pre-engine per-project loop, verbatim."""
     records = []
     for project in corpus.projects:
-        profile = ProjectProfile.from_history(project.history,
-                                              source=project.source)
+        profile = ProjectProfile.from_history(project.history)
         labeled = label_profile(profile, scheme)
         strict = classify(labeled)
         records.append(StudyRecord(

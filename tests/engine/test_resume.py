@@ -284,6 +284,19 @@ class TestSharedCacheDir:
         digests = {row["result_digest"] for row in records}
         assert len(digests) == 1  # same study, same bytes
 
+    def test_unterminated_last_line_is_an_append_in_flight(self,
+                                                           tmp_path):
+        ledger = tmp_path / LEDGER_NAME
+        row = json.dumps({"run_id": 1}) + "\n"
+        # A row whose first bytes are visible but whose newline is not
+        # yet: neither a record nor torn.
+        ledger.write_text(row + row[:7], encoding="utf-8")
+        assert read_ledger_report(tmp_path) == ([{"run_id": 1}], [])
+        # A newline-terminated garbage line is still reported.
+        ledger.write_text(row + "{not json\n" + row, encoding="utf-8")
+        assert read_ledger_report(tmp_path) \
+            == ([{"run_id": 1}, {"run_id": 1}], [2])
+
     def test_reader_never_sees_torn_rows_during_writes(self, tmp_path):
         ledger = tmp_path / LEDGER_NAME
         row = json.dumps({"run_id": 1, "payload": "x" * 256}) + "\n"

@@ -15,7 +15,6 @@ class TestFromHistory:
         assert profile.total_activity == 6
         assert len(profile.vector) == 20
         assert profile.heartbeat.total == 6
-        assert profile.source is None
 
     def test_birth_is_first_commit_month_even_if_empty_ddl(self):
         # First commit holds comments only: schema file exists but no
@@ -34,15 +33,6 @@ class TestFromHistory:
         profile = ProjectProfile.from_history(history)
         assert profile.birth_month == 12  # commits start in 2020-01
         assert profile.pup_months == 36
-
-    def test_source_attached(self, simple_history):
-        import random
-        from repro.history.sourcecode import synthetic_source_series
-        source = synthetic_source_series(simple_history.pup_months,
-                                         random.Random(0))
-        profile = ProjectProfile.from_history(simple_history,
-                                              source=source)
-        assert profile.source is source
 
     def test_custom_vector_points(self, simple_history):
         profile = ProjectProfile.from_history(simple_history,
