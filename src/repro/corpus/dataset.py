@@ -25,9 +25,13 @@ _FORMAT_VERSION = 1
 
 
 def project_to_dict(project: GeneratedProject) -> dict:
-    """One project as a JSON-serializable dict (the on-disk record)."""
+    """One project as a JSON-serializable dict (the on-disk record).
+
+    ``"incremental": true`` is written only for incremental-style
+    histories, so snapshot-style records keep their historical bytes.
+    """
     history = project.history
-    return {
+    record = {
         "name": project.name,
         "pattern": project.intended_pattern.value,
         "is_exception": project.is_exception,
@@ -50,6 +54,9 @@ def project_to_dict(project: GeneratedProject) -> dict:
             "maintenance_bias": project.plan.maintenance_bias,
         },
     }
+    if history.incremental:
+        record["incremental"] = True
+    return record
 
 
 def project_from_dict(record: dict) -> GeneratedProject:
@@ -70,6 +77,7 @@ def project_from_dict(record: dict) -> GeneratedProject:
             project_start=datetime.fromisoformat(record["project_start"]),
             project_end=datetime.fromisoformat(record["project_end"]),
             dialect=Dialect.from_name(record["dialect"]),
+            incremental=record.get("incremental", False),
         )
         plan_rec = record["plan"]
         plan = LandmarkPlan(

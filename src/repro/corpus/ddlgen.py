@@ -50,6 +50,9 @@ class _TableSpec:
     name: str
     columns: list[_ColumnSpec] = field(default_factory=list)
     column_pool: object = None
+    # Rendered ``CREATE TABLE ...;`` of the current state; every
+    # mutation of ``columns`` or of a column clears it.
+    text: str | None = None
 
     def column(self, name: str) -> _ColumnSpec | None:
         for col in self.columns:
@@ -157,6 +160,7 @@ class DdlScribe:
         table = self._tables[self._rng.choice(self._order)]
         col = self._fresh_column(table)
         table.columns.append(col)
+        table.text = None
         self._touched.add((table.name, col.name))
         self._month_statements.append(ast.AlterTable(
             name=table.name,
@@ -201,6 +205,7 @@ class DdlScribe:
             if len(table.columns) > 1 and victims:
                 victim = self._rng.choice(victims)
                 table.columns.remove(victim)
+                table.text = None
                 self._touched.add((table.name, victim.name))
                 self._month_statements.append(ast.AlterTable(
                     name=table.name,
@@ -218,6 +223,7 @@ class DdlScribe:
             if victims:
                 victim = self._rng.choice(victims)
                 victim.data_type = changed_type(victim.data_type, self._rng)
+                table.text = None
                 self._touched.add((table.name, victim.name))
                 self._month_statements.append(ast.AlterTable(
                     name=table.name,
@@ -243,6 +249,7 @@ class DdlScribe:
             if victims and choices:
                 victim = self._rng.choice(victims)
                 victim.fk_target = self._rng.choice(choices)
+                table.text = None
                 self._touched.add((table.name, victim.name))
                 self._month_statements.append(ast.AlterTable(
                     name=table.name,
@@ -255,11 +262,12 @@ class DdlScribe:
         return 0
 
     def _drop_table(self, remaining: int) -> int:
+        referenced = self._referenced_tables()
         candidates = [
             table for table in self._maintenance_candidates()
             if len(table.columns) <= remaining
             and len(self._order) > 1
-            and not self._is_referenced_table(table.name)
+            and table.name not in referenced
             and not any((table.name, c.name) in self._touched
                         for c in table.columns)
         ]
@@ -275,14 +283,15 @@ class DdlScribe:
         # Table names are never recycled (see _eject_column).
         return size
 
-    def _is_referenced_table(self, name: str) -> bool:
-        return any(col.fk_target == name
-                   for table in self._tables.values()
-                   for col in table.columns)
+    def _referenced_tables(self) -> set[str]:
+        """Names of the tables some live column references (only ever
+        used for membership, so set order cannot leak into draws)."""
+        return {col.fk_target for table in self._tables.values()
+                for col in table.columns if col.fk_target is not None}
 
     def _is_referenced_column(self, table: str, column: str) -> bool:
         # FKs in this generator always reference the target's "id".
-        return column == "id" and self._is_referenced_table(table)
+        return column == "id" and table in self._referenced_tables()
 
     def _shuffled(self, items: list) -> list:
         items = list(items)
@@ -293,13 +302,18 @@ class DdlScribe:
     # snapshotting
 
     def snapshot_sql(self) -> str:
-        """Render the current schema as a full SQL dump."""
-        statements = []
-        for name in self._order:
-            statements.append(self._render_table(self._tables[name]))
+        """Render the current schema as a full SQL dump.
+
+        Only tables changed since the previous dump are rendered again;
+        the others reuse their memoised text.
+        """
         lines = [f"-- synthetic schema dump ({len(self._order)} tables)"]
-        lines += [write_statement(s, self._dialect) + ";"
-                  for s in statements]
+        for name in self._order:
+            spec = self._tables[name]
+            if spec.text is None:
+                spec.text = write_statement(self._render_table(spec),
+                                            self._dialect) + ";"
+            lines.append(spec.text)
         return "\n\n".join(lines) + "\n"
 
     def month_sql(self) -> str:

@@ -49,7 +49,6 @@ from repro.sources.corpusdir import (
     CORPUS_DIR_FORMAT,
     CORPUS_DIR_VERSION,
     CORPUS_DIR_VERSION_SHARDED,
-    DEFAULT_SHARD_SIZE,
     CorpusDirSource,
     CorpusWriteReport,
     export_corpus_dir,
@@ -66,7 +65,6 @@ __all__ = [
     "CORPUS_DIR_FORMAT",
     "CORPUS_DIR_VERSION",
     "CORPUS_DIR_VERSION_SHARDED",
-    "DEFAULT_SHARD_SIZE",
     "SOURCE_MODES",
     "CorpusDirSource",
     "CorpusWriteReport",

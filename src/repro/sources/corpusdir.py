@@ -56,12 +56,6 @@ CORPUS_DIR_VERSION_SHARDED = 2
 SUPPORTED_CORPUS_VERSIONS = (CORPUS_DIR_VERSION,
                              CORPUS_DIR_VERSION_SHARDED)
 
-#: Projects per shard when ``--shard-size`` is requested without a
-#: number. Around 256 small projects a shard keeps file counts three
-#: orders of magnitude below project counts while individual shards
-#: stay re-readable in milliseconds.
-DEFAULT_SHARD_SIZE = 256
-
 MANIFEST_NAME = "manifest.json"
 _PROJECTS_SUBDIR = "projects"
 _SHARDS_SUBDIR = "shards"

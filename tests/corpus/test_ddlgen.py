@@ -13,7 +13,10 @@ from repro.corpus.ddlgen import DdlScribe, realize_history
 from repro.corpus.planner import plan_schedule
 from repro.history.heartbeat import schema_heartbeat
 from repro.schema.builder import build_schema
+from repro.sqlddl import ast_nodes as ast
+from repro.sqlddl.dialect import Dialect
 from repro.sqlddl.parser import parse_script
+from repro.sqlddl.writer import write_statement
 
 
 def measured_schedule(history):
@@ -58,6 +61,44 @@ class TestScribe:
         scribe.begin_month()
         scribe.apply_units(5, maintenance_bias=0.0, birth=True)
         assert scribe.table_count >= 1
+
+
+def rendered_from_scratch(scribe):
+    """The whole dump with every live table rendered anew (the oracle
+    of the scribe's memoised table texts)."""
+    lines = [f"-- synthetic schema dump ({scribe.table_count} tables)"]
+    lines += [write_statement(scribe._render_table(scribe._tables[name]),
+                              scribe._dialect) + ";"
+              for name in scribe._order]
+    return "\n\n".join(lines) + "\n"
+
+
+#: What eject, retype, rekey and drop emit.
+MAINTENANCE = {ast.DropColumn, ast.AlterColumnType, ast.AddConstraint,
+               ast.DropTable}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_snapshot_memo_equals_full_render(seed):
+    """Across a maintenance-heavy run, the memoised dump equals a
+    from-scratch render after every month, and no foreign key ever
+    points at a dropped table."""
+    rng = random.Random(seed)
+    scribe = DdlScribe(rng, list(Dialect)[seed % len(Dialect)])
+    fired = set()
+    for month in range(60):
+        scribe.begin_month()
+        scribe.apply_units(40 if month == 0 else rng.randint(1, 12),
+                           maintenance_bias=0.8, birth=(month == 0))
+        for stmt in scribe._month_statements:
+            fired.update(type(node)
+                         for node in (stmt, *getattr(stmt, "actions", ())))
+        assert scribe.snapshot_sql() == rendered_from_scratch(scribe)
+        assert {col.fk_target
+                for table in scribe._tables.values()
+                for col in table.columns
+                if col.fk_target is not None} <= set(scribe._order)
+    assert fired >= MAINTENANCE
 
 
 class TestRealizeHistory:

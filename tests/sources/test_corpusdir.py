@@ -1,16 +1,24 @@
 """The JSONL corpus-directory format: export → import is lossless."""
 
+import dataclasses
 import json
+import random
 
 import pytest
 
-from repro.corpus.dataset import project_to_dict
+from repro.corpus.dataset import load_corpus, project_to_dict, save_corpus
+from repro.corpus.ddlgen import realize_history
+from repro.corpus.generator import Corpus
 from repro.errors import SourceError
+from repro.history.heartbeat import schema_heartbeat
+from repro.patterns.taxonomy import Pattern
 from repro.report.markdown import markdown_report
 from repro.sources import (
     CorpusDirSource,
+    SyntheticSource,
     export_corpus_dir,
     import_corpus_dir,
+    write_corpus_dir,
 )
 from repro.sources.corpusdir import stratified
 from repro.study.pipeline import records_from_corpus, run_study
@@ -45,6 +53,35 @@ class TestRoundTrip:
         a = (corpus_dir / "manifest.json").read_text()
         b = (again / "manifest.json").read_text()
         assert a == b
+
+
+def _incremental_project():
+    """A seed-3 Sigmoid project realized as incremental-style commits."""
+    source = SyntheticSource(seed=3, population={Pattern.SIGMOID: 1})
+    project = source.load(source.project_ids()[0])
+    history = realize_history(project.plan, random.Random(3), project.name,
+                              project.history.dialect,
+                              commit_style="incremental")
+    return dataclasses.replace(project, history=history)
+
+
+def _round_trip(project, layout, tmp_path):
+    if layout == "json":
+        save_corpus(Corpus(projects=(project,), seed=3),
+                    tmp_path / "corpus.json")
+        return load_corpus(tmp_path / "corpus.json").projects[0]
+    write_corpus_dir([project], tmp_path,
+                     shard_size=4 if layout == "v2" else None)
+    return CorpusDirSource(tmp_path).load(project.name)
+
+
+@pytest.mark.parametrize("layout", ["v1", "v2", "json"])
+def test_incremental_history_round_trips(layout, tmp_path):
+    project = _incremental_project()
+    restored = _round_trip(project, layout, tmp_path)
+    assert restored.history.incremental is True
+    assert schema_heartbeat(restored.history).monthly \
+        == schema_heartbeat(project.history).monthly
 
 
 class TestSource:
