@@ -59,6 +59,7 @@ EXIT_PARTIAL = 3
 EXIT_INTERRUPTED = 130
 from repro.history.heartbeat import schema_heartbeat
 from repro.history.repository import (
+    incremental_parse_disabled,
     load_history_from_directory,
     load_history_from_jsonl,
 )
@@ -781,11 +782,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "no_incremental", False):
-        from repro.history.repository import set_incremental_parse_default
-        set_incremental_parse_default(False)
+    args = build_parser().parse_args(argv)
+    if not getattr(args, "no_incremental", False):
+        return _dispatch(args)
+    # --no-incremental holds for this call only (and for the workers it
+    # spawns); a later in-process run gets the default back.
+    with incremental_parse_disabled():
+        return _dispatch(args)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed subcommand, mapping failures to exit codes."""
     try:
         return args.func(args)
     except RunInterrupted as exc:

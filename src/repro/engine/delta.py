@@ -10,10 +10,10 @@ that re-derivation O(K), with byte-identical output, by persisting one
   computed — the proof object: a new chain that has the old one as a
   proper prefix means "history appended, nothing rewritten";
 * the frozen version-N tail state of the incremental parse — the final
-  segment-hash tuple, the final :class:`~repro.schema.schema.Schema`
-  snapshot and its reusable ``Table`` pool — exactly what
-  :meth:`SchemaHistory._materialize_memoized` carries from commit to
-  commit, so the suffix kernel resumes mid-stream;
+  segment-hash tuple, the final :class:`~repro.schema.model.Schema`
+  snapshot and its reusable ``Table`` pool — the state a
+  :class:`~repro.history.repository.SnapshotFold` resumes from, so the
+  suffix kernel picks up mid-stream;
 * the accumulated :class:`~repro.history.heartbeat.ActivitySeries`
   flat month×kind rows (``None`` for untouched months — provably
   equivalent to the all-zero row, since every schema change carries at
@@ -21,16 +21,17 @@ that re-derivation O(K), with byte-identical output, by persisting one
 * the project's :class:`~repro.analysis.table.PackedRecord` row and
   the label-scheme fingerprint it was labeled under.
 
-The **suffix recompute kernel** (:func:`extend_checkpoint`) mirrors the
-memoized materialization loop statement for statement — whole-version
-hash shortcut, statement memo, ``snapshot_reusing`` table reuse,
-classic ``parse_script`` fallback — then extends the month counts
-in place exactly as :func:`~repro.history.kernel.accumulate_month_counts`
-would have, and rebuilds landmarks/totals/vector from the extended
-series. Any guard failure (rewritten chain, changed project window,
-out-of-order suffix timestamps, dialect change, migration-style
-history) falls back to a full recompute; falling back is always
-correct, the checkpoint is only ever an accelerator.
+The **suffix recompute kernel** (:func:`extend_checkpoint`) folds the
+new commits through the same
+:class:`~repro.history.repository.SnapshotFold` a cold materialization
+uses, started from the checkpointed tail instead of an empty history,
+then extends the month counts in place exactly as
+:func:`~repro.history.kernel.accumulate_month_counts` would have, and
+rebuilds landmarks/totals/vector from the extended series. Any guard
+failure (rewritten chain, changed project window, out-of-order suffix
+timestamps, dialect change, migration-style history) falls back to a
+full recompute; falling back is always correct, the checkpoint is only
+ever an accelerator.
 
 Checkpoints are written on *every* computed record when a delta store
 is active — cold studies included — so the very first ``refresh`` after
@@ -65,6 +66,7 @@ from repro.errors import EngineError
 from repro.history.heartbeat import ActivitySeries
 from repro.history.repository import (
     SchemaHistory,
+    SnapshotFold,
     incremental_parse_default,
     month_index,
 )
@@ -74,10 +76,6 @@ from repro.metrics.landmarks import compute_landmarks
 from repro.metrics.profile import ProjectProfile
 from repro.metrics.timeseries import DEFAULT_POINTS, heartbeat_vector
 from repro.patterns.classifier import classify, classify_with_tolerance
-from repro.schema.builder import SchemaBuilder
-from repro.sqlddl.memo import StatementMemo
-from repro.sqlddl.parser import parse_script
-from repro.sqlddl.splitter import split_statements
 
 #: Checkpoint format version; bump when the pickle layout changes so
 #: stale checkpoints read as missing instead of exploding.
@@ -323,12 +321,10 @@ def extend_checkpoint(cp: StudyCheckpoint, suffix: Sequence,
                       ) -> tuple[ActivitySeries, StudyCheckpoint]:
     """Run the suffix kernel: ``K`` new commits onto a checkpoint.
 
-    Mirrors :meth:`SchemaHistory._materialize_memoized` exactly —
-    whole-version shortcut, statement memo, ``snapshot_reusing`` table
-    reuse and the classic ``parse_script`` fallback — but starts from
-    the checkpointed version-N tail state instead of an empty one, and
-    folds each suffix diff's kind counts into the checkpointed month
-    rows precisely as ``accumulate_month_counts`` would have.
+    Folds the commits through a :class:`SnapshotFold` resumed from the
+    checkpointed version-N tail state, and folds each suffix diff's
+    kind counts into the checkpointed month rows precisely as
+    ``accumulate_month_counts`` would have.
 
     Args:
         cp: the usable checkpoint (caller verified the prefix proof).
@@ -357,35 +353,17 @@ def extend_checkpoint(cp: StudyCheckpoint, suffix: Sequence,
     monthly.extend([0] * (new_pup - len(monthly)))
     rows.extend([None] * (new_pup - len(rows)))
 
-    memo = StatementMemo(dialect)
-    prev_hashes = cp.prev_hashes
-    prev_pool = cp.pool
+    fold = SnapshotFold(dialect, cp.prev_hashes, cp.pool)
     prev_schema = cp.schema
     last_ts = cp.last_commit_ts
     for commit in suffix:
         if commit.timestamp < last_ts:
             raise _Unusable("suffix commit predates the append boundary")
         last_ts = commit.timestamp
-        segments = split_statements(commit.ddl_text, dialect)
-        hashes = tuple(s.content_hash for s in segments)
-        if hashes == prev_hashes:
-            # Whole-version shortcut: same segment bytes, same schema,
-            # empty diff — exactly what the full path elides.
-            continue
-        parsed = [memo.parse(segment) for segment in segments]
-        if any(entry.fallback for entry in parsed):
-            script = parse_script(commit.ddl_text, dialect)
-            builder = SchemaBuilder(strict=False)
-            builder.apply_script(script)
-            schema = builder.snapshot()
-            pool = None
-        else:
-            builder = SchemaBuilder(strict=False)
-            for segment, entry in zip(segments, parsed):
-                if entry.statement is not None:
-                    builder.apply(entry.statement,
-                                  token=segment.content_hash)
-            schema, pool = builder.snapshot_reusing(prev_pool)
+        folded = fold.fold(commit.ddl_text)
+        if folded is None:
+            continue  # same statements, same schema: an empty diff
+        schema = folded[0]
         diff = diff_schemas(prev_schema, schema)
         if diff.changes:
             month = month_index(cp.project_start, commit.timestamp)
@@ -397,8 +375,6 @@ def extend_checkpoint(cp: StudyCheckpoint, suffix: Sequence,
                 row = rows[month]
                 for slot, count in enumerate(flat):
                     row[slot] += count
-        prev_hashes = hashes
-        prev_pool = pool
         prev_schema = schema
 
     series = ActivitySeries(
@@ -414,9 +390,9 @@ def extend_checkpoint(cp: StudyCheckpoint, suffix: Sequence,
         monthly=tuple(series.monthly),
         rows=tuple(tuple(row) if row is not None else None
                    for row in rows),
-        prev_hashes=prev_hashes,
+        prev_hashes=fold.prev_hashes,
         schema=prev_schema,
-        pool=prev_pool,
+        pool=fold.pool,
     )
     return series, advanced
 

@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 import os
 import re
+from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
+from typing import Iterator
 
 from repro.errors import HistoryError
 from repro.history.commit import Commit, SchemaVersion
 from repro.schema.builder import SchemaBuilder
+from repro.schema.model import Schema
 from repro.sqlddl.dialect import Dialect
 from repro.sqlddl.memo import StatementMemo
 from repro.sqlddl.parser import parse_script
@@ -41,6 +44,89 @@ def set_incremental_parse_default(enabled: bool) -> None:
         os.environ[NO_INCREMENTAL_ENV] = "1"
 
 
+@contextmanager
+def incremental_parse_disabled() -> Iterator[None]:
+    """Turn the incremental-parse default off for a ``with`` block.
+
+    Worker processes spawned inside the block inherit the setting; on
+    exit the previous value of ``REPRO_NO_INCREMENTAL`` is restored.
+    """
+    previous = os.environ.get(NO_INCREMENTAL_ENV)
+    set_incremental_parse_default(False)
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(NO_INCREMENTAL_ENV, None)
+        else:
+            os.environ[NO_INCREMENTAL_ENV] = previous
+
+
+def _fold_classic(text: str, dialect: Dialect) -> tuple[Schema, int]:
+    """One full-snapshot DDL text folded the classic way: whole-file
+    parse, fresh builder. Returns the schema and its parse-issue
+    count."""
+    script = parse_script(text, dialect)
+    builder = SchemaBuilder(strict=False)
+    builder.apply_script(script)
+    return builder.snapshot(), len(script.skipped) + len(builder.issues)
+
+
+class SnapshotFold:
+    """The fold kernel of full-snapshot commits, resumable mid-history.
+
+    Folds one commit's DDL text at a time into a schema, doing the work
+    once per distinct piece of the history rather than once per
+    version, with output identical to :func:`_fold_classic`: a version
+    whose statements equal the previous version's folds to nothing new;
+    the :class:`StatementMemo` parses each distinct span and each
+    distinct ``CREATE TABLE`` body element once; the builders share one
+    ``creates`` memo, so each distinct ``CREATE TABLE`` is folded once;
+    and ``snapshot_reusing`` hands back the previous version's frozen
+    ``Table`` for every table whose statement trace is unchanged. A
+    version holding a span the memo cannot parse in isolation folds
+    through :func:`_fold_classic` instead and clears the table pool.
+
+    Args:
+        dialect: the parse dialect.
+        prev_hashes: segment-hash tuple of the version the fold resumes
+            after (None: start from an empty history).
+        pool: that version's reusable ``Table`` pool, or None.
+    """
+
+    def __init__(self, dialect: Dialect,
+                 prev_hashes: tuple[str, ...] | None = None,
+                 pool: dict | None = None):
+        self.dialect = dialect
+        self.memo = StatementMemo(dialect)
+        self.prev_hashes = prev_hashes
+        self.pool = pool
+        self._creates: dict = {}
+
+    def fold(self, text: str) -> tuple[Schema, int] | None:
+        """The schema and parse-issue count of the next version, or None
+        when its statements are byte-identical to the previous
+        version's (same schema, same issues)."""
+        segments = split_statements(text, self.dialect)
+        hashes = tuple(s.content_hash for s in segments)
+        if hashes == self.prev_hashes:
+            return None
+        self.prev_hashes = hashes
+        parsed = [self.memo.parse(segment) for segment in segments]
+        if any(entry.fallback for entry in parsed):
+            self.pool = None
+            return _fold_classic(text, self.dialect)
+        builder = SchemaBuilder(strict=False, creates=self._creates)
+        skipped = 0
+        for segment, entry in zip(segments, parsed):
+            if entry.statement is not None:
+                builder.apply(entry.statement, token=segment.content_hash)
+            else:
+                skipped += 1
+        schema, self.pool = builder.snapshot_reusing(self.pool)
+        return schema, skipped + len(builder.issues)
+
+
 def month_index(start: datetime, when: datetime) -> int:
     """0-based calendar-month index of ``when`` relative to ``start``.
 
@@ -68,9 +154,10 @@ class SchemaHistory:
             statements of that change (migration-script style); versions
             are materialized cumulatively.
         incremental_parse: whether full-snapshot commits materialize
-            through the statement memo (parse only statements changed
-            since the previous version, reuse unchanged ``Table``
-            objects). None (default) defers to the process-wide default
+            through :class:`SnapshotFold` (parse and fold only what
+            changed since the previous version, reuse unchanged
+            ``Table`` objects). None (default) defers to the
+            process-wide default
             (:func:`incremental_parse_default`). Output is guaranteed
             identical either way; the flag exists for A/B verification
             and as an escape hatch.
@@ -148,63 +235,21 @@ class SchemaHistory:
         return self._versions
 
     def _materialize_memoized(self) -> list[SchemaVersion]:
-        """Materialize full-snapshot commits through the statement memo.
-
-        Three reuse layers, each provably output-identical to the
-        classic per-commit full parse:
-
-        1. *Whole-version shortcut* — a commit whose segment-hash tuple
-           equals the previous commit's reuses that version's schema
-           and issue count outright (identical spans lex to identical
-           token streams, so the classic path would reproduce them).
-        2. *Statement memo* — only spans unseen in this history are
-           tokenized and parsed; repeats return the cached frozen AST
-           (or the cached SkippedStatement).
-        3. *Table reuse* — every version still folds all statements
-           through a fresh builder (cheap; parsing is the ~93% cost),
-           but the snapshot hands back version N−1's frozen ``Table``
-           for tables whose ``(name, statement-trace)`` is unchanged,
-           which in turn arms the diff engine's identity fast path.
-
-        Any span the memo cannot handle in isolation (lex error, or a
-        raw/token split disagreement) falls the whole commit back to
-        :meth:`_materialize`, reproducing classic behaviour bit for bit.
-        """
-        memo = StatementMemo(self.dialect)
+        """Materialize full-snapshot commits through one
+        :class:`SnapshotFold`, started from an empty history."""
+        fold = SnapshotFold(self.dialect)
         versions: list[SchemaVersion] = []
-        prev_hashes: tuple[str, ...] | None = None
-        prev_pool: dict | None = None
         for commit in self.commits:
-            segments = split_statements(commit.ddl_text, self.dialect)
-            hashes = tuple(s.content_hash for s in segments)
-            if versions and hashes == prev_hashes:
+            folded = fold.fold(commit.ddl_text)
+            if folded is None:
                 previous = versions[-1]
-                versions.append(SchemaVersion(
-                    commit=commit, schema=previous.schema,
-                    parse_issues=previous.parse_issues))
-                continue
-            parsed = [memo.parse(segment) for segment in segments]
-            if any(entry.fallback for entry in parsed):
-                versions.append(self._materialize(commit))
-                prev_hashes = hashes
-                prev_pool = None
-                continue
-            builder = SchemaBuilder(strict=False)
-            skipped = 0
-            for segment, entry in zip(segments, parsed):
-                if entry.statement is not None:
-                    builder.apply(entry.statement,
-                                  token=segment.content_hash)
-                else:
-                    skipped += 1
-            schema, pool = builder.snapshot_reusing(prev_pool)
-            versions.append(SchemaVersion(
-                commit=commit, schema=schema,
-                parse_issues=skipped + len(builder.issues)))
-            prev_hashes = hashes
-            prev_pool = pool
-        self._delta_state = (prev_hashes, prev_pool)
-        self.parse_stats = (memo.hits, memo.misses)
+                schema, issues = previous.schema, previous.parse_issues
+            else:
+                schema, issues = folded
+            versions.append(SchemaVersion(commit=commit, schema=schema,
+                                          parse_issues=issues))
+        self._delta_state = (fold.prev_hashes, fold.pool)
+        self.parse_stats = (fold.memo.hits, fold.memo.misses)
         return versions
 
     def _materialize_incremental(self) -> list[SchemaVersion]:
@@ -225,14 +270,9 @@ class SchemaHistory:
         return versions
 
     def _materialize(self, commit: Commit) -> SchemaVersion:
-        script = parse_script(commit.ddl_text, self.dialect)
-        builder = SchemaBuilder(strict=False)
-        builder.apply_script(script)
-        return SchemaVersion(
-            commit=commit,
-            schema=builder.snapshot(),
-            parse_issues=len(script.skipped) + len(builder.issues),
-        )
+        schema, issues = _fold_classic(commit.ddl_text, self.dialect)
+        return SchemaVersion(commit=commit, schema=schema,
+                             parse_issues=issues)
 
     def __len__(self) -> int:
         return len(self.commits)

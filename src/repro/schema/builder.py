@@ -9,6 +9,12 @@ emits immutable :class:`~repro.schema.model.Schema` snapshots. Two modes:
   :attr:`SchemaBuilder.issues` and the statement is skipped, which is how
   history extraction must behave on real-world dumps that occasionally
   re-create tables or drop what is not there.
+
+A lenient builder can share ``CREATE TABLE`` folds with the other
+builders of one history through a ``creates`` memo (see
+:class:`SchemaBuilder`): folding a ``CREATE TABLE`` into a fresh table
+depends only on the statement, so each distinct statement is folded
+once and every repeat installs a lazy state that reads through it.
 """
 
 from __future__ import annotations
@@ -50,6 +56,25 @@ class _TableState:
     unique_keys: list[tuple[str, ...]] = field(default_factory=list)
     named_constraints: dict[str, str] = field(default_factory=dict)
     trace: list = field(default_factory=list)
+    #: The memoized ``CREATE TABLE`` fold this state still reads
+    #: through; while set, the column and key fields above are unfilled
+    #: and :meth:`thaw` must run before anything reads or writes them.
+    folded: _FoldedCreate | None = None
+
+    def thaw(self) -> None:
+        """Copy the memoized fold's content into this state's own
+        fields (a no-op once they are its own)."""
+        folded = self.folded
+        if folded is None:
+            return
+        template = folded.state
+        self.columns = [_ColumnState(c.name, c.data_type, c.not_null)
+                        for c in template.columns]
+        self.primary_key = list(template.primary_key)
+        self.foreign_keys = list(template.foreign_keys)
+        self.unique_keys = list(template.unique_keys)
+        self.named_constraints = dict(template.named_constraints)
+        self.folded = None
 
     def column(self, name: str) -> _ColumnState | None:
         for col in self.columns:
@@ -64,18 +89,40 @@ class _TableState:
         return -1
 
 
+@dataclass(frozen=True, slots=True)
+class _FoldedCreate:
+    """One ``CREATE TABLE`` folded into a fresh table state.
+
+    Attributes:
+        state: the folded state, never written after the fold.
+        table: its frozen snapshot.
+        issues: the lenient-mode issues the fold raised, in order.
+    """
+
+    state: _TableState
+    table: Table
+    issues: tuple[str, ...]
+
+
 class SchemaBuilder:
     """Applies DDL statements to an evolving logical schema.
 
     Args:
         strict: raise on schema violations instead of recording them.
+        creates: memo of folded ``CREATE TABLE`` statements, keyed by
+            statement token and shared by the builders of one history.
+            A lenient builder folds a statement applied with a token
+            once per memo: a repeat replays the fold's issues and
+            installs a lazy table state. Without a memo or a token, or
+            in strict mode, every statement is folded afresh.
 
     Attributes:
         issues: human-readable descriptions of every lenient-mode skip.
     """
 
-    def __init__(self, strict: bool = False):
+    def __init__(self, strict: bool = False, creates: dict | None = None):
         self._strict = strict
+        self._creates = creates if not strict else None
         self._tables: dict[str, _TableState] = {}
         self._order: list[str] = []
         self._views: list[str] = []
@@ -177,6 +224,7 @@ class SchemaBuilder:
                 return
             self._problem(f"table {name!r} already exists")
             self._remove_table(name)
+        source.thaw()
         clone = copy.deepcopy(source)
         clone.name = name
         # The clone's content derives from the source's full fold, so
@@ -217,14 +265,33 @@ class SchemaBuilder:
             self._problem(f"table {name!r} already exists")
             # Real dumps re-create tables; treat as replace in lenient mode.
             self._remove_table(name)
+        token = self._token
+        if self._creates is None or token is None:
+            state = self._fold_create_table(name, stmt)
+        else:
+            folded = self._creates.get(token)
+            if folded is None:
+                issued = len(self.issues)
+                template = self._fold_create_table(name, stmt)
+                folded = self._creates[token] = _FoldedCreate(
+                    state=template, table=self._snapshot_table(template),
+                    issues=tuple(self.issues[issued:]))
+            else:
+                self.issues.extend(folded.issues)
+            state = _TableState(name=name, trace=[token], folded=folded)
+        self._tables[name] = state
+        self._order.append(name)
+
+    def _fold_create_table(self, name: str,
+                           stmt: ast.CreateTable) -> _TableState:
+        """Fold ``stmt``'s columns and constraints into a fresh state."""
         state = _TableState(name=name)
         self._stamp(state)
         for coldef in stmt.columns:
             self._add_column_to_state(state, coldef)
         for constraint in stmt.constraints:
             self._apply_constraint(state, constraint)
-        self._tables[name] = state
-        self._order.append(name)
+        return state
 
     def _apply_drop_table(self, stmt: ast.DropTable) -> None:
         for raw in stmt.names:
@@ -242,6 +309,7 @@ class SchemaBuilder:
             if not stmt.if_exists:
                 self._problem(f"cannot alter missing table {name!r}")
             return
+        state.thaw()
         self._stamp(state)
         for action in stmt.actions:
             self._apply_alter_action(state, action)
@@ -466,6 +534,8 @@ class SchemaBuilder:
     # snapshot
 
     def _snapshot_table(self, state: _TableState) -> Table:
+        if state.folded is not None:
+            return state.folded.table
         pk = set(state.primary_key)
         fk_cols = {c for fk in state.foreign_keys for c in fk.columns}
         attributes = tuple(

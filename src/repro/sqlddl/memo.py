@@ -1,11 +1,23 @@
 """Per-history statement memo: content hash → parsed statement.
 
-Parsing dominates the cold pipeline (~93% of records time), yet most of
-it is wasted: within one schema history only ~25-30% of statement
-instances are unique, because each snapshot repeats the previous one
-nearly verbatim. A :class:`StatementMemo` caches the parse result of
-every statement span (keyed by the splitter's content hash), so a
-statement is parsed once per *history* instead of once per *version*.
+Within one schema history only ~25-30% of statement instances are
+unique, because each snapshot repeats the previous one nearly verbatim.
+A :class:`StatementMemo` caches the parse result of every statement
+span (keyed by the splitter's content hash), so a statement is parsed
+once per *history* instead of once per *version*.
+
+A changed ``CREATE TABLE`` mostly repeats its previous version too: one
+column added among a dozen unchanged ones. So a missed ``CREATE TABLE``
+span is cut into head, body elements and tail
+(:func:`~repro.sqlddl.splitter.cut_create_table`); only element texts
+unseen in the history are tokenized and parsed, and the statement is
+assembled by :func:`~repro.sqlddl.parser.parse_token_group` over the
+head and tail tokens with the parsed body handed in. AST nodes carry no
+source positions and every cut falls between tokens, so the assembled
+statement equals the whole-span parse. Anything that does not assemble
+cleanly (another head, an element the parser does not consume exactly,
+a lex or parse error) takes the whole-span route below, so skip records
+and fallback markers always come from it.
 
 Safety: the memo must never change what the pipeline observes. Each
 entry is a :class:`ParsedSegment` holding either the frozen statement
@@ -30,8 +42,12 @@ from repro.errors import LexError
 from repro.sqlddl import ast_nodes as ast
 from repro.sqlddl.dialect import Dialect
 from repro.sqlddl.lexer import tokenize
-from repro.sqlddl.parser import _split_statements, parse_token_group
-from repro.sqlddl.splitter import Segment
+from repro.sqlddl.parser import (
+    _split_statements,
+    parse_table_element,
+    parse_token_group,
+)
+from repro.sqlddl.splitter import Segment, cut_create_table
 
 __all__ = [
     "ParsedSegment",
@@ -75,6 +91,12 @@ class StatementMemo:
         self.hits = 0
         self.misses = 0
         self._entries: dict[str, ParsedSegment] = {}
+        #: Element text → parsed body element (None: does not parse on
+        #: its own).
+        self._elements: dict[str, ast.ColumnDef | ast.TableConstraint
+                             | None] = {}
+        #: Head or tail text → its tokens (without the EOF token).
+        self._pieces: dict[str, list] = {}
 
     def parse(self, segment: Segment) -> ParsedSegment:
         """The parse outcome of ``segment``, cached by content hash."""
@@ -90,6 +112,11 @@ class StatementMemo:
         return entry
 
     def _parse_segment(self, text: str) -> ParsedSegment:
+        pieces = cut_create_table(text, self.dialect)
+        if pieces is not None:
+            statement = self._assemble(*pieces)
+            if statement is not None:
+                return ParsedSegment(statement=statement)
         try:
             tokens = tokenize(text, self.dialect)
         except LexError:
@@ -107,3 +134,33 @@ class StatementMemo:
         if skipped is not None:
             return ParsedSegment(skipped=skipped)
         return ParsedSegment(statement=statement)
+
+    def _assemble(self, head: str, elements: list[str],
+                  tail: str) -> ast.CreateTable | None:
+        """The ``CREATE TABLE`` of a cut span, or None to parse it
+        whole."""
+        body = []
+        for text in elements:
+            if text in self._elements:
+                element = self._elements[text]
+            else:
+                element = self._elements[text] = parse_table_element(
+                    text, self.dialect)
+            if element is None:
+                return None
+            body.append(element)
+        try:
+            group = self._tokens(head) + self._tokens(tail)
+        except LexError:
+            return None
+        statement, _ = parse_token_group(group, self.dialect,
+                                         table_body=tuple(body))
+        if not isinstance(statement, ast.CreateTable):
+            return None
+        return statement
+
+    def _tokens(self, piece: str) -> list:
+        tokens = self._pieces.get(piece)
+        if tokens is None:
+            tokens = self._pieces[piece] = tokenize(piece, self.dialect)[:-1]
+        return tokens

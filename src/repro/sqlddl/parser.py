@@ -55,10 +55,15 @@ class Parser:
     raise :class:`ParseError` when the input diverges from the grammar.
     """
 
-    def __init__(self, tokens: list[Token], dialect: Dialect = Dialect.GENERIC):
+    def __init__(self, tokens: list[Token], dialect: Dialect = Dialect.GENERIC,
+                 table_body: tuple | None = None):
         self._tokens = tokens
         self._dialect = dialect
         self._pos = 0
+        #: Pre-parsed ``CREATE TABLE`` body elements that stand in for
+        #: the body between the ``(`` and ``)`` tokens (see
+        #: :func:`parse_token_group`); consumed by the first body parse.
+        self._table_body = table_body
 
     # ------------------------------------------------------------------
     # cursor helpers
@@ -273,26 +278,31 @@ class Parser:
             return ast.CreateTableLike(name=name, template=template,
                                        if_not_exists=if_not_exists)
         self._expect_punct("(")
-        columns: list[ast.ColumnDef] = []
-        constraints: list[ast.TableConstraint] = []
-        while True:
-            if self._looks_like_table_constraint():
-                constraints.append(self._parse_table_constraint())
-            else:
-                columns.append(self._parse_column_def())
-            if self._accept_punct(","):
-                continue
-            break
+        elements = self._table_body
+        if elements is None:
+            elements = [self._parse_table_element()]
+            while self._accept_punct(","):
+                elements.append(self._parse_table_element())
+        else:
+            self._table_body = None
         self._expect_punct(")")
         options = self._parse_table_options()
         return ast.CreateTable(
             name=name,
-            columns=tuple(columns),
-            constraints=tuple(constraints),
+            columns=tuple(e for e in elements
+                          if isinstance(e, ast.ColumnDef)),
+            constraints=tuple(e for e in elements
+                              if not isinstance(e, ast.ColumnDef)),
             if_not_exists=if_not_exists,
             temporary=temporary,
             options=options,
         )
+
+    def _parse_table_element(self) -> ast.ColumnDef | ast.TableConstraint:
+        """Parse one element of a ``CREATE TABLE`` body."""
+        if self._looks_like_table_constraint():
+            return self._parse_table_constraint()
+        return self._parse_column_def()
 
     def _looks_like_table_constraint(self) -> bool:
         token = self._peek()
@@ -871,12 +881,17 @@ def parse_token_group(
     group: list[Token],
     dialect: Dialect = Dialect.GENERIC,
     on_error: str = "skip",
+    table_body: tuple | None = None,
 ) -> tuple[ast.Statement | None, ast.SkippedStatement | None]:
     """Parse one semicolon-delimited token group of a script.
 
     Exactly one of the returned pair is non-None: the parsed statement,
     or the :class:`~repro.sqlddl.ast_nodes.SkippedStatement` recording
     why the group was skipped (``non-ddl`` / ``parse-error``).
+
+    ``table_body``, when given, holds the already parsed elements of a
+    ``CREATE TABLE`` body whose tokens ``group`` leaves out: the ``(``
+    opening the body is directly followed by the ``)`` closing it.
 
     Raises:
         ParseError: when the group fails to parse and ``on_error`` is
@@ -885,7 +900,7 @@ def parse_token_group(
     if not _is_ddl_statement(group):
         raw = _join_tokens([_render_token(t) for t in group])
         return None, ast.SkippedStatement(text=raw, reason="non-ddl")
-    parser = Parser(group + [EOF_TOKEN], dialect)
+    parser = Parser(group + [EOF_TOKEN], dialect, table_body)
     try:
         statement = parser.parse_statement()
         if not parser.at_end():
@@ -897,6 +912,34 @@ def parse_token_group(
         return None, ast.SkippedStatement(
             text=raw, reason="parse-error", detail=str(exc))
     return statement, None
+
+
+#: Stands in for the ``,`` or ``)`` that ends a body element in its
+#: statement, so a parse that would consume it is caught.
+_ELEMENT_END = Token(TokenType.PUNCT, ",")
+
+
+def parse_table_element(text: str, dialect: Dialect = Dialect.GENERIC
+                        ) -> ast.ColumnDef | ast.TableConstraint | None:
+    """Parse one ``CREATE TABLE`` body element on its own.
+
+    ``text`` is one element as
+    :func:`~repro.sqlddl.splitter.cut_create_table` cuts it. The result
+    is what the body loop of the whole statement parses there, or None:
+    a lex or parse error, or a parse that does not stop exactly on the
+    ``,`` or ``)`` ending the element.
+    """
+    try:
+        tokens = tokenize(text, dialect)
+        tokens[-1] = _ELEMENT_END
+        tokens.append(EOF_TOKEN)
+        parser = Parser(tokens, dialect)
+        element = parser._parse_table_element()
+    except (LexError, ParseError):
+        return None
+    if parser._pos != len(tokens) - 2:
+        return None
+    return element
 
 
 def parse_script(text: str, dialect: Dialect = Dialect.GENERIC,

@@ -20,6 +20,11 @@ block comment running to EOF) are swallowed into the final segment and
 marked as content, so the later per-segment tokenization reproduces the
 whole-file :class:`~repro.errors.LexError` and the caller can fall back
 to the classic full parse.
+
+Beside the split, :func:`cut_create_table` cuts one ``CREATE TABLE``
+span into its head, its body elements and its tail with the same scan
+helpers, so the statement memo can parse each column definition or
+table constraint once per history rather than once per changed table.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 from repro.sqlddl.dialect import Dialect, DialectTraits
 
-__all__ = ["Segment", "segment_hash", "split_statements"]
+__all__ = ["Segment", "cut_create_table", "segment_hash", "split_statements"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,18 +61,19 @@ def segment_hash(text: str) -> str:
 
 
 #: Per-dialect scan patterns matching every character that can change
-#: the segmentation state; everything between matches is ordinary text.
-_PATTERNS: dict[str, re.Pattern] = {}
+#: the segmentation state (plus any ``extra`` characters the scan
+#: stops at); everything between matches is ordinary text.
+_PATTERNS: dict[tuple[str, str], re.Pattern] = {}
 
 
-def _pattern_for(traits: DialectTraits) -> re.Pattern:
-    pattern = _PATTERNS.get(traits.name)
+def _pattern_for(traits: DialectTraits, extra: str = "") -> re.Pattern:
+    key = (traits.name, extra)
+    pattern = _PATTERNS.get(key)
     if pattern is None:
-        chars = ";'-/$" + "".join(traits.identifier_quotes)
+        chars = ";'-/$" + extra + "".join(traits.identifier_quotes)
         if traits.hash_comments:
             chars += "#"
-        pattern = re.compile("[" + re.escape(chars) + "]")
-        _PATTERNS[traits.name] = pattern
+        pattern = _PATTERNS[key] = re.compile("[" + re.escape(chars) + "]")
     return pattern
 
 
@@ -217,3 +223,100 @@ def split_statements(text: str,
     if has_content:
         emit(n)
     return segments
+
+
+#: A span the element cut applies to opens ``CREATE [TEMPORARY] TABLE``.
+_CREATE_TABLE = re.compile(r"CREATE\s+(?:TEMP(?:ORARY)?\s+)?TABLE\b",
+                           re.IGNORECASE)
+
+
+def _content_start(text: str, traits: DialectTraits) -> int | None:
+    """Index of the first character past leading whitespace and
+    comments (None: an unterminated block comment)."""
+    pos = 0
+    while True:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        if text.startswith("--", pos) or (
+                traits.hash_comments and text.startswith("#", pos)):
+            pos = _line_end(text, pos)
+        elif text.startswith("/*", pos):
+            end = text.find("*/", pos + 2)
+            if end < 0:
+                return None
+            pos = end + 2
+        else:
+            return pos
+
+
+def cut_create_table(text: str, dialect: Dialect = Dialect.GENERIC
+                     ) -> tuple[str, list[str], str] | None:
+    """Cut a ``CREATE [TEMPORARY] TABLE`` span at its body's structure.
+
+    Returns ``(head, elements, tail)``: the head (leading comments
+    included) runs up to and including the first top-level ``(``; the
+    elements are the stripped texts between the body's top-level
+    commas (one column definition or table constraint each); the tail
+    starts at the ``)`` closing the body. Every cut falls on a
+    parenthesis or comma outside any string, comment or quoted
+    identifier, so each piece lexes to exactly the tokens it has
+    inside ``text``.
+
+    Returns None (no cut) for any other span, and when the head or body
+    holds a ``$`` or ``;`` outside strings and comments, an
+    unterminated construct, unbalanced parentheses or an empty element.
+    """
+    traits = dialect.traits
+    start = _content_start(text, traits)
+    if start is None or _CREATE_TABLE.match(text, start) is None:
+        return None
+    pattern = _pattern_for(traits, "(),")
+    identifier_quotes = traits.identifier_quotes
+    depth = 0
+    head_end = 0
+    cuts: list[int] = []
+    pos = start
+    while True:
+        match = pattern.search(text, pos)
+        if match is None:
+            return None  # the body never closes
+        i = match.start()
+        ch = text[i]
+        pos = i + 1
+        if ch == "(":
+            depth += 1
+            if depth == 1:
+                head_end = pos
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                break
+            if depth < 0:
+                return None
+        elif ch == ",":
+            if depth == 1:
+                cuts.append(i)
+        elif ch == "'":
+            pos = _scan_string(text, i)
+        elif ch == "-":
+            if text.startswith("--", i):
+                pos = _line_end(text, i)
+        elif ch == "#":  # in the pattern only when the dialect allows it
+            pos = _line_end(text, i)
+        elif ch == "/":
+            if text.startswith("/*", i):
+                end = text.find("*/", i + 2)
+                if end < 0:
+                    return None
+                pos = end + 2
+        elif ch in identifier_quotes:
+            pos = _scan_quoted(text, i, "]" if ch == "[" else ch,
+                               doubled=ch != "[")
+        else:  # ``$`` (a possible dollar quote) or ``;``
+            return None
+    bounds = [head_end - 1, *cuts, i]
+    elements = [text[left + 1:right].strip()
+                for left, right in zip(bounds, bounds[1:])]
+    if not all(elements):
+        return None
+    return text[:head_end], elements, text[i:]

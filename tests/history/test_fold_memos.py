@@ -1,0 +1,313 @@
+"""Differential oracle of the fold memos against the classic path.
+
+:class:`~repro.history.repository.SnapshotFold` parses each distinct
+``CREATE TABLE`` body element once (the element memo of
+:class:`~repro.sqlddl.memo.StatementMemo`) and folds each distinct
+``CREATE TABLE`` once (the ``creates`` memo of
+:class:`~repro.schema.builder.SchemaBuilder`). Both must be invisible:
+memoized versions equal the classic full re-parse (schemas and
+``parse_issues``), and every span the statement memo parses equals the
+whole-span parse. Edge cases run in all four dialects, followed by a
+property over generated histories; the count tests pin that the memos
+really skip the work.
+"""
+
+import random
+from datetime import datetime, timedelta
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.corpus.ddlgen import realize_history
+from repro.corpus.planner import plan_schedule
+from repro.errors import CorpusError, LexError
+from repro.history.commit import Commit
+from repro.history.repository import SchemaHistory
+from repro.schema.builder import SchemaBuilder
+from repro.sqlddl import Dialect, tokenize
+from repro.sqlddl.memo import StatementMemo
+from repro.sqlddl.parser import Parser, _split_statements, parse_token_group
+from repro.sqlddl.splitter import cut_create_table, split_statements
+
+
+def history_of(texts, dialect):
+    start = datetime(2020, 1, 15)
+    commits = [Commit(sha=f"v{index}",
+                      timestamp=start + timedelta(days=31 * index),
+                      ddl_text=text)
+               for index, text in enumerate(texts)]
+    return SchemaHistory("memos", commits, dialect=dialect)
+
+
+def whole_span(text, dialect):
+    """The statement memo's oracle: the span tokenized and parsed whole
+    (``"fallback"`` where the memo must punt to the classic path)."""
+    try:
+        tokens = tokenize(text, dialect)
+    except LexError:
+        return "fallback"
+    groups = _split_statements(tokens)
+    if len(groups) != 1:
+        return "fallback"
+    return parse_token_group(groups[0], dialect)
+
+
+def assert_folds_like_classic(texts, dialect):
+    history = history_of(texts, dialect)
+    history.incremental_parse = True
+    memoized = history.versions()
+    history._versions = None
+    history.incremental_parse = False
+    classic = history.versions()
+    assert [(v.schema, v.parse_issues) for v in memoized] \
+        == [(v.schema, v.parse_issues) for v in classic]
+    memo = StatementMemo(dialect)
+    for text in texts:
+        for segment in split_statements(text, dialect):
+            entry = memo.parse(segment)
+            got = ("fallback" if entry.fallback
+                   else (entry.statement, entry.skipped))
+            assert got == whole_span(segment.text, dialect), segment.text
+
+
+#: One ``CREATE TABLE`` per lexical hazard of the element cut.
+HAZARDS = {
+    "line comment": "CREATE TABLE c1 (\n  a INT -- legacy, y INT\n"
+                    "  , b INT\n)",
+    "comment parens": "CREATE TABLE c4 (\n  a INT -- note (x\n"
+                      "  , b INT /* ) */\n)",
+    "hash comment": "CREATE TABLE c2 (\n  a INT # old, y INT\n"
+                    "  , b INT\n)",
+    "block comment": "CREATE TABLE c3 (a INT /* , y INT ) ( */, b INT)",
+    "strings": "CREATE TABLE s1 (a VARCHAR(9) DEFAULT 'x, y INT)',"
+               " b VARCHAR(9) DEFAULT 'it''s (', c TEXT DEFAULT"
+               " 'back\\'s, z INT')",
+    "backticks": "CREATE TABLE `q,1` (`a,b` INT, `c)d` INT)",
+    "double quotes": 'CREATE TABLE "q,2" ("a,b" INT, "c)""d" INT)',
+    "brackets": "CREATE TABLE [q,3] ([a,b] INT, [c(d] INT)",
+    "nested parens": "CREATE TABLE n1 (p DECIMAL(10, 2) NOT NULL,"
+                     " e ENUM('a', 'b'), d INT DEFAULT ((1 + 2) * 3),"
+                     " CHECK ((p > 0) AND (d < 10)))",
+    "mysql keys": "CREATE TABLE k1 (id INT, key VARCHAR(10), primary INT,"
+                  " unique INT, KEY idx_a (id), UNIQUE KEY uk (id, key),"
+                  " INDEX (primary), PRIMARY KEY (id))",
+    "key column last": "CREATE TABLE k2 (id INT, key)",
+    "options": "CREATE TABLE o1 (a INT) ENGINE=InnoDB DEFAULT"
+               " CHARSET=utf8 COMMENT='a,b)'",
+    "dollar default": "CREATE TABLE d1 (a TEXT DEFAULT $$x, (y)$$, b INT)",
+    "duplicate columns": "CREATE TABLE dup (a INT, a TEXT, b INT)",
+    "key prefix": "CREATE TABLE p1 (a TEXT, KEY k (a(10)), b INT)",
+    "leading comment": "-- dump (3 tables), v2\nCREATE TABLE l1 (a INT)",
+}
+
+#: Statements the statement memo must leave to the whole-span route.
+WHOLE = {
+    "trailing comma": "CREATE TABLE t1 (a INT,)",
+    "empty body": "CREATE TABLE t2 ()",
+    "like": "CREATE TABLE t3 LIKE base",
+    "or replace": "CREATE OR REPLACE TABLE t4 (a INT)",
+    "unique table": "CREATE UNIQUE TABLE t5 (a INT)",
+    "as select": "CREATE TABLE t6 AS SELECT (1, 2) FROM x",
+    "unbalanced": "CREATE TABLE t7 (a INT",
+    "unterminated string": "CREATE TABLE t8 (a TEXT DEFAULT 'x, b INT)",
+    # Parses that run past the end of an element in the whole span.
+    "collate at element end": "CREATE TABLE t9 (a TEXT COLLATE, b INT)",
+    "match at element end": "CREATE TABLE t10 (a INT REFERENCES base"
+                            " MATCH, b INT)",
+    "nested key prefix": "CREATE TABLE t11 (a TEXT, KEY k (a(10 (x)), b))",
+}
+
+BASE = "CREATE TABLE base (id INT PRIMARY KEY, name VARCHAR(10))"
+EXTRA = "CREATE TABLE extra (id INT)"
+
+
+def hazard_versions(statement):
+    """Five versions around ``statement``: first seen, repeated beside
+    a new table, unchanged, grown by one element, then back again."""
+    if statement.endswith(")"):
+        bigger = statement[:-1] + ", zz INT)"
+    else:
+        bigger = statement.replace(" (", " (zz INT, ", 1)
+    return [
+        f"{BASE};\n{statement};",
+        f"{BASE};\n{statement};\n{EXTRA};",
+        f"{BASE};\n{statement};\n{EXTRA};",
+        f"{BASE};\n{bigger};\n{EXTRA};",
+        f"{BASE};\n{statement};",
+    ]
+
+
+DIALECTS = list(Dialect)
+
+
+@pytest.mark.parametrize("dialect", DIALECTS, ids=lambda d: d.traits.name)
+@pytest.mark.parametrize("name", sorted(HAZARDS) + sorted(WHOLE))
+def test_hazard_folds_like_classic(name, dialect):
+    statement = HAZARDS.get(name) or WHOLE[name]
+    assert_folds_like_classic(hazard_versions(statement), dialect)
+
+
+#: Multi-version scenarios that read through or around lazy states.
+SCENARIOS = {
+    "temporary": [
+        "CREATE TEMPORARY TABLE tmp (a INT);\n" + BASE,
+        "CREATE TEMPORARY TABLE tmp (a INT);\n" + BASE + ";\n" + EXTRA,
+    ],
+    "duplicate issues replayed": [
+        "CREATE TABLE dup (a INT, a TEXT);",
+        "CREATE TABLE dup (a INT, a TEXT);\n" + EXTRA,
+        EXTRA + ";\nCREATE TABLE dup (a INT, a TEXT);",
+    ],
+    "re-created table": [
+        BASE + ";\nCREATE TABLE dup (a INT, a TEXT);",
+        BASE + ";\nCREATE TABLE dup (a INT, a TEXT);\n"
+               "CREATE TABLE dup (a INT, a TEXT);",
+    ],
+    "drop then re-create": [
+        f"{BASE};\n{EXTRA};",
+        f"{BASE};\n{EXTRA};\nDROP TABLE base;",
+        f"{EXTRA};",
+        f"{BASE};\n{EXTRA};",
+    ],
+    "alter served table": [
+        f"{BASE};",
+        f"{BASE};\nALTER TABLE base ADD COLUMN email TEXT;",
+        f"{BASE};\nALTER TABLE base DROP COLUMN name;",
+        f"{BASE};\nALTER TABLE base RENAME COLUMN name TO title;",
+        f"{BASE};",
+    ],
+    "alter keys of served table": [
+        "CREATE TABLE fk (id INT, ref INT REFERENCES base (id),"
+        " CONSTRAINT u UNIQUE (ref));",
+        "CREATE TABLE fk (id INT, ref INT REFERENCES base (id),"
+        " CONSTRAINT u UNIQUE (ref));\nALTER TABLE fk DROP CONSTRAINT u;",
+        "CREATE TABLE fk (id INT, ref INT REFERENCES base (id),"
+        " CONSTRAINT u UNIQUE (ref));\nALTER TABLE fk ALTER COLUMN id"
+        " SET NOT NULL, ADD PRIMARY KEY (id);",
+    ],
+    "rename served table": [
+        f"{BASE};",
+        f"{BASE};\nALTER TABLE base RENAME TO renamed;",
+        f"{BASE};\nALTER TABLE base RENAME TO renamed;\n{BASE};",
+    ],
+    "like served table": [
+        f"{BASE};",
+        f"{BASE};\nCREATE TABLE copy LIKE base;",
+        f"{BASE};\nCREATE TABLE copy LIKE base;\n"
+        "ALTER TABLE copy ADD COLUMN note TEXT;",
+        f"{BASE};\nCREATE TABLE copy LIKE base;\n"
+        "ALTER TABLE base ADD COLUMN note TEXT;",
+    ],
+}
+
+
+@pytest.mark.parametrize("dialect", DIALECTS, ids=lambda d: d.traits.name)
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_folds_like_classic(name, dialect):
+    assert_folds_like_classic(SCENARIOS[name], dialect)
+
+
+def test_hazards_take_the_cut():
+    """The oracle above is not vacuous: the hazards are cut and
+    assembled (in the generic dialect, which lexes all of them), the
+    rest are not."""
+    generic = Dialect.GENERIC
+    memo = StatementMemo(generic)
+    for name, statement in HAZARDS.items():
+        pieces = cut_create_table(statement, generic)
+        if name == "dollar default":
+            assert pieces is None
+        else:
+            assert memo._assemble(*pieces) is not None, name
+    for name, statement in WHOLE.items():
+        pieces = cut_create_table(statement, generic)
+        assert pieces is None or memo._assemble(*pieces) is None, name
+    assert cut_create_table(HAZARDS["line comment"], generic)[1] \
+        == ["a INT -- legacy, y INT", "b INT"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 100_000),
+       dialect=st.sampled_from(DIALECTS),
+       bias=st.floats(0.5, 0.95),
+       noise=st.booleans())
+def test_generated_histories_fold_like_classic(seed, dialect, bias, noise):
+    rng = random.Random(seed)
+    try:
+        plan = plan_schedule(
+            rng, pup_months=14 + seed % 30, birth_month=seed % 3,
+            top_month=seed % 3 + seed % 7, birth_units=5 + seed % 25,
+            agm=min(2, max(seed % 7 - 1, 0)), post_units=seed % 60,
+            maintenance_bias=bias)
+    except CorpusError:
+        return
+    history = realize_history(plan, rng, "prop", dialect=dialect,
+                              with_noise=noise)
+    assert_folds_like_classic([c.ddl_text for c in history.commits],
+                              dialect)
+
+
+# ----------------------------------------------------------------------
+# the memos really skip work
+
+USERS = ["id INT PRIMARY KEY", "email VARCHAR(64) NOT NULL", "name TEXT"]
+POSTS = ["id INT", "author INT REFERENCES users (id)", "body TEXT",
+         "PRIMARY KEY (id)"]
+TAGS = ["id INT", "name TEXT"]
+
+
+def create(name, elements):
+    return f"CREATE TABLE {name} (\n  " + ",\n  ".join(elements) + "\n);"
+
+
+ALTER = "ALTER TABLE tags ADD COLUMN weight INT;"
+
+#: Four versions: ``users`` grows, ``tags`` is born and altered, then
+#: ``posts`` loses a column.
+VERSIONS = [
+    create("users", USERS) + "\n" + create("posts", POSTS),
+    create("users", USERS + ["created DATE"]) + "\n"
+    + create("posts", POSTS),
+    create("users", USERS + ["created DATE"]) + "\n"
+    + create("posts", POSTS) + "\n" + create("tags", TAGS) + "\n" + ALTER,
+    create("users", USERS + ["created DATE"]) + "\n"
+    + create("posts", POSTS[:2] + POSTS[3:]) + "\n"
+    + create("tags", TAGS) + "\n" + ALTER,
+]
+
+#: The distinct CREATE TABLE statements of VERSIONS, as element lists.
+DISTINCT_CREATES = [USERS, POSTS, USERS + ["created DATE"], TAGS,
+                    POSTS[:2] + POSTS[3:]]
+
+
+def counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_each_distinct_element_parses_once(monkeypatch):
+    parses = counting(monkeypatch, Parser, "_parse_table_element")
+    history = history_of(VERSIONS, Dialect.GENERIC)
+    history.incremental_parse = True
+    history.versions()
+    distinct = {element for elements in DISTINCT_CREATES
+                for element in elements}
+    assert len(parses) == len(distinct) == 8
+
+
+def test_each_distinct_create_table_folds_once(monkeypatch):
+    adds = counting(monkeypatch, SchemaBuilder, "_add_column_to_state")
+    history = history_of(VERSIONS, Dialect.GENERIC)
+    history.incremental_parse = True
+    history.versions()
+    columns = sum(1 for elements in DISTINCT_CREATES for element in elements
+                  if not element.startswith("PRIMARY KEY"))
+    alters = 2  # the ADD COLUMN runs in both versions holding it
+    assert len(adds) == columns + alters == 16

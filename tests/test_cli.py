@@ -110,3 +110,40 @@ class TestRuntimeImports:
                                 timeout=120)
         assert result.returncode == 0, result.stderr
         assert "Table 1" in result.stdout
+
+
+class TestNoIncrementalScope:
+    """``--no-incremental`` holds for one ``main()`` call, not for the
+    rest of the interpreter."""
+
+    @staticmethod
+    def record_default(monkeypatch):
+        import repro.cli as cli
+        from repro.history.repository import incremental_parse_default
+        seen = []
+        monkeypatch.setattr(
+            cli, "_cmd_study",
+            lambda args: seen.append(incremental_parse_default()) or 0)
+        return seen
+
+    def test_default_is_back_after_the_call(self, monkeypatch):
+        from repro.history.repository import (
+            NO_INCREMENTAL_ENV,
+            incremental_parse_default,
+        )
+        monkeypatch.delenv(NO_INCREMENTAL_ENV, raising=False)
+        seen = self.record_default(monkeypatch)
+        assert main(["study", "--no-incremental"]) == 0
+        assert main(["study"]) == 0
+        # Off during the flagged call (workers spawned then inherit it),
+        # on again for the next in-process study.
+        assert seen == [False, True]
+        assert incremental_parse_default() is True
+
+    def test_previous_setting_is_restored(self, monkeypatch):
+        from repro.history.repository import NO_INCREMENTAL_ENV
+        monkeypatch.setenv(NO_INCREMENTAL_ENV, "yes")
+        seen = self.record_default(monkeypatch)
+        assert main(["study", "--no-incremental"]) == 0
+        assert seen == [False]
+        assert os.environ[NO_INCREMENTAL_ENV] == "yes"
