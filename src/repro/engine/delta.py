@@ -75,7 +75,11 @@ from repro.metrics.activity import compute_activity_totals
 from repro.metrics.landmarks import compute_landmarks
 from repro.metrics.profile import ProjectProfile
 from repro.metrics.timeseries import DEFAULT_POINTS, heartbeat_vector
-from repro.patterns.classifier import classify, classify_with_tolerance
+from repro.patterns.classifier import (
+    ClassificationResult,
+    classify,
+    classify_with_tolerance,
+)
 
 #: Checkpoint format version; bump when the pickle layout changes so
 #: stale checkpoints read as missing instead of exploding.
@@ -416,6 +420,26 @@ def _profile_from_series(name: str, series: ActivitySeries,
 # serving records from checkpoints (worker side)
 
 
+def _serve_extended(store: DeltaStore, extended: tuple, parsed: int,
+                    chain: tuple, scheme: LabelScheme, name: str,
+                    record_name: str, judge) -> StudyRecord:
+    """The record of :func:`extend_checkpoint`'s ``(series,
+    advanced)`` after ``parsed`` suffix commits, saved as the checkpoint
+    of the grown ``chain``. ``name`` names the profile and checkpoint,
+    ``record_name`` the record; ``judge`` is the path's classifier."""
+    series, advanced = extended
+    profile = _profile_from_series(name, series, advanced.birth_month)
+    labeled = label_profile(profile, scheme)
+    result = judge(labeled)
+    record = StudyRecord(name=record_name, pattern=result.pattern,
+                         labeled=labeled, is_exception=result.is_exception)
+    _note_served(reused=len(advanced.chain), parsed=parsed)
+    store.save(replace(advanced, chain=tuple(chain), name=name,
+                       row=pack_record(record, count=False),
+                       scheme_key=scheme_key(scheme)))
+    return record
+
+
 def serve_corpus_delta(store: DeltaStore, pid: str, project,
                        chain: tuple, scheme: LabelScheme
                        ) -> StudyRecord | None:
@@ -435,27 +459,19 @@ def serve_corpus_delta(store: DeltaStore, pid: str, project,
         _check_usable(cp, chain, history.dialect.traits.name,
                       history.project_start, history.project_end)
         suffix = history.commits[len(cp.chain):]
-        series, advanced = extend_checkpoint(
-            cp, suffix, history.project_end, history.dialect)
+        extended = extend_checkpoint(cp, suffix, history.project_end,
+                                     history.dialect)
     except _Unusable:
         obs.count("delta_rewritten")
         return None
-    profile = _profile_from_series(history.project_name, series,
-                                   cp.birth_month)
-    labeled = label_profile(profile, scheme)
-    strict = classify(labeled)
-    record = StudyRecord(
-        name=project.name,
-        pattern=project.intended_pattern,
-        labeled=labeled,
-        is_exception=strict is not project.intended_pattern,
-    )
-    _note_served(reused=len(cp.chain), parsed=len(suffix))
-    store.save(replace(advanced, chain=tuple(chain),
-                       name=history.project_name,
-                       row=pack_record(record, count=False),
-                       scheme_key=scheme_key(scheme)))
-    return record
+    intended = project.intended_pattern
+
+    def judge(labeled) -> ClassificationResult:
+        return ClassificationResult(
+            pattern=intended, is_exception=classify(labeled) is not intended)
+
+    return _serve_extended(store, extended, len(suffix), chain, scheme,
+                           history.project_name, project.name, judge)
 
 
 def serve_history_delta(store: DeltaStore, pid: str, source,
@@ -486,22 +502,9 @@ def serve_history_delta(store: DeltaStore, pid: str, source,
                 raise _Unusable(
                     "suffix commit predates the append boundary")
             project_end = max(project_end, suffix[-1].timestamp)
-        series, advanced = extend_checkpoint(cp, suffix, project_end,
-                                             dialect)
+        extended = extend_checkpoint(cp, suffix, project_end, dialect)
     except _Unusable:
         obs.count("delta_rewritten")
         return None
-    profile = _profile_from_series(cp.name, series, cp.birth_month)
-    labeled = label_profile(profile, scheme)
-    result = classify_with_tolerance(labeled)
-    record = StudyRecord(
-        name=cp.name,
-        pattern=result.pattern,
-        labeled=labeled,
-        is_exception=result.is_exception,
-    )
-    _note_served(reused=len(cp.chain), parsed=len(suffix))
-    store.save(replace(advanced, chain=tuple(chain),
-                       row=pack_record(record, count=False),
-                       scheme_key=scheme_key(scheme)))
-    return record
+    return _serve_extended(store, extended, len(suffix), chain, scheme,
+                           cp.name, cp.name, classify_with_tolerance)

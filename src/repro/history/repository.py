@@ -79,9 +79,10 @@ class SnapshotFold:
     once per distinct piece of the history rather than once per
     version, with output identical to :func:`_fold_classic`: a version
     whose statements equal the previous version's folds to nothing new;
-    the :class:`StatementMemo` parses each distinct span and each
-    distinct ``CREATE TABLE`` body element once; the builders share one
-    ``creates`` memo, so each distinct ``CREATE TABLE`` is folded once;
+    the :class:`StatementMemo` parses each distinct span once (and each
+    distinct ``CREATE TABLE`` body element once per process); the
+    builders share one ``creates`` memo, so each distinct ``CREATE
+    TABLE`` is folded once;
     and ``snapshot_reusing`` hands back the previous version's frozen
     ``Table`` for every table whose statement trace is unchanged. A
     version holding a span the memo cannot parse in isolation folds
@@ -182,9 +183,6 @@ class SchemaHistory:
         self.dialect = dialect
         self.incremental = incremental
         self.incremental_parse = incremental_parse
-        #: (memo hits, memo misses) of the last materialization, or None
-        #: when the classic full-parse path ran.
-        self.parse_stats: tuple[int, int] | None = None
         #: (final segment-hash tuple, final Table pool) of the last
         #: memoized materialization — the tail state the delta layer
         #: checkpoints so a grown history can resume mid-stream; None
@@ -249,7 +247,6 @@ class SchemaHistory:
             versions.append(SchemaVersion(commit=commit, schema=schema,
                                           parse_issues=issues))
         self._delta_state = (fold.prev_hashes, fold.pool)
-        self.parse_stats = (fold.memo.hits, fold.memo.misses)
         return versions
 
     def _materialize_incremental(self) -> list[SchemaVersion]:

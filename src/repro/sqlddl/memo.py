@@ -1,16 +1,17 @@
-"""Per-history statement memo: content hash → parsed statement.
+"""Statement memo of one fold kernel, over process-wide element caches.
 
 Within one schema history only ~25-30% of statement instances are
 unique, because each snapshot repeats the previous one nearly verbatim.
 A :class:`StatementMemo` caches the parse result of every statement
 span (keyed by the splitter's content hash), so a statement is parsed
-once per *history* instead of once per *version*.
+once per *history* instead of once per *version*. Statements rarely
+repeat across histories, so this memo lives as long as its kernel.
 
 A changed ``CREATE TABLE`` mostly repeats its previous version too: one
 column added among a dozen unchanged ones. So a missed ``CREATE TABLE``
 span is cut into head, body elements and tail
 (:func:`~repro.sqlddl.splitter.cut_create_table`); only element texts
-unseen in the history are tokenized and parsed, and the statement is
+unseen in the process are tokenized and parsed, and the statement is
 assembled by :func:`~repro.sqlddl.parser.parse_token_group` over the
 head and tail tokens with the parsed body handed in. AST nodes carry no
 source positions and every cut falls between tokens, so the assembled
@@ -18,6 +19,15 @@ statement equals the whole-span parse. Anything that does not assemble
 cleanly (another head, an element the parser does not consume exactly,
 a lex or parse error) takes the whole-span route below, so skip records
 and fallback markers always come from it.
+
+Element texts, unlike statements, repeat across histories: projects
+share idioms such as ``id INTEGER NOT NULL`` or ``PRIMARY KEY (id)``.
+So parsed elements and the head and tail tokens live in two bounded
+process-wide caches keyed by ``(text, dialect)`` (the same text can lex
+differently per dialect). Both cached calls are pure functions of their
+key returning immutable values (frozen AST nodes, token tuples), so
+sharing them across histories cannot change any output; a
+:class:`~repro.errors.LexError` propagates and is not cached.
 
 Safety: the memo must never change what the pipeline observes. Each
 entry is a :class:`ParsedSegment` holding either the frozen statement
@@ -36,6 +46,7 @@ stage next to its cache stats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro import obs
 from repro.errors import LexError
@@ -54,6 +65,27 @@ __all__ = [
     "StatementMemo",
     "parse_counters",
 ]
+
+
+#: Bounds of the two caches below. Distinct element texts grow with the
+#: corpus and a session's process lives long, so both are bounded: at
+#: ~520 B an entry they hold at most ~20 MiB together.
+_ELEMENT_CACHE_SIZE = 1 << 15
+_PIECE_CACHE_SIZE = 1 << 13
+
+
+@lru_cache(maxsize=_ELEMENT_CACHE_SIZE)
+def _parse_element(text: str, dialect: Dialect
+                   ) -> ast.ColumnDef | ast.TableConstraint | None:
+    """:func:`parse_table_element`, cached per process."""
+    return parse_table_element(text, dialect)
+
+
+@lru_cache(maxsize=_PIECE_CACHE_SIZE)
+def _piece_tokens(text: str, dialect: Dialect) -> tuple:
+    """The tokens of a head or tail text (without the EOF token),
+    cached per process."""
+    return tuple(tokenize(text, dialect)[:-1])
 
 
 def parse_counters() -> tuple[int, int]:
@@ -81,31 +113,21 @@ class ParsedSegment:
 class StatementMemo:
     """Caches parsed statements of one schema history.
 
-    The memo is scoped per history (not global) so its lifetime matches
-    the object whose versions it serves, and concurrent per-project
-    workers never contend on shared state.
+    The statement entries are scoped per fold kernel, so their lifetime
+    matches the history whose versions they serve; body elements and
+    head and tail tokens come from the process-wide caches above.
     """
 
     def __init__(self, dialect: Dialect = Dialect.GENERIC):
         self.dialect = dialect
-        self.hits = 0
-        self.misses = 0
         self._entries: dict[str, ParsedSegment] = {}
-        #: Element text → parsed body element (None: does not parse on
-        #: its own).
-        self._elements: dict[str, ast.ColumnDef | ast.TableConstraint
-                             | None] = {}
-        #: Head or tail text → its tokens (without the EOF token).
-        self._pieces: dict[str, list] = {}
 
     def parse(self, segment: Segment) -> ParsedSegment:
         """The parse outcome of ``segment``, cached by content hash."""
         entry = self._entries.get(segment.content_hash)
         if entry is not None:
-            self.hits += 1
             obs.count("parse_hits")
             return entry
-        self.misses += 1
         obs.count("parse_misses")
         entry = self._parse_segment(segment.text)
         self._entries[segment.content_hash] = entry
@@ -141,16 +163,13 @@ class StatementMemo:
         whole."""
         body = []
         for text in elements:
-            if text in self._elements:
-                element = self._elements[text]
-            else:
-                element = self._elements[text] = parse_table_element(
-                    text, self.dialect)
+            element = _parse_element(text, self.dialect)
             if element is None:
                 return None
             body.append(element)
         try:
-            group = self._tokens(head) + self._tokens(tail)
+            group = [*_piece_tokens(head, self.dialect),
+                     *_piece_tokens(tail, self.dialect)]
         except LexError:
             return None
         statement, _ = parse_token_group(group, self.dialect,
@@ -158,9 +177,3 @@ class StatementMemo:
         if not isinstance(statement, ast.CreateTable):
             return None
         return statement
-
-    def _tokens(self, piece: str) -> list:
-        tokens = self._pieces.get(piece)
-        if tokens is None:
-            tokens = self._pieces[piece] = tokenize(piece, self.dialect)[:-1]
-        return tokens

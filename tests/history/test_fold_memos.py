@@ -1,18 +1,21 @@
 """Differential oracle of the fold memos against the classic path.
 
 :class:`~repro.history.repository.SnapshotFold` parses each distinct
-``CREATE TABLE`` body element once (the element memo of
-:class:`~repro.sqlddl.memo.StatementMemo`) and folds each distinct
-``CREATE TABLE`` once (the ``creates`` memo of
+``CREATE TABLE`` body element once per process (the element cache of
+:mod:`repro.sqlddl.memo`, keyed by text and dialect) and folds each
+distinct ``CREATE TABLE`` once per history (the ``creates`` memo of
 :class:`~repro.schema.builder.SchemaBuilder`). Both must be invisible:
 memoized versions equal the classic full re-parse (schemas and
 ``parse_issues``), and every span the statement memo parses equals the
 whole-span parse. Edge cases run in all four dialects, followed by a
-property over generated histories; the count tests pin that the memos
-really skip the work.
+property over generated histories and a seeded run of mixed-dialect
+histories sharing one warm element cache; the count tests pin that the
+memos really skip the work.
 """
 
 import random
+import sys
+import threading
 from datetime import datetime, timedelta
 
 import pytest
@@ -22,10 +25,10 @@ from repro.corpus.ddlgen import realize_history
 from repro.corpus.planner import plan_schedule
 from repro.errors import CorpusError, LexError
 from repro.history.commit import Commit
-from repro.history.repository import SchemaHistory
+from repro.history.repository import SchemaHistory, _fold_classic
 from repro.schema.builder import SchemaBuilder
 from repro.sqlddl import Dialect, tokenize
-from repro.sqlddl.memo import StatementMemo
+from repro.sqlddl.memo import StatementMemo, _parse_element, _piece_tokens
 from repro.sqlddl.parser import Parser, _split_statements, parse_token_group
 from repro.sqlddl.splitter import cut_create_table, split_statements
 
@@ -83,6 +86,7 @@ HAZARDS = {
                " b VARCHAR(9) DEFAULT 'it''s (', c TEXT DEFAULT"
                " 'back\\'s, z INT')",
     "backticks": "CREATE TABLE `q,1` (`a,b` INT, `c)d` INT)",
+    "plain backticks": "CREATE TABLE `b1` (`a` INT, `b` TEXT)",
     "double quotes": 'CREATE TABLE "q,2" ("a,b" INT, "c)""d" INT)',
     "brackets": "CREATE TABLE [q,3] ([a,b] INT, [c(d] INT)",
     "nested parens": "CREATE TABLE n1 (p DECIMAL(10, 2) NOT NULL,"
@@ -226,6 +230,107 @@ def test_hazards_take_the_cut():
         == ["a INT -- legacy, y INT", "b INT"]
 
 
+def hazard_pieces():
+    """The heads, body elements and tails the hazards cut into in any
+    dialect, each sorted."""
+    heads, elements, tails = set(), set(), set()
+    for statement in HAZARDS.values():
+        for dialect in DIALECTS:
+            pieces = cut_create_table(statement, dialect)
+            if pieces is not None:
+                heads.add(pieces[0])
+                elements.update(pieces[1])
+                tails.add(pieces[2])
+    return sorted(heads), sorted(elements), sorted(tails)
+
+
+def mixed_history(rng, heads, elements, tails):
+    """Two to five versions of one to three tables drawn from the
+    hazard pieces, each version growing, shrinking or re-tailing one
+    table of the previous one."""
+    separator = rng.choice([", ", ",\n  ", "\n  , "])
+    tables = [[rng.choice(heads), rng.sample(elements, rng.randint(1, 4)),
+               rng.choice(tails)] for _ in range(rng.randint(1, 3))]
+    texts = []
+    for _ in range(rng.randint(2, 5)):
+        texts.append(";\n".join(head + separator.join(body) + tail
+                                for head, body, tail in tables) + ";")
+        table = rng.choice(tables)
+        move = rng.randrange(3)
+        if move == 0:
+            table[1] = table[1] + [rng.choice(elements)]
+        elif move == 1 and len(table[1]) > 1:
+            table[1] = table[1][:-1]
+        else:
+            table[2] = rng.choice(tails)
+    return texts
+
+
+def classic_mismatches(histories, dialects):
+    """``(dialect, text)`` of every memoized version, folded in each
+    of ``dialects`` in turn, that differs from :func:`_fold_classic`."""
+    found = []
+    for dialect in dialects:
+        for texts in histories:
+            history = history_of(texts, dialect)
+            history.incremental_parse = True
+            for version in history.versions():
+                text = version.commit.ddl_text
+                if (version.schema, version.parse_issues) \
+                        != _fold_classic(text, dialect):
+                    found.append((dialect, text))
+    return found
+
+
+def test_mixed_dialects_share_the_element_cache():
+    """Histories of all four dialects, folded in one process, share the
+    element and head/tail caches. The same text can lex in one dialect
+    and not in another (a backtick name, a ``#`` comment), so a cache
+    keyed by text alone would serve one dialect's parse to another."""
+    _parse_element.cache_clear()
+    _piece_tokens.cache_clear()
+    pieces, rng = hazard_pieces(), random.Random(4242)
+    histories = [mixed_history(rng, *pieces) for _ in range(200)]
+    # Generic first: it lexes every hazard, so its pass caches the
+    # parses the stricter dialects must not be served.
+    assert classic_mismatches(histories, DIALECTS) == []
+
+
+def test_threads_share_the_element_cache():
+    """Sessions may run one per thread, racing on the shared caches:
+    with more threads than cores and a tiny switch interval, every
+    fold still equals the classic path."""
+    pieces, rng = hazard_pieces(), random.Random(99)
+    histories = [mixed_history(rng, *pieces) for _ in range(30)]
+    mismatches, errors = [], []
+
+    def fold_all(dialects):
+        try:
+            mismatches.extend(classic_mismatches(histories, dialects))
+        except BaseException as exc:  # noqa: BLE001 - test capture
+            errors.append(exc)
+
+    _parse_element.cache_clear()
+    _piece_tokens.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        # Each thread walks the dialects from another start, so the
+        # same texts race in different dialects.
+        threads = [threading.Thread(
+            target=fold_all, args=(DIALECTS[index:] + DIALECTS[:index],))
+            for index in range(len(DIALECTS))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert mismatches == []
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 100_000),
        dialect=st.sampled_from(DIALECTS),
@@ -292,21 +397,31 @@ def counting(monkeypatch, owner, name):
     return calls
 
 
-def test_each_distinct_element_parses_once(monkeypatch):
-    parses = counting(monkeypatch, Parser, "_parse_table_element")
-    history = history_of(VERSIONS, Dialect.GENERIC)
+def fold_versions(dialect):
+    history = history_of(VERSIONS, dialect)
     history.incremental_parse = True
     history.versions()
+
+
+def test_each_distinct_element_parses_once(monkeypatch):
+    """Once per process and dialect: a second history with the same
+    elements parses none of them, another dialect parses them again."""
+    _parse_element.cache_clear()
+    _piece_tokens.cache_clear()
+    parses = counting(monkeypatch, Parser, "_parse_table_element")
+    fold_versions(Dialect.GENERIC)
     distinct = {element for elements in DISTINCT_CREATES
                 for element in elements}
     assert len(parses) == len(distinct) == 8
+    fold_versions(Dialect.GENERIC)
+    assert len(parses) == 8
+    fold_versions(Dialect.POSTGRES)
+    assert len(parses) == 2 * 8
 
 
 def test_each_distinct_create_table_folds_once(monkeypatch):
     adds = counting(monkeypatch, SchemaBuilder, "_add_column_to_state")
-    history = history_of(VERSIONS, Dialect.GENERIC)
-    history.incremental_parse = True
-    history.versions()
+    fold_versions(Dialect.GENERIC)
     columns = sum(1 for elements in DISTINCT_CREATES for element in elements
                   if not element.startswith("PRIMARY KEY"))
     alters = 2  # the ADD COLUMN runs in both versions holding it

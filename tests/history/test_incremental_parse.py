@@ -7,6 +7,7 @@ assignments — only faster, with the reused ``Table`` objects being
 *identical* (``is``) across versions.
 """
 
+from repro import obs
 from repro.diff.engine import diff_schemas
 from repro.history.repository import (
     NO_INCREMENTAL_ENV,
@@ -130,10 +131,11 @@ def test_memo_stats_recorded():
     ddl = "CREATE TABLE a (x INT);\nCREATE TABLE b (y INT);"
     history = make_history([ddl, ddl + "\nCREATE TABLE c (z INT);"])
     history.incremental_parse = True
+    before = obs.snapshot()
     history.versions()
-    hits, misses = history.parse_stats
-    assert hits == 2      # a and b re-seen in version 2
-    assert misses == 3    # a, b, c parsed once each
+    counts = obs.since(before)
+    assert counts["parse_hits"] == 2      # a and b re-seen in version 2
+    assert counts["parse_misses"] == 3    # a, b, c parsed once each
 
 
 def test_global_counters_observe_history_parsing():

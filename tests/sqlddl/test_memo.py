@@ -14,12 +14,12 @@ def segments_of(sql, dialect=Dialect.GENERIC):
 def test_memo_caches_by_content_hash():
     memo = StatementMemo()
     (segment,) = segments_of("CREATE TABLE a (x INT);")
+    before = obs.snapshot()
     first = memo.parse(segment)
     second = memo.parse(segment)
     assert first is second  # identical entry object, not a re-parse
     assert isinstance(first.statement, CreateTable)
-    assert memo.hits == 1
-    assert memo.misses == 1
+    assert obs.since(before) == {"parse_hits": 1, "parse_misses": 1}
 
 
 def test_memo_skip_entries_match_parse_script():
