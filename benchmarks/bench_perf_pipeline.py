@@ -352,10 +352,10 @@ def test_perf_analyses_scaling():
     Replicates a 30-project base record set 100x (3000 records — the
     scale where the per-record passes' attribute-chain walks dominate)
     and times every corpus-level analysis both ways, in the shape the
-    full study runs them: the fused kernels consume the RecordTable the
-    map stage packed at harvest time (so the pack is timed separately —
-    in production it overlaps the map), the per-record oracles consume
-    the raw record list. Acceptance bar of the columnar refactor:
+    full study runs them: the fused kernels consume a RecordTable packed
+    beforehand (so the pack is timed separately — in the full study it
+    is the ``table`` stage, which runs once after the map and before
+    these stages), the per-record oracles consume the raw record list. Acceptance bar of the columnar refactor:
     >= 2x faster with a byte-identical rendered study report. The
     numbers land in BENCH_perf_pipeline.json as ``analyses_scaling``.
     """
@@ -433,7 +433,7 @@ def test_perf_analyses_scaling():
         f"  columnar fused kernels:   {fused_s * 1000:9.1f} ms   "
         f"{speedup:5.2f}x vs per-record",
         f"  (table pack:              {pack_s * 1000:9.1f} ms — "
-        f"overlaps the map harvest in the full study)",
+        f"the full study's table stage, once after the map)",
         "  rendered study report: byte-identical in both backends",
     ]))
 

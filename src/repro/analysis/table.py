@@ -12,15 +12,14 @@ vector as float columns, per-record change-kind count rows, interned
 names — over which the analysis stages run as fused kernels.
 
 A record flattens to one :class:`PackedRecord` row
-(:func:`pack_record`); rows are cheap to pickle, so worker processes
-pack alongside the map stage and the executor merges the partial packs
-FIFO as chunks are harvested (:meth:`RecordTable.from_rows`). Rows
-round-trip: ``RecordTable.from_rows(rows).unpack() == list(rows)``.
+(:func:`pack_record`), and :meth:`RecordTable.from_records` packs a
+record list in one pass — the study plan's ``table`` stage, which runs
+once, in the parent, after the map. Rows round-trip:
+``RecordTable.from_rows(rows).unpack() == list(rows)``.
 
 Packing never feeds the result cache — cache keys and payloads are
-untouched (``RECORDS_STAGE_VERSION`` stands) — so warm runs revalidate
-byte-for-byte and the table is rebuilt parent-side from the cached
-records.
+untouched — so cold, warm and mixed runs pack the same table from the
+same records.
 """
 
 from __future__ import annotations
@@ -85,9 +84,9 @@ _LABEL_MEMBERS = attrgetter(*(attr for attr, _ in LABEL_COLUMNS))
 class PackedRecord(NamedTuple):
     """One study record flattened to plain scalars and flat tuples.
 
-    This is the unit that crosses the worker → parent pickle boundary
-    and the row of :class:`RecordTable`. Everything an analysis kernel
-    reads is here; nothing else (history, heartbeat, parse caches) is.
+    This is the row of :class:`RecordTable`. Everything an analysis
+    kernel reads is here; nothing else (history, heartbeat, parse
+    caches) is.
 
     Attributes:
         name: project name.
@@ -160,22 +159,17 @@ def _post_birth_kinds(profile) -> int:
                if total > born)
 
 
-def pack_record(record: StudyRecord, *,
-                count: bool = True) -> PackedRecord:
+def pack_record(record: StudyRecord) -> PackedRecord:
     """Flatten one study record into its table row.
 
     Each row counts as ``pack_rows`` in :mod:`repro.obs`, so
     ``--timings`` attributes packing work to the stage that did it.
-    ``count=False`` skips the counter — for callers packing a side copy
-    (delta checkpoints) rather than a table row, so the pack column
-    keeps meaning "columnar rows packed".
     """
     labeled = record.labeled
     profile = labeled.profile
     marks = profile.landmarks
     totals = profile.totals
-    if count:
-        obs.count("pack_rows")
+    obs.count("pack_rows")
     return PackedRecord(
         name=record.name,
         pattern=PATTERN_INDEX[record.pattern],
@@ -263,11 +257,9 @@ class RecordTable:
 
     @classmethod
     def from_rows(cls, rows: Iterable[PackedRecord]) -> "RecordTable":
-        """Assemble (or FIFO-merge) packed rows into one table.
+        """Assemble packed rows, in record order, into one table.
 
-        The executor calls this once per map stage with the harvested
-        partial packs concatenated in item order; tests call it to
-        round-trip. Empty input yields a valid zero-length table.
+        Empty input yields a valid zero-length table.
         """
         rows = list(rows)
         if not rows:
@@ -310,7 +302,7 @@ class RecordTable:
     @classmethod
     def from_records(cls, records: Sequence[StudyRecord]
                      ) -> "RecordTable":
-        """Pack a record list in one go (the non-streamed path)."""
+        """Pack a record list in one go (the ``table`` stage)."""
         return cls.from_rows(pack_record(record) for record in records)
 
     def unpack(self) -> list[PackedRecord]:

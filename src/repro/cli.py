@@ -567,9 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: 1, serial)")
         p.add_argument("--chunk-size", type=int, metavar="N",
                        help="items per pickled work chunk sent to a "
-                            "worker; overrides both the automatic "
-                            "sizing and any per-stage default (the "
-                            "chosen size shows in the --timings "
+                            "worker; overrides the automatic sizing "
+                            "(the chosen size shows in the --timings "
                             "'chunk' column)")
         p.add_argument("--no-incremental", action="store_true",
                        help="disable incremental statement-level "

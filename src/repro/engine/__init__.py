@@ -42,7 +42,6 @@ from repro.engine.executor import (
     ExecutionReport,
     StageTiming,
     execute_plan,
-    run_stage,
 )
 from repro.engine.faults import (
     ErrorPolicy,
@@ -72,7 +71,6 @@ from repro.engine.session import (
 )
 from repro.engine.stage import (
     MapStage,
-    PlanSchedule,
     Stage,
     StageEvent,
     StudyPlan,
@@ -115,7 +113,6 @@ __all__ = [
     "FaultSpec",
     "HandleStream",
     "MapStage",
-    "PlanSchedule",
     "ProjectFailure",
     "ProgressHook",
     "RECORDS_STAGE_VERSION",
@@ -148,7 +145,6 @@ __all__ = [
     "read_ledger_report",
     "resumable_runs",
     "run_analyses",
-    "run_stage",
     "sample_handles",
     "source_session_key",
     "source_record",

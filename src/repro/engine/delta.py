@@ -17,9 +17,10 @@ that re-derivation O(K), with byte-identical output, by persisting one
 * the accumulated :class:`~repro.history.heartbeat.ActivitySeries`
   flat month×kind rows (``None`` for untouched months — provably
   equivalent to the all-zero row, since every schema change carries at
-  least one kind), plus the project window and birth month;
-* the project's :class:`~repro.analysis.table.PackedRecord` row and
-  the label-scheme fingerprint it was labeled under.
+  least one kind), plus the project window and birth month.
+
+A served record is labeled and classified afresh under the run's
+label scheme, so a checkpoint holds no labels and no scheme.
 
 The **suffix recompute kernel** (:func:`extend_checkpoint`) folds the
 new commits through the same
@@ -58,7 +59,6 @@ from typing import Any, Sequence
 
 from repro import obs
 from repro.analysis.records import StudyRecord
-from repro.analysis.table import pack_record
 from repro.diff.engine import diff_schemas
 from repro.diff.stats import EMPTY_BREAKDOWN, ChangeBreakdown
 from repro.engine.cache import decode_entry, encode_entry, fingerprint
@@ -83,7 +83,8 @@ from repro.patterns.classifier import (
 
 #: Checkpoint format version; bump when the pickle layout changes so
 #: stale checkpoints read as missing instead of exploding.
-DELTA_FORMAT_VERSION = 1
+#: "2": checkpoints no longer carry a packed row or a scheme key.
+DELTA_FORMAT_VERSION = 2
 
 #: Subdirectory of the cache dir that holds the checkpoint files.
 DELTA_SUBDIR = "delta"
@@ -111,12 +112,6 @@ def commit_chain(commits: Sequence) -> tuple[str, ...]:
     """
     return tuple(fingerprint("delta-commit", c.timestamp, c.ddl_text)
                  for c in commits)
-
-
-def scheme_key(scheme: LabelScheme) -> str:
-    """Fingerprint of the label scheme a checkpointed row was built
-    under (rows are only reusable under the same boundaries)."""
-    return fingerprint("delta-scheme", scheme.to_dict())
 
 
 def _is_prefix(old: tuple, new: tuple) -> bool:
@@ -151,8 +146,6 @@ class StudyCheckpoint:
         schema: the final version's schema snapshot (diff baseline).
         pool: the final version's reusable ``Table`` pool (``None``
             after a classic-fallback final commit).
-        row: the project's packed columnar row.
-        scheme_key: fingerprint of the scheme ``row`` was labeled under.
     """
 
     format: int
@@ -170,8 +163,6 @@ class StudyCheckpoint:
     prev_hashes: tuple | None
     schema: Any
     pool: dict | None
-    row: Any
-    scheme_key: str
 
 
 class DeltaStore:
@@ -257,8 +248,8 @@ def delta_store_for(source: Any, config: Any) -> DeltaStore | None:
 
 
 def capture_checkpoint(pid: str, mode: str, history: SchemaHistory,
-                       record: StudyRecord, chain: tuple,
-                       scheme: LabelScheme) -> StudyCheckpoint | None:
+                       record: StudyRecord,
+                       chain: tuple) -> StudyCheckpoint | None:
     """A checkpoint of a freshly, fully computed record.
 
     Returns ``None`` when the history did not materialize through the
@@ -294,8 +285,6 @@ def capture_checkpoint(pid: str, mode: str, history: SchemaHistory,
         prev_hashes=prev_hashes,
         schema=versions[-1].schema,
         pool=pool,
-        row=pack_record(record, count=False),
-        scheme_key=scheme_key(scheme),
     )
 
 
@@ -434,9 +423,7 @@ def _serve_extended(store: DeltaStore, extended: tuple, parsed: int,
     record = StudyRecord(name=record_name, pattern=result.pattern,
                          labeled=labeled, is_exception=result.is_exception)
     _note_served(reused=len(advanced.chain), parsed=parsed)
-    store.save(replace(advanced, chain=tuple(chain), name=name,
-                       row=pack_record(record, count=False),
-                       scheme_key=scheme_key(scheme)))
+    store.save(replace(advanced, chain=tuple(chain), name=name))
     return record
 
 
@@ -449,13 +436,17 @@ def serve_corpus_delta(store: DeltaStore, pid: str, project,
     cheap JSON read; the cost this path avoids is *parsing* the DDL of
     the prefix versions). ``None`` means "no usable checkpoint — do
     the full compute"; a rewritten/unusable checkpoint also counts as
-    ``delta_rewritten``.
+    ``delta_rewritten``. A migration-style history is never served:
+    :func:`capture_checkpoint` writes no checkpoint for one, so any
+    checkpoint found for it read the same commits as snapshots.
     """
     cp = store.load(pid, "corpus")
     if cp is None:
         return None
     history = project.history
     try:
+        if history.incremental:
+            raise _Unusable("migration-style history")
         _check_usable(cp, chain, history.dialect.traits.name,
                       history.project_start, history.project_end)
         suffix = history.commits[len(cp.chain):]

@@ -63,7 +63,7 @@ from repro.engine.session import (
     RunRecord,
     source_session_key,
 )
-from repro.engine.stage import MapStage, Stage, StageEvent, StudyPlan
+from repro.engine.stage import MapStage, StageEvent, StudyPlan
 from repro.errors import EngineError, RunInterrupted
 
 #: The counter columns of ``--timings``: header, the counters the cell
@@ -73,7 +73,7 @@ COLUMNS = (
     ("parse memo", ("parse_hits", "parse_misses"), "{} hit / {} miss"),
     ("heartbeat kernel", ("kernel_series", "kernel_reuse"),
      "{} built / {} reuse"),
-    ("pack", ("pack_rows", "pack_merges"), "{} row / {} merge"),
+    ("pack", ("pack_rows",), "{} row"),
     ("delta", ("delta_appended", "delta_rewritten", "delta_reused",
                "delta_parsed"), "{} app / {} rew / {} reuse / {} parse"),
     ("faults", ("failures", "retries"), "{} fail / {} retry"),
@@ -88,9 +88,8 @@ CACHE_STATS = ("hot_hits", "hot_misses", "evictions", "quarantined",
                "write_failures", "pruned")
 
 #: Run counters a ledger row leaves out: its ``failures`` key holds the
-#: failure summaries, and the row format has no merge or replayed-item
-#: count.
-UNLEDGERED = ("failures", "pack_merges", "journal_replayed_items")
+#: failure summaries, and the row format has no replayed-item count.
+UNLEDGERED = ("failures", "journal_replayed_items")
 
 
 @dataclass(frozen=True)
@@ -223,10 +222,10 @@ def _cells(counters: Mapping[str, int]) -> list[str]:
     return cells
 
 
-def _invoke_map(fn: Callable, pack: Callable | None, extras: tuple,
-                stage_name: str, policy: ErrorPolicy,
-                faults: FaultPlan | None, attempt_base: int, item: Any
-                ) -> tuple[Any, dict[str, int], Any]:
+def _invoke_map(fn: Callable, extras: tuple, stage_name: str,
+                policy: ErrorPolicy, faults: FaultPlan | None,
+                attempt_base: int, item: Any
+                ) -> tuple[Any, dict[str, int]]:
     """Apply a map stage to one item (module-level: must pickle).
 
     Runs the item under the error policy: a capturing policy (skip /
@@ -238,14 +237,9 @@ def _invoke_map(fn: Callable, pack: Callable | None, extras: tuple,
     a pool-crash serial re-run counts as a later attempt and injected
     one-shot faults do not re-fire.
 
-    With a ``pack`` function the surviving result is also flattened
-    into its columnar row right here — in the worker, overlapping the
-    map itself — so the parent only merges finished rows.
-
-    Returns the result or failure record, the
-    :mod:`repro.obs` counters the call moved (how worker processes
-    ship their counters home), and the packed row (``None`` for
-    failures or non-packing stages).
+    Returns the result or failure record and the :mod:`repro.obs`
+    counters the call moved (how worker processes ship their counters
+    home).
     """
     before = obs.snapshot()
     attempt = 0
@@ -269,10 +263,7 @@ def _invoke_map(fn: Callable, pack: Callable | None, extras: tuple,
             payload = ProjectFailure.from_exception(
                 item_id(item), stage_name, exc, attempts=attempt)
             break
-    row = None
-    if pack is not None and not isinstance(payload, ProjectFailure):
-        row = pack(payload)
-    return payload, obs.since(before), row
+    return payload, obs.since(before)
 
 
 def _invoke_chunk(invoke: Callable, items: list) -> list:
@@ -324,7 +315,6 @@ class _MapOutcome:
     failures: list[ProjectFailure]
     degraded: bool
     chunk_size: int = 0
-    pack: Any = None
 
 
 def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
@@ -349,17 +339,12 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
     ``values`` holds only the surviving results, in item order —
     quarantined items are dropped so downstream stages compute over
     the survivors. The stage's own accounting — ``cache_hits``,
-    ``cache_misses``, ``failures``, ``pack_merges`` — is counted in
-    :mod:`repro.obs` here in the parent; ``shipped`` sums the counters
-    that moved in worker processes (invisible to this process's
-    registry).
+    ``cache_misses``, ``failures`` — is counted in :mod:`repro.obs`
+    here in the parent; ``shipped`` sums the counters that moved in
+    worker processes (invisible to this process's registry).
 
-    A packing stage additionally flattens each surviving result into
-    a columnar row — in the worker for computed items, at probe time
-    for cache hits — and the partial packs come home with their
-    chunks, merged FIFO as harvested; ``pack_finish_fn`` assembles
-    the final table once, so the pack overlaps the map instead of
-    costing a second pass over materialized records.
+    Items per pickled chunk are ``config.chunk_size`` when set, else
+    :func:`_auto_chunk` of the feed's :func:`_count_hint`.
 
     The worker pool comes from (and stays with) ``session``, spawned
     lazily on the first submitted chunk — a fully warm run never
@@ -386,7 +371,6 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
     probe_cache = cache is not None and stage.cache_key_fn is not None
     results: dict[int, Any] = {}
     keys: dict[int, str] = {}
-    rows: dict[int, Any] = {}
     digests: dict[int, str | None] = {}
     jkeys: dict[int, str | None] = {}
     failures: list[ProjectFailure] = []
@@ -429,22 +413,16 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
             obs.count("cache_misses")
             return True
         results[index] = value
-        if stage.pack_fn is not None:
-            # Cache hits never reach a worker: pack them here so the
-            # table covers hot, cold and mixed runs alike.
-            rows[index] = stage.pack_fn(value)
         obs.count("cache_hits")
         if replay is not None and replay.contains(key):
             replay.mark(key)
         return False
 
     def absorb(index: int, outcome: tuple, from_worker: bool) -> None:
-        payload, moved, row = outcome
+        payload, moved = outcome
         if from_worker:
             shipped.update(moved)
         results[index] = payload
-        if row is not None:
-            rows[index] = row
         if isinstance(payload, ProjectFailure):
             failures.append(payload)
         else:
@@ -470,19 +448,16 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
         """Absorb one finished worker chunk and journal it."""
         for index, outcome in zip(positions, outcomes):
             absorb(index, outcome, True)
-        if stage.pack_fn is not None:
-            # One partial pack merged FIFO into the growing table.
-            obs.count("pack_merges")
         journal_chunk(positions, outbound)
 
     chosen_chunk = 0
     if config.jobs > 1:
-        chunk = config.chunk_size or stage.chunk_size \
+        chunk = config.chunk_size \
             or _auto_chunk(_count_hint(items), config.jobs)
         chosen_chunk = chunk
         window = WINDOW_PER_JOB * config.jobs
-        worker = partial(_invoke_map, stage.fn, stage.pack_fn, extras,
-                         stage.name, policy, faults, 0)
+        worker = partial(_invoke_map, stage.fn, extras, stage.name,
+                         policy, faults, 0)
         pool = None
         inflight: deque[tuple[list[int], list, Any]] = deque()
         backlog: list[tuple[int, Any]] = []
@@ -610,19 +585,17 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
             # Pool-crash / abandon recovery: finish in-process, one
             # attempt later than the pool pass so one-shot injected
             # crashes do not re-fire.
-            recover = partial(_invoke_map, stage.fn, stage.pack_fn,
-                              extras, stage.name, policy, faults, 1)
+            recover = partial(_invoke_map, stage.fn, extras, stage.name,
+                              policy, faults, 1)
             for index, item in backlog:
                 if guard is not None:
                     guard.check()
                 absorb(index, recover(item), False)
-            if stage.pack_fn is not None:
-                obs.count("pack_merges")
             journal_chunk([index for index, _ in backlog],
                           [item for _, item in backlog])
     else:
-        invoke = partial(_invoke_map, stage.fn, stage.pack_fn, extras,
-                         stage.name, policy, faults, 0)
+        invoke = partial(_invoke_map, stage.fn, extras, stage.name,
+                         policy, faults, 0)
         for item in items:
             if guard is not None:
                 guard.check()
@@ -642,14 +615,9 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
             f"({summary}{', ...' if len(failures) > 3 else ''})")
     values = [results[index] for index in range(total)
               if not isinstance(results[index], ProjectFailure)]
-    pack = None
-    if stage.pack_finish_fn is not None:
-        # Survivors only, item order — rows parallel `values` exactly.
-        pack = stage.pack_finish_fn(
-            [rows[index] for index in sorted(rows)])
     return _MapOutcome(values=values, count=total, shipped=shipped,
                        failures=failures, degraded=degraded,
-                       chunk_size=chosen_chunk, pack=pack)
+                       chunk_size=chosen_chunk)
 
 
 def _early_fingerprint(inputs: Mapping[str, Any]) -> str | None:
@@ -780,17 +748,7 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
     run_started = time.perf_counter()
     results: dict[str, Any] = dict(inputs)
     report = ExecutionReport()
-    # Stages are pulled from the DAG's live ready-set: a stage runs as
-    # soon as every value it consumes — stage results and secondary
-    # pack outputs alike — has been published into ``results``, so a
-    # shared value like the record table is produced once and handed
-    # to each ready consumer by reference.
-    schedule = plan.schedule(tuple(inputs))
-
-    def ready_stages():
-        while not schedule.done:
-            yield from schedule.take_ready()
-
+    order = plan.execution_order(tuple(inputs))
     # Durability: runs with a cache dir journal every completed chunk
     # (so a killed run resumes instead of recomputing) and resumes
     # load the interrupted run's journal as a replay set. The run id
@@ -812,7 +770,7 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
     with interrupt_guard(run_uid if journal is not None
                          else None) as guard:
         try:
-            for stage in ready_stages():
+            for stage in order:
                 guard.check()
                 config.emit(StageEvent(stage=stage.name, phase="start"))
                 started = time.perf_counter()
@@ -839,8 +797,6 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
                         or outcome.degraded
                     items = outcome.count
                     chunk_size = outcome.chunk_size
-                    if stage.pack_output is not None:
-                        results[stage.pack_output] = outcome.pack
                 else:
                     value = stage.fn(*(results[name]
                                        for name in stage.inputs))
@@ -854,7 +810,6 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
                     stage=stage.name, seconds=elapsed, items=items,
                     chunk_size=chunk_size, counters=dict(counters))
                 results[stage.name] = value
-                schedule.complete(stage.name)
                 report.timings.append(timing)
                 config.emit(StageEvent(stage=stage.name, phase="finish",
                                        timing=timing))
@@ -920,8 +875,3 @@ def _timing_dict(timing: StageTiming) -> dict:
         entry["chunk_size"] = timing.chunk_size
     entry.update(timing.counters)
     return entry
-
-
-def run_stage(stage: Stage, *args: Any) -> Any:
-    """Run one stage standalone (convenience for tests and notebooks)."""
-    return stage.fn(*args)

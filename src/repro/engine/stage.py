@@ -62,11 +62,6 @@ class Stage:
         if self.name in self.inputs:
             raise EngineError(f"stage {self.name!r} cannot consume itself")
 
-    @property
-    def provides(self) -> tuple[str, ...]:
-        """Names this stage publishes into the result namespace."""
-        return (self.name,)
-
 
 @dataclass(frozen=True)
 class MapStage(Stage):
@@ -86,31 +81,12 @@ class MapStage(Stage):
             input item before it is pickled to a worker process. Used
             to shed derived caches that are cheap to rebuild but
             expensive to serialize.
-        chunk_size: per-stage override for items per pickled work
-            chunk. Precedence is ``config.chunk_size`` (the global /
-            CLI knob), then this, then the executor's auto heuristic;
-            ``None`` defers to the next level.
-        pack_fn: optional ``fn(result) -> row`` flattening one mapped
-            result into a columnar row. Workers pack alongside the map,
-            shipping rows back with results so the pack overlaps the
-            map itself.
-        pack_finish_fn: ``fn(rows) -> pack`` assembling the harvested
-            rows (item order, survivors only) into the stage's
-            secondary output.
-        pack_output: result-namespace name the assembled pack is
-            published under. All three pack fields come together.
     """
 
     cache_key_fn: Callable[[Any, tuple, str], str] | None = field(
         default=None, compare=False)
     item_transport_fn: Callable[[Any], Any] | None = field(
         default=None, compare=False)
-    chunk_size: int | None = None
-    pack_fn: Callable[[Any], Any] | None = field(
-        default=None, compare=False)
-    pack_finish_fn: Callable[[list], Any] | None = field(
-        default=None, compare=False)
-    pack_output: str | None = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -118,38 +94,16 @@ class MapStage(Stage):
             raise EngineError(
                 f"map stage {self.name!r} needs at least the input "
                 f"sequence it maps over")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise EngineError(
-                f"map stage {self.name!r} chunk_size must be >= 1, "
-                f"got {self.chunk_size}")
-        pack_bits = (self.pack_fn, self.pack_finish_fn, self.pack_output)
-        if any(b is not None for b in pack_bits):
-            if any(b is None for b in pack_bits):
-                raise EngineError(
-                    f"map stage {self.name!r} needs pack_fn, "
-                    f"pack_finish_fn and pack_output together")
-            if self.pack_output == self.name or self.pack_output in self.inputs:
-                raise EngineError(
-                    f"map stage {self.name!r} pack_output "
-                    f"{self.pack_output!r} collides with its own "
-                    f"name or inputs")
-
-    @property
-    def provides(self) -> tuple[str, ...]:
-        if self.pack_output is None:
-            return (self.name,)
-        return (self.name, self.pack_output)
 
 
 class StudyPlan:
     """A validated DAG of stages.
 
     Args:
-        stages: the plan's stages; names (and any secondary pack
-            outputs) must be unique across the plan.
+        stages: the plan's stages; names must be unique across the plan.
 
     Raises:
-        EngineError: on duplicate stage names or produced-value names.
+        EngineError: on duplicate stage names.
     """
 
     def __init__(self, stages: Iterable[Stage]):
@@ -158,15 +112,6 @@ class StudyPlan:
             if stage.name in self._stages:
                 raise EngineError(f"duplicate stage name {stage.name!r}")
             self._stages[stage.name] = stage
-        self._producers: dict[str, str] = {}
-        for name, stage in self._stages.items():
-            for output in stage.provides:
-                owner = self._producers.get(output)
-                if owner is not None:
-                    raise EngineError(
-                        f"stages {owner!r} and {name!r} both produce "
-                        f"{output!r}")
-                self._producers[output] = name
 
     @property
     def stages(self) -> tuple[Stage, ...]:
@@ -189,24 +134,6 @@ class StudyPlan:
         except KeyError:
             raise EngineError(f"no stage named {name!r}") from None
 
-    @property
-    def producers(self) -> dict[str, str]:
-        """Produced value name -> producing stage name (primary stage
-        names plus any map-stage pack outputs)."""
-        return dict(self._producers)
-
-    def schedule(self, available: Sequence[str] = ()) -> "PlanSchedule":
-        """A live ready-set view of the DAG for one execution.
-
-        Args:
-            available: names of externally provided initial inputs.
-
-        Raises:
-            EngineError: when a stage consumes a name that neither a
-                stage nor ``available`` provides.
-        """
-        return PlanSchedule(self, available)
-
     def execution_order(self, available: Sequence[str] = ()) -> list[Stage]:
         """Topologically order the stages (Kahn's algorithm).
 
@@ -217,12 +144,29 @@ class StudyPlan:
             EngineError: when a stage consumes a name that neither a
                 stage nor ``available`` provides, or the graph cycles.
         """
-        schedule = self.schedule(available)
+        provided = set(available)
+        for stage in self._stages.values():
+            for needed in stage.inputs:
+                if needed not in provided and needed not in self._stages:
+                    raise EngineError(
+                        f"stage {stage.name!r} consumes {needed!r}, which "
+                        f"no stage produces and no initial input provides")
+        pending = {
+            name: {i for i in stage.inputs if i in self._stages}
+            for name, stage in self._stages.items()
+        }
         order: list[Stage] = []
-        while not schedule.done:
-            for stage in schedule.take_ready():
-                order.append(stage)
-                schedule.complete(stage.name)
+        # Declaration order breaks ties, keeping execution deterministic.
+        while pending:
+            ready = [name for name, deps in pending.items() if not deps]
+            if not ready:
+                cyclic = ", ".join(sorted(pending))
+                raise EngineError(f"study plan has a cycle among: {cyclic}")
+            for name in ready:
+                order.append(self._stages[name])
+                del pending[name]
+            for deps in pending.values():
+                deps.difference_update(ready)
         return order
 
     def describe(self) -> str:
@@ -231,10 +175,7 @@ class StudyPlan:
         for stage in self._stages.values():
             kind = "map " if isinstance(stage, MapStage) else "    "
             deps = ", ".join(stage.inputs) or "-"
-            extra = ""
-            if isinstance(stage, MapStage) and stage.pack_output:
-                extra = f"  [+{stage.pack_output}]"
-            lines.append(f"{kind}{stage.name}  <-  {deps}{extra}")
+            lines.append(f"{kind}{stage.name}  <-  {deps}")
         return "\n".join(lines)
 
     def __len__(self) -> int:
@@ -242,65 +183,3 @@ class StudyPlan:
 
     def __contains__(self, name: str) -> bool:
         return name in self._stages
-
-
-class PlanSchedule:
-    """The live ready-set of one plan execution.
-
-    The executor repeatedly pops :meth:`take_ready` — every stage whose
-    producers have all completed — runs those stages (publishing any
-    secondary pack outputs), and calls :meth:`complete` to unblock
-    their consumers. Dependencies resolve through the plan's producers
-    map, so a stage consuming a map stage's pack output waits on the
-    map stage itself.
-
-    Args:
-        plan: the validated plan to schedule.
-        available: names of externally provided initial inputs.
-
-    Raises:
-        EngineError: when a stage consumes a name that neither a stage
-            nor ``available`` provides.
-    """
-
-    def __init__(self, plan: StudyPlan, available: Sequence[str] = ()):
-        producers = plan.producers
-        provided = set(available)
-        for stage in plan.stages:
-            for needed in stage.inputs:
-                if needed not in provided and needed not in producers:
-                    raise EngineError(
-                        f"stage {stage.name!r} consumes {needed!r}, which "
-                        f"no stage produces and no initial input provides")
-        self._stages = {stage.name: stage for stage in plan.stages}
-        self._pending = {
-            stage.name: {
-                producers[i] for i in stage.inputs if i in producers}
-            for stage in plan.stages
-        }
-
-    @property
-    def done(self) -> bool:
-        """True once every stage has been handed out."""
-        return not self._pending
-
-    def take_ready(self) -> list[Stage]:
-        """Pop the stages whose dependencies have all completed.
-
-        Declaration order breaks ties, keeping execution deterministic.
-
-        Raises:
-            EngineError: when stages remain but none are ready (cycle).
-        """
-        ready = [name for name, deps in self._pending.items() if not deps]
-        if not ready and self._pending:
-            cyclic = ", ".join(sorted(self._pending))
-            raise EngineError(f"study plan has a cycle among: {cyclic}")
-        for name in ready:
-            del self._pending[name]
-        return [self._stages[name] for name in ready]
-
-    def complete(self, name: str) -> None:
-        """Mark a stage finished, unblocking stages that consume it."""
-        for deps in self._pending.values():
-            deps.discard(name)

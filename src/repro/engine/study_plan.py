@@ -15,13 +15,16 @@ Two plans are built here:
   :class:`~repro.study.pipeline.StudyResults` bundle.
 
 Every analysis is a fused kernel over the
-:class:`~repro.analysis.table.RecordTable` — the flat column pack the
-map stage assembles incrementally at harvest time — with Table 1, the
-§3.4 statistics and strict agreement fused into one pass over the
-label columns. The original object-walking implementations live on as
-the differential oracle in ``tests/analysis/per_record_oracle.py``:
-both produce byte-identical :class:`StudyResults`, and the
-golden/differential tests hold them to it.
+:class:`~repro.analysis.table.RecordTable` — the flat column pack that
+the ``table`` stage builds once from the surviving records — with
+Table 1, the §3.4 statistics and strict agreement fused into one pass
+over the label columns. The ``table`` stage is the only place a table
+is built: both plans run it just before the analyses, and the study
+plan right after its map. The original object-walking implementations
+live on as the differential oracle in
+``tests/analysis/per_record_oracle.py``: both produce byte-identical
+:class:`StudyResults`, and the golden/differential tests hold them to
+it.
 
 All stage bodies are module-level functions so the process backend can
 pickle them by reference.
@@ -66,7 +69,6 @@ from repro.analysis.table import (
     REAL_POSITION,
     UNCLASSIFIED_INDEX,
     RecordTable,
-    pack_record,
 )
 from repro.diff.changes import KIND_ORDER, N_KINDS
 from repro.engine.cache import fingerprint
@@ -244,7 +246,7 @@ def source_record_delta(handle, source, scheme: LabelScheme,
             return served
         record = corpus_record(loaded, scheme)
         checkpoint = delta_mod.capture_checkpoint(
-            handle.pid, "corpus", history, record, chain, scheme)
+            handle.pid, "corpus", history, record, chain)
         if checkpoint is not None:
             store.save(checkpoint)
         return record
@@ -256,7 +258,7 @@ def source_record_delta(handle, source, scheme: LabelScheme,
     history = source.load(handle.pid)
     record = history_record(history, scheme)
     checkpoint = delta_mod.capture_checkpoint(
-        handle.pid, "histories", history, record, chain, scheme)
+        handle.pid, "histories", history, record, chain)
     if checkpoint is not None:
         store.save(checkpoint)
     return record
@@ -280,12 +282,6 @@ def tree_sample(record: StudyRecord) -> dict[str, str]:
 #: Dense birth-volume label indexes the §3.4 kernel compares against.
 _BV_HIGH = LABEL_INDEX[0][BirthVolumeClass.HIGH]
 _BV_FULL = LABEL_INDEX[0][BirthVolumeClass.FULL]
-
-
-def _stage_pack_table(records) -> RecordTable:
-    """Pack precomputed records (analysis-only plans; the full study
-    plans get the table from the map stage's harvest-time pack)."""
-    return RecordTable.from_records(records)
 
 
 class _CoreStats(NamedTuple):
@@ -563,12 +559,11 @@ def _stage_results(records, table1, stats34, table2, correlations, tree,
 def _analysis_stages() -> list[Stage]:
     """The corpus-level stages of :func:`run_study`, as a DAG.
 
-    Every analysis is a fused kernel over the ``table`` value (the map
-    stage's packed secondary output, or an explicit packing stage in
-    analysis-only plans); Table 1, §3.4 and strict agreement share one
-    ``core_stats`` pass, split back into their historical stage names
-    by three unpacking stages so reports and ``timing(...)`` lookups
-    keep working.
+    Every analysis is a fused kernel over the ``table`` value, which
+    :func:`_table_stage` produces; Table 1, §3.4 and strict agreement
+    share one ``core_stats`` pass, split back into their historical
+    stage names by three unpacking stages so reports and
+    ``timing(...)`` lookups keep working.
     """
     return [
         Stage(name="core_stats", fn=_stage_core_stats,
@@ -610,25 +605,23 @@ def _analysis_stages() -> list[Stage]:
     ]
 
 
+def _table_stage() -> Stage:
+    """The stage packing the surviving ``records`` into the
+    :class:`RecordTable` every analysis reads, once, after the map."""
+    return Stage(name="table", fn=RecordTable.from_records,
+                 inputs=("records",))
+
+
 # ----------------------------------------------------------------------
 # plan builders
 
 
 def build_analysis_plan() -> StudyPlan:
-    """The corpus-level analyses, given precomputed records.
-
-    The given records are packed into a :class:`RecordTable` in one
-    explicit stage, then the fused kernels run.
-    """
-    return StudyPlan([
-        Stage(name="table", fn=_stage_pack_table,
-              inputs=("records",)),
-        *_analysis_stages(),
-    ])
+    """The corpus-level analyses, given precomputed records."""
+    return StudyPlan([_table_stage(), *_analysis_stages()])
 
 
-def source_map_stage(packed: bool = False,
-                     delta: bool = False) -> MapStage:
+def source_map_stage(delta: bool = False) -> MapStage:
     """The per-project map stage over source handles.
 
     The mapped items are :class:`~repro.sources.base.SourceHandle`\\ s
@@ -636,27 +629,20 @@ def source_map_stage(packed: bool = False,
     project itself for a source that is not lightweight — and the
     source object travels to workers as a broadcast extra.
     :func:`strip_handle` sheds an attached project's parse cache
-    before its handle is pickled. ``packed`` also assembles the
-    :class:`RecordTable` incrementally at harvest time and publishes
-    it as the secondary output ``table`` — the feed of the analysis
-    kernels; records-only plans leave it off, and caching is
-    unaffected either way (packed rows never enter the result cache).
-    ``delta`` additionally broadcasts a checkpoint store (the
-    ``delta_store`` initial input — a picklable path holder; workers
-    read and write the checkpoint files themselves) and maps through
-    :func:`source_record_delta`; version and cache keys are untouched,
-    so delta and plain plans share the result cache.
+    before its handle is pickled. ``delta`` additionally broadcasts a
+    checkpoint store (the ``delta_store`` initial input — a picklable
+    path holder; workers read and write the checkpoint files
+    themselves) and maps through :func:`source_record_delta`; version
+    and cache keys are untouched, so delta and plain plans share the
+    result cache.
     """
-    pack = dict(pack_fn=pack_record,
-                pack_finish_fn=RecordTable.from_rows,
-                pack_output="table") if packed else {}
     fn, inputs = source_record, ("handles", "source", "scheme")
     if delta:
         fn, inputs = source_record_delta, (*inputs, "delta_store")
     return MapStage(name="records", fn=fn, inputs=inputs,
                     version=RECORDS_STAGE_VERSION,
                     cache_key_fn=source_record_key,
-                    item_transport_fn=strip_handle, **pack)
+                    item_transport_fn=strip_handle)
 
 
 def build_source_records_plan(delta: bool = False) -> StudyPlan:
@@ -665,13 +651,9 @@ def build_source_records_plan(delta: bool = False) -> StudyPlan:
 
 
 def build_source_study_plan(delta: bool = False) -> StudyPlan:
-    """The full study DAG driven by source handles.
-
-    The map stage packs the table incrementally while it maps, so the
-    analyses start from the flat columns without a second pass over
-    the records.
-    """
-    return StudyPlan([source_map_stage(packed=True, delta=delta),
+    """The full study DAG driven by source handles: the map, then the
+    ``table`` stage, then the analyses."""
+    return StudyPlan([source_map_stage(delta=delta), _table_stage(),
                       *_analysis_stages()])
 
 

@@ -1,12 +1,9 @@
 """Chunk-sizing unit tests: _auto_chunk/_count_hint edges and overrides.
 
 The precedence contract is ``config.chunk_size`` (the CLI ``--chunk-size``
-flag) over ``MapStage.chunk_size`` (a per-stage default) over
-:func:`_auto_chunk` on the feed's :func:`_count_hint`; whatever wins is
-surfaced in the ``chunk`` column of the timing report.
+flag) over :func:`_auto_chunk` on the feed's :func:`_count_hint`;
+whatever wins is surfaced in the ``chunk`` column of the timing report.
 """
-
-import pytest
 
 from repro.engine import (
     MapStage,
@@ -15,7 +12,6 @@ from repro.engine import (
     execute_plan,
 )
 from repro.engine.executor import _auto_chunk, _count_hint
-from repro.errors import EngineError
 
 
 def _double(x):
@@ -73,30 +69,21 @@ class TestCountHint:
 
 
 class TestChunkOverride:
-    def _run(self, config, stage_chunk=None):
+    def _run(self, config):
         plan = StudyPlan([MapStage(name="m", fn=_double,
-                                   inputs=("items",),
-                                   chunk_size=stage_chunk)])
+                                   inputs=("items",))])
         results, report = execute_plan(plan, {"items": list(range(20))},
                                        config)
         assert results["m"] == [x * 2 for x in range(20)]
         return report.timing("m").chunk_size
 
-    def test_stage_default_wins_over_auto(self):
-        assert self._run(StudyConfig(jobs=2), stage_chunk=5) == 5
-
-    def test_config_wins_over_stage(self):
-        assert self._run(StudyConfig(jobs=2, chunk_size=3),
-                         stage_chunk=5) == 3
+    def test_config_wins_over_auto(self):
+        # auto would pick 3 (see test_auto_when_nothing_set)
+        assert self._run(StudyConfig(jobs=2, chunk_size=5)) == 5
 
     def test_auto_when_nothing_set(self):
         # 20 items / (2 jobs * 4) -> ceil = 3
         assert self._run(StudyConfig(jobs=2)) == 3
 
     def test_serial_runs_ignore_chunking(self):
-        assert self._run(StudyConfig(jobs=1), stage_chunk=5) == 0
-
-    def test_invalid_stage_chunk_rejected(self):
-        with pytest.raises(EngineError, match="chunk_size"):
-            MapStage(name="m", fn=_double, inputs=("items",),
-                     chunk_size=0)
+        assert self._run(StudyConfig(jobs=1, chunk_size=5)) == 0

@@ -2,8 +2,8 @@
 
 * the registry itself — named counts, snapshots and moved-only diffs;
 * counters do not depend on where the work ran: a serial and a
-  ``--jobs 2`` run report the same totals (all but ``pack_merges``),
-  which holds only if every worker's diff reaches the parent;
+  ``--jobs 2`` run report the same totals, which holds only if every
+  worker's diff reaches the parent;
 * the ``--timings`` layout and the ledger's key set are pinned for one
   fixed small run with a cache dir and a refresh: ``perfbench`` parses
   the TOTAL row's cache cell and CI reads ledger keys such as
@@ -27,10 +27,8 @@ from repro.sources import CorpusDirSource, SyntheticSource, export_corpus_dir
 from tests.conftest import SMALL_POPULATION
 from tests.engine.test_delta import POPULATION, grow_corpus_dir
 
-#: Registry counters a run reports, less the one that counts worker
-#: chunks and so depends on where the work ran.
-PLACEMENT_FREE = tuple(name for _, names, _ in COLUMNS for name in names
-                       if name != "pack_merges")
+#: Registry counters a run reports; none depends on where the work ran.
+PLACEMENT_FREE = tuple(name for _, names, _ in COLUMNS for name in names)
 
 
 class TestRegistry:
@@ -67,7 +65,6 @@ class TestWorkPlacement:
         assert placement_free(parallel) == placement_free(serial)
         assert serial.parse_hits > 0 and serial.kernel_series > 0
         assert serial.pack_rows == len(source)
-        assert serial.pack_merges == 0 < parallel.pack_merges
 
     def test_threads_count_only_their_own_work(self, tmp_path):
         # One session and cache dir per thread, run concurrently: each
@@ -122,23 +119,26 @@ class TestWorkPlacement:
             "versions: 2 reused / 4 parsed")
 
 
-#: ``--timings`` header and the records/TOTAL rows of the pinned run,
-#: time column left out.
+#: ``--timings`` header and the records/table/TOTAL rows of the pinned
+#: run, time column left out.
 HEADER = ["stage", "items", "chunk", "cache", "parse memo",
           "heartbeat kernel", "pack", "delta", "faults"]
+TABLE_ROW = ["-", "-", "-", "-", "-", "8 row", "-", "-"]
 COLD_ROWS = {
     "records": ["8", "-", "0 hit / 8 miss", "213 hit / 144 miss",
-                "8 built / 24 reuse", "8 row / 0 merge", "-", "-"],
+                "8 built / 24 reuse", "-", "-", "-"],
+    "table": TABLE_ROW,
     "TOTAL": ["-", "-", "0 hit / 8 miss [hot 0/8, evict 0]",
               "213 hit / 144 miss", "8 built / 24 reuse",
-              "8 row / 0 merge", "-", "-"],
+              "8 row", "-", "-"],
 }
 REFRESH_ROWS = {
     "records": ["8", "-", "6 hit / 2 miss", "25 hit / 27 miss",
-                "2 built / 6 reuse", "8 row / 0 merge",
+                "2 built / 6 reuse", "-",
                 "2 app / 0 rew / 2 reuse / 4 parse", "-"],
+    "table": TABLE_ROW,
     "TOTAL": ["-", "-", "6 hit / 2 miss [hot 6/2, evict 0]",
-              "25 hit / 27 miss", "2 built / 6 reuse", "8 row / 0 merge",
+              "25 hit / 27 miss", "2 built / 6 reuse", "8 row",
               "2 app / 0 rew / 2 reuse / 4 parse", "-"],
 }
 
@@ -166,7 +166,7 @@ RUN_KEYS = {
 }
 RECORDS_STAGE = {"stage": "records", "items": 8, "cache_hits": 0,
                  "cache_misses": 8, "parse_hits": 213, "parse_misses": 144,
-                 "kernel_series": 8, "kernel_reuse": 24, "pack_rows": 8}
+                 "kernel_series": 8, "kernel_reuse": 24}
 REFRESH_STAGE = {**RECORDS_STAGE, "cache_hits": 6, "cache_misses": 2,
                  "parse_hits": 25, "parse_misses": 27, "kernel_series": 2,
                  "kernel_reuse": 6, "delta_appended": 2,
@@ -218,6 +218,8 @@ class TestPinnedLayout:
         row = pinned_run["records"][run].to_dict()
         assert set(row) == RUN_KEYS
         assert {name: row[name] for name in counters} == counters
-        first, *analyses = row["stages"]
+        first, table, *analyses = row["stages"]
         assert {k: v for k, v in first.items() if k != "ms"} == records
+        assert {k: v for k, v in table.items() if k != "ms"} \
+            == {"stage": "table", "pack_rows": 8}
         assert all(set(stage) == {"stage", "ms"} for stage in analyses)

@@ -8,20 +8,25 @@ incremental recompute:
   records and rendered reports **byte-identical** to a cold full study
   of the grown source — for corpus directories and git repositories;
 * a rewrite of old history fails the version-chain prefix proof and
-  falls back to a full recompute, still byte-identical;
+  falls back to a full recompute, still byte-identical, and so does a
+  migration-style history whose checkpoint read its commits as
+  snapshots;
 * a fault-injected append heals under the retry policy with the same
-  output; corrupt checkpoint files read as "no checkpoint";
+  output; corrupt and older-format checkpoint files read as "no
+  checkpoint";
 * the run ledger round-trips the new delta and hot-cache counters.
 """
 
 import dataclasses
 import os
+import random
 import shutil
 import subprocess
 from datetime import timedelta
 
 import pytest
 
+from repro.corpus.ddlgen import realize_history
 from repro.engine import (
     DeltaStore,
     EngineSession,
@@ -32,7 +37,11 @@ from repro.engine import (
     execute_study_from_source,
     read_ledger,
 )
-from repro.engine.delta import DELTA_SUBDIR, commit_chain
+from repro.engine.delta import (
+    DELTA_FORMAT_VERSION,
+    DELTA_SUBDIR,
+    commit_chain,
+)
 from repro.history.commit import Commit
 from repro.history.repository import SchemaHistory
 from repro.patterns.taxonomy import Pattern
@@ -159,6 +168,22 @@ class TestCheckpointLifecycle:
         assert store.load(pid, "corpus") is not None
         assert store.load(pid, "histories") is None
 
+    def test_older_format_reads_as_missing(self, corpus_root, tmp_path):
+        cache = tmp_path / "cache"
+        study(corpus_root, cache)
+        store = DeltaStore(cache / DELTA_SUBDIR)
+        pid = CorpusDirSource(corpus_root).project_ids()[0]
+        checkpoint = store.load(pid, "corpus")
+        assert store.save(dataclasses.replace(
+            checkpoint, format=DELTA_FORMAT_VERSION - 1))
+        assert store.load(pid, "corpus") is None
+        grow_corpus_dir(corpus_root, [0], 2)
+        results, report = study(corpus_root, cache)
+        assert report.delta_appended == 0
+        assert report.delta_rewritten == 0
+        cold, _ = study(corpus_root, tmp_path / "cold")
+        assert results.records == cold.records
+
 
 class TestCorpusAppend:
     K = 3
@@ -266,6 +291,45 @@ class TestRewriteFallback:
         assert report.delta_parsed == 2
         cold, _ = study(corpus_root, tmp_path / "cold")
         assert results.records == cold.records
+
+
+class TestMigrationStyleFallback:
+    def export_styled(self, root, history, incremental: bool) -> None:
+        """Re-export ``root`` with project 2 on ``history``'s commits,
+        read as migrations (``incremental``) or as snapshots."""
+        corpus = import_corpus_dir(root)
+        projects = list(corpus.projects)
+        projects[2] = dataclasses.replace(
+            projects[2],
+            history=SchemaHistory(
+                history.project_name, history.commits,
+                project_start=history.project_start,
+                project_end=history.project_end,
+                dialect=history.dialect, incremental=incremental))
+        shutil.rmtree(root)
+        export_corpus_dir(
+            dataclasses.replace(corpus, projects=projects), root)
+
+    def test_snapshot_checkpoint_never_serves_migrations(self,
+                                                         corpus_root,
+                                                         tmp_path):
+        # The same commits, first exported as snapshots (which writes
+        # a checkpoint), then as migrations: the chain still proves the
+        # prefix, but the checkpoint's state folded the wrong reading.
+        sigmoid = import_corpus_dir(corpus_root).projects[2]
+        history = realize_history(
+            sigmoid.plan, random.Random(3), sigmoid.name,
+            sigmoid.history.dialect, commit_style="incremental")
+        cache = tmp_path / "cache"
+        self.export_styled(corpus_root, history, incremental=False)
+        study(corpus_root, cache)
+        self.export_styled(corpus_root, history, incremental=True)
+        results, report = study(corpus_root, cache)
+        assert report.cache_misses == 1
+        assert report.delta_rewritten == 1
+        assert report.delta_appended == 0
+        cold, _ = study(corpus_root, tmp_path / "cold")
+        assert markdown_report(results) == markdown_report(cold)
 
 
 class TestFaultInjectedAppend:
