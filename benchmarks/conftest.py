@@ -20,8 +20,7 @@ _RESULTS_DIR = Path(__file__).parent / "results"
 _RENDERED: dict[str, str] = {}
 
 #: The one execution configuration every benchmark shares (serial,
-#: uncached — individual perf benchmarks derive parallel/cached
-#: variants from it with ``STUDY_CONFIG.replace(...)``).
+#: uncached).
 STUDY_CONFIG = StudyConfig(seed=DEFAULT_SEED)
 
 

@@ -5,7 +5,7 @@ The engine expresses the study as a declarative DAG of named stages
 it serially or with a process pool (:func:`execute_plan`), memoizes the
 per-project map in a content-addressed :class:`ResultCache`, and
 reports per-stage timings (:class:`ExecutionReport`). A single
-:class:`StudyConfig` (seed, scheme, jobs, cache dir, progress hook) is
+:class:`StudyConfig` (seed, scheme, jobs, cache dir, error policy) is
 threaded through the corpus generator, the study pipeline, the CLI and
 the benchmarks. Long-lived runtime state — the persistent worker pool,
 hot-layer caches, the source-handle registry and the run ledger —
@@ -32,7 +32,7 @@ Typical use::
 """
 
 from repro.engine.cache import MISS, ResultCache, canonical, fingerprint
-from repro.engine.config import ProgressHook, StudyConfig
+from repro.engine.config import StudyConfig
 from repro.engine.delta import (
     DeltaStore,
     StudyCheckpoint,
@@ -72,7 +72,6 @@ from repro.engine.session import (
 from repro.engine.stage import (
     MapStage,
     Stage,
-    StageEvent,
     StudyPlan,
 )
 from repro.engine.stream import (
@@ -114,11 +113,9 @@ __all__ = [
     "HandleStream",
     "MapStage",
     "ProjectFailure",
-    "ProgressHook",
     "RECORDS_STAGE_VERSION",
     "ResultCache",
     "Stage",
-    "StageEvent",
     "StageTiming",
     "StudyCheckpoint",
     "StudyConfig",

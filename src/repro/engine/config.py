@@ -1,27 +1,23 @@
 """The single execution configuration threaded through the pipeline.
 
 One :class:`StudyConfig` carries everything that parameterizes a study
-run — corpus seed, label scheme, worker count, cache directory and the
-progress hook — so the CLI, the benchmarks and library callers all
-speak the same object instead of hand-wiring keyword arguments through
-every layer.
+run — corpus seed, label scheme, worker count, cache directory, error
+policy — so the CLI, the benchmarks and library callers all speak the
+same object instead of hand-wiring keyword arguments through every
+layer.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.corpus.generator import DEFAULT_SEED
 from repro.engine.faults import ErrorPolicy, FaultPlan
-from repro.engine.stage import StageEvent
 from repro.errors import EngineError
 from repro.labels.quantization import DEFAULT_SCHEME, LabelScheme
-
-#: Signature of the per-stage progress callback.
-ProgressHook = Callable[[StageEvent], None]
 
 
 @dataclass(frozen=True)
@@ -72,8 +68,6 @@ class StudyConfig:
             cache and only the remainder executes. Needs ``cache_dir``
             (the journal lives there). Output is byte-identical to a
             cold run either way.
-        progress: optional per-stage event callback (timing/progress
-            hooks for CLIs and dashboards); excluded from equality.
     """
 
     seed: int = DEFAULT_SEED
@@ -89,7 +83,6 @@ class StudyConfig:
     faults: FaultPlan | None = None
     delta: bool = True
     resume_from: str | None = None
-    progress: ProgressHook | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -116,8 +109,3 @@ class StudyConfig:
     def replace(self, **changes: Any) -> "StudyConfig":
         """A copy of this config with the given fields changed."""
         return dataclasses.replace(self, **changes)
-
-    def emit(self, event: StageEvent) -> None:
-        """Deliver ``event`` to the progress hook, if any."""
-        if self.progress is not None:
-            self.progress(event)

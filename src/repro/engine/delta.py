@@ -218,6 +218,13 @@ class DeltaStore:
             return False
         return True
 
+    def discard(self, pid: str, mode: str) -> None:
+        """Remove the project's checkpoint, if any (best-effort)."""
+        try:
+            self.path_for(pid, mode).unlink(missing_ok=True)
+        except OSError:
+            pass
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DeltaStore({str(self.root)!r})"
 
@@ -438,7 +445,8 @@ def serve_corpus_delta(store: DeltaStore, pid: str, project,
     the full compute"; a rewritten/unusable checkpoint also counts as
     ``delta_rewritten``. A migration-style history is never served:
     :func:`capture_checkpoint` writes no checkpoint for one, so any
-    checkpoint found for it read the same commits as snapshots.
+    checkpoint found for it read the same commits as snapshots, and
+    the full compute that follows drops it.
     """
     cp = store.load(pid, "corpus")
     if cp is None:

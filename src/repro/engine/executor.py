@@ -10,8 +10,7 @@ pickled chunks fanned out over a ``ProcessPoolExecutor``
 (``config.jobs``) under a bounded in-flight window (~2×jobs chunks
 outstanding; a full window stops the input iterator), so parent-side
 memory stays flat at any corpus size. Per-stage wall-clock timings and
-cache statistics are collected into an :class:`ExecutionReport` and
-streamed to the config's progress hook.
+cache statistics are collected into an :class:`ExecutionReport`.
 
 Map stages are fault-tolerant: every item runs under the config's
 :class:`~repro.engine.faults.ErrorPolicy` (fail fast / skip / retry
@@ -63,7 +62,7 @@ from repro.engine.session import (
     RunRecord,
     source_session_key,
 )
-from repro.engine.stage import MapStage, StageEvent, StudyPlan
+from repro.engine.stage import MapStage, StudyPlan
 from repro.errors import EngineError, RunInterrupted
 
 #: The counter columns of ``--timings``: header, the counters the cell
@@ -772,7 +771,6 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
         try:
             for stage in order:
                 guard.check()
-                config.emit(StageEvent(stage=stage.name, phase="start"))
                 started = time.perf_counter()
                 before = obs.snapshot()
                 shipped: Mapping[str, int] = {}
@@ -811,8 +809,6 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
                     chunk_size=chunk_size, counters=dict(counters))
                 results[stage.name] = value
                 report.timings.append(timing)
-                config.emit(StageEvent(stage=stage.name, phase="finish",
-                                       timing=timing))
         except RunInterrupted:
             interrupted = True
     report.failures[:0] = feed_failures

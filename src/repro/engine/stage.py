@@ -11,29 +11,9 @@ memoize in the content-addressed result cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import EngineError
-
-if TYPE_CHECKING:
-    from repro.engine.executor import StageTiming
-
-
-@dataclass(frozen=True)
-class StageEvent:
-    """One progress notification emitted while a plan executes.
-
-    Attributes:
-        stage: name of the stage the event concerns.
-        phase: ``"start"`` or ``"finish"``.
-        timing: the stage's :class:`~repro.engine.executor.StageTiming`
-            — seconds, items, chunk size and counters (finish events
-            only).
-    """
-
-    stage: str
-    phase: str
-    timing: StageTiming | None = None
 
 
 @dataclass(frozen=True)

@@ -229,14 +229,17 @@ def source_record_delta(handle, source, scheme: LabelScheme,
     extend the checkpointed series and snapshot); anything else — no
     checkpoint, rewritten history, unusable state — computes in full
     exactly as :func:`source_record`, then writes a fresh checkpoint
-    so the *next* growth is O(K). Results are byte-identical across
-    every path; projects whose fingerprint did not move at all are
+    so the *next* growth is O(K). A full compute that yields no
+    checkpoint (a migration-style history) drops the stored one, which
+    could never serve again. Results are byte-identical across every
+    path; projects whose fingerprint did not move at all are
     result-cache hits and never reach this function.
     """
     from repro.engine import delta as delta_mod
     if store is None:
         return source_record(handle, source, scheme)
     if source.mode == "corpus":
+        mode = "corpus"
         loaded = source.load(handle.pid)
         history = loaded.history
         chain = delta_mod.commit_chain(history.commits)
@@ -245,21 +248,20 @@ def source_record_delta(handle, source, scheme: LabelScheme,
         if served is not None:
             return served
         record = corpus_record(loaded, scheme)
-        checkpoint = delta_mod.capture_checkpoint(
-            handle.pid, "corpus", history, record, chain)
-        if checkpoint is not None:
-            store.save(checkpoint)
-        return record
-    chain = source.version_chain(handle.pid)
-    served = delta_mod.serve_history_delta(store, handle.pid, source,
-                                           chain, scheme)
-    if served is not None:
-        return served
-    history = source.load(handle.pid)
-    record = history_record(history, scheme)
+    else:
+        mode = "histories"
+        chain = source.version_chain(handle.pid)
+        served = delta_mod.serve_history_delta(store, handle.pid, source,
+                                               chain, scheme)
+        if served is not None:
+            return served
+        history = source.load(handle.pid)
+        record = history_record(history, scheme)
     checkpoint = delta_mod.capture_checkpoint(
-        handle.pid, "histories", history, record, chain)
-    if checkpoint is not None:
+        handle.pid, mode, history, record, chain)
+    if checkpoint is None:
+        store.discard(handle.pid, mode)
+    else:
         store.save(checkpoint)
     return record
 

@@ -2,12 +2,14 @@
 
 The fused backend must be *byte-identical* to the per-record analysis
 implementations — same floats, same dict insertion order, same rendered
-report. Each kernel is checked against its oracle on the small corpus,
-and the pack itself round-trips (``pack -> unpack -> pack``) under
-hypothesis-driven record subsets.
+report. Each kernel is checked against its oracle on the small corpus
+and on 3,000 records, and the pack itself round-trips
+(``pack -> unpack -> pack``) under hypothesis-driven record subsets.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,9 +34,11 @@ from repro.analysis.table import (
     RecordTable,
     pack_record,
 )
+from repro.corpus.generator import generate_corpus
 from repro.diff.changes import N_KINDS
 from repro.errors import AnalysisError
 from repro.mining.correlation import spearman_matrix
+from repro.patterns.taxonomy import Pattern
 from repro.study.pipeline import records_from_corpus, run_study
 from tests.analysis.per_record_oracle import run_oracle_study
 
@@ -174,6 +178,31 @@ class TestKernelsMatchOracles:
                     report.render_section63)
         for render in sections:
             assert render(fused) == render(oracle), render.__name__
+
+
+#: A 30-project population; its records copied 100 times make the
+#: 3,000-record set, where the per-record passes' attribute walks
+#: dominate.
+SCALE_POPULATION = {
+    Pattern.FLATLINER: 4, Pattern.RADICAL_SIGN: 4, Pattern.SIGMOID: 4,
+    Pattern.LATE_RISER: 4, Pattern.QUANTUM_STEPS: 4,
+    Pattern.REGULARLY_CURATED: 4, Pattern.SMOKING_FUNNEL: 3,
+    Pattern.SIESTA: 3,
+}
+
+
+class TestKernelsMatchOraclesAtScale(TestKernelsMatchOracles):
+    """The same checks on 3,000 records: the seed-8 base, each record
+    copied 100 times under a distinct ``~xNNN`` name."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        base = records_from_corpus(generate_corpus(
+            seed=8, population=SCALE_POPULATION, with_exceptions=False))
+        records = tuple(dataclasses.replace(r, name=f"{r.name}~x{i:03d}")
+                        for i in range(100) for r in base)
+        assert len(records) == 3000
+        return records
 
 
 class TestEdges:

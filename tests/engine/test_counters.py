@@ -7,7 +7,10 @@
 * the ``--timings`` layout and the ledger's key set are pinned for one
   fixed small run with a cache dir and a refresh: ``perfbench`` parses
   the TOTAL row's cache cell and CI reads ledger keys such as
-  ``delta_rewritten``.
+  ``delta_rewritten``;
+* the statement memo and heartbeat kernel move exact counts on a small
+  records map and on the default study, so a fast path that silently
+  falls back to re-parsing or rebuilding fails here.
 """
 
 import sys
@@ -23,7 +26,9 @@ from repro.engine import (
     execute_study_from_source,
 )
 from repro.engine.executor import COLUMNS
+from repro.patterns.taxonomy import Pattern
 from repro.sources import CorpusDirSource, SyntheticSource, export_corpus_dir
+from repro.study.pipeline import records_from_corpus
 from tests.conftest import SMALL_POPULATION
 from tests.engine.test_delta import POPULATION, grow_corpus_dir
 
@@ -223,3 +228,33 @@ class TestPinnedLayout:
         assert {k: v for k, v in table.items() if k != "ms"} \
             == {"stage": "table", "pack_rows": 8}
         assert all(set(stage) == {"stage", "ms"} for stage in analyses)
+
+
+class TestExactCounts:
+    def test_small_records_map(self):
+        corpus = generate_corpus(
+            seed=7, population={Pattern.FLATLINER: 1,
+                                Pattern.RADICAL_SIGN: 2,
+                                Pattern.SIESTA: 1},
+            with_exceptions=False)
+        before = obs.snapshot()
+        assert len(records_from_corpus(corpus)) == 4
+        moved = obs.since(before)
+        assert {name: moved.get(name, 0)
+                for name in ("parse_hits", "parse_misses",
+                             "kernel_series", "kernel_reuse")} == {
+            "parse_hits": 24, "parse_misses": 78,
+            "kernel_series": 4, "kernel_reuse": 12}
+
+    def test_default_study(self):
+        # A synthetic source realizes each project afresh, so no
+        # history arrives already parsed; the default-seed digest pin
+        # holds the output.
+        _, report = execute_study_from_source(SyntheticSource(),
+                                              StudyConfig())
+        assert {name: report.counters[name]
+                for name in ("parse_hits", "parse_misses",
+                             "kernel_series", "kernel_reuse",
+                             "pack_rows")} == {
+            "parse_hits": 11_414, "parse_misses": 4_194,
+            "kernel_series": 151, "kernel_reuse": 453, "pack_rows": 151}

@@ -10,7 +10,7 @@ incremental recompute:
 * a rewrite of old history fails the version-chain prefix proof and
   falls back to a full recompute, still byte-identical, and so does a
   migration-style history whose checkpoint read its commits as
-  snapshots;
+  snapshots — once, since that recompute drops the checkpoint;
 * a fault-injected append heals under the retry policy with the same
   output; corrupt and older-format checkpoint files read as "no
   checkpoint";
@@ -310,24 +310,51 @@ class TestMigrationStyleFallback:
         export_corpus_dir(
             dataclasses.replace(corpus, projects=projects), root)
 
-    def test_snapshot_checkpoint_never_serves_migrations(self,
-                                                         corpus_root,
-                                                         tmp_path):
-        # The same commits, first exported as snapshots (which writes
-        # a checkpoint), then as migrations: the chain still proves the
-        # prefix, but the checkpoint's state folded the wrong reading.
-        sigmoid = import_corpus_dir(corpus_root).projects[2]
+    def restyle_as_migrations(self, root, cache):
+        """Study project 2 read as snapshots, then re-study it read as
+        migrations: its history and the re-study's results and report.
+
+        The chain still proves the prefix, but the checkpoint the first
+        study wrote folded the wrong reading of the same commits.
+        """
+        sigmoid = import_corpus_dir(root).projects[2]
         history = realize_history(
             sigmoid.plan, random.Random(3), sigmoid.name,
             sigmoid.history.dialect, commit_style="incremental")
-        cache = tmp_path / "cache"
-        self.export_styled(corpus_root, history, incremental=False)
-        study(corpus_root, cache)
-        self.export_styled(corpus_root, history, incremental=True)
-        results, report = study(corpus_root, cache)
+        self.export_styled(root, history, incremental=False)
+        study(root, cache)
+        self.export_styled(root, history, incremental=True)
+        return history, *study(root, cache)
+
+    def test_snapshot_checkpoint_never_serves_migrations(self,
+                                                         corpus_root,
+                                                         tmp_path):
+        _, results, report = self.restyle_as_migrations(
+            corpus_root, tmp_path / "cache")
         assert report.cache_misses == 1
         assert report.delta_rewritten == 1
         assert report.delta_appended == 0
+        cold, _ = study(corpus_root, tmp_path / "cold")
+        assert markdown_report(results) == markdown_report(cold)
+
+    def test_growth_after_migrations_counts_no_rewrite(self, corpus_root,
+                                                       tmp_path):
+        # The re-study that found the stale snapshot checkpoint drops
+        # it, so the next growth recomputes without tripping the guard.
+        cache = tmp_path / "cache"
+        history, _, _ = self.restyle_as_migrations(corpus_root, cache)
+        grown = Commit(sha="grow-0",
+                       timestamp=history.commits[-1].timestamp
+                       + timedelta(days=30),
+                       ddl_text="CREATE TABLE delta_extra_0 (id INT);\n")
+        self.export_styled(corpus_root, SchemaHistory(
+            history.project_name, [*history.commits, grown],
+            project_start=history.project_start,
+            project_end=max(history.project_end, grown.timestamp),
+            dialect=history.dialect), incremental=True)
+        results, report = study(corpus_root, cache)
+        assert report.cache_misses == 1
+        assert report.delta_rewritten == 0
         cold, _ = study(corpus_root, tmp_path / "cold")
         assert markdown_report(results) == markdown_report(cold)
 

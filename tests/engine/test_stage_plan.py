@@ -5,7 +5,6 @@ import pytest
 from repro.engine import (
     MapStage,
     Stage,
-    StageEvent,
     StudyConfig,
     StudyPlan,
     execute_plan,
@@ -133,18 +132,6 @@ class TestExecutePlan:
         parallel, _ = execute_plan(plan, {"items": list(range(20))},
                                    StudyConfig(jobs=2))
         assert parallel["mapped"] == serial["mapped"]
-
-    def test_progress_events_stream(self):
-        events: list[StageEvent] = []
-        plan = StudyPlan([Stage(name="doubled", fn=_double,
-                                inputs=("x",))])
-        _, report = execute_plan(plan, {"x": 1},
-                                 StudyConfig(progress=events.append))
-        phases = [(e.stage, e.phase) for e in events]
-        assert phases == [("doubled", "start"), ("doubled", "finish")]
-        # The finish event carries the stage's timing; start has none.
-        assert events[0].timing is None
-        assert events[1].timing is report.timing("doubled")
 
     def test_missing_timing_raises(self):
         plan = StudyPlan([Stage(name="doubled", fn=_double,

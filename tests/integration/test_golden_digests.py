@@ -3,8 +3,9 @@
 ``tests/fixtures/study_digests.json`` pins the whole rendered study,
 parser to Shapiro–Wilk kernel to report, for the default seed (also
 replayed from a ``generate`` corpus file, serially and in parallel),
-another synthetic seed and a corpus directory written by ``corpus
-export --limit 24``. It also pins the record list, as the three CSVs
+another synthetic seed, a corpus directory written by ``corpus
+export --limit 24`` and a git repository committing those 24 projects
+version by version. It also pins the record list, as the three CSVs
 ``export`` writes for that directory, studied both as ``dir:`` and as
 an in-memory ``--corpus`` file. Every other golden check compares two
 execution paths of the same checkout, so a numerical drift shared by
@@ -20,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.sources import import_corpus_dir
+from tests.engine.test_delta import _git as git, needs_git
 
 DIGESTS = json.loads(
     (Path(__file__).resolve().parents[1] / "fixtures"
@@ -78,3 +81,30 @@ def test_imported_corpus_file_records(export_24, tmp_path):
     assert export_digests("--corpus", str(corpus_file),
                           output=tmp_path / "out") \
         == DIGESTS["export-24-csv"]
+
+
+@pytest.fixture(scope="module")
+def git_24(export_24, tmp_path_factory):
+    """A git repository of the 24 exported projects: one ``<name>.sql``
+    per project and one commit per version, in (timestamp, name) order,
+    dated at the version's timestamp."""
+    root = tmp_path_factory.mktemp("git")
+    git(root, "init", "-q", ".")
+    versions = sorted(
+        ((commit.timestamp, project.name, commit.ddl_text)
+         for project in import_corpus_dir(export_24).projects
+         for commit in project.history.commits),
+        key=lambda version: version[:2])
+    for stamp, name, ddl_text in versions:
+        (root / f"{name}.sql").write_text(ddl_text)
+        git(root, "add", f"{name}.sql")
+        date = f"{stamp:%Y-%m-%dT%H:%M:%S}Z"
+        git(root, "commit", "-q", "-m", f"{name} {date}", env_date=date)
+    return root
+
+
+@needs_git
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_git_repository_study(capsys, git_24, jobs):
+    assert study_digest(capsys, "--source", f"git:{git_24}",
+                        "--jobs", jobs) == DIGESTS["git-24"]
