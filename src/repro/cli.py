@@ -43,6 +43,7 @@ from repro.engine import (
     EngineSession,
     FaultPlan,
     StudyConfig,
+    history_record,
     policy_from_name,
     read_ledger,
 )
@@ -63,9 +64,7 @@ from repro.history.repository import (
     load_history_from_directory,
     load_history_from_jsonl,
 )
-from repro.labels.quantization import label_profile
-from repro.metrics.profile import ProjectProfile
-from repro.patterns.classifier import classify_with_tolerance
+from repro.labels.quantization import DEFAULT_SCHEME
 from repro.sources import (
     InMemorySource,
     import_corpus_dir,
@@ -121,7 +120,6 @@ def _study_config(args: argparse.Namespace) -> StudyConfig:
         faults=faults if faults else None,
         sample=getattr(args, "sample", None),
         stratified=getattr(args, "stratified", False),
-        delta=not getattr(args, "no_delta", False),
         resume_from=getattr(args, "resume", None),
     )
 
@@ -277,12 +275,9 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    history = _load_history(args.history)
-    profile = ProjectProfile.from_history(history)
-    labeled = label_profile(profile)
-    result = classify_with_tolerance(labeled)
-    marks = profile.landmarks
-    print(f"project:            {history.project_name}")
+    record = history_record(_load_history(args.history), DEFAULT_SCHEME)
+    marks = record.profile.landmarks
+    print(f"project:            {record.name}")
     print(f"PUP (months):       {marks.pup_months}")
     print(f"schema birth:       month {marks.birth_month} "
           f"({marks.birth_pct:.0%} of life)")
@@ -292,13 +287,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
           f"({marks.top_band_pct:.0%} of life)")
     print(f"active growth mo.:  {marks.active_growth_months}")
     print(f"vault:              {marks.has_vault}")
-    print(f"labels:             {labeled.feature_dict()}")
-    suffix = " (exception)" if result.is_exception else ""
-    print(f"pattern:            {result.pattern.value}{suffix}")
+    print(f"labels:             {record.labeled.feature_dict()}")
+    suffix = " (exception)" if record.is_exception else ""
+    print(f"pattern:            {record.pattern.value}{suffix}")
     from repro.patterns.describe import describe
     from repro.patterns.taxonomy import Pattern
-    if result.pattern is not Pattern.UNCLASSIFIED:
-        description = describe(result.pattern)
+    if record.pattern is not Pattern.UNCLASSIFIED:
+        description = describe(record.pattern)
         print(f"shape:              {description.shape}")
         print(f"meaning:            {description.meaning}")
         print(f"advice:             {description.advice}")
@@ -333,14 +328,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
     rows = []
     for history in histories:
-        profile = ProjectProfile.from_history(history)
-        labeled = label_profile(profile)
-        outcome = classify_with_tolerance(labeled)
+        record = history_record(history, DEFAULT_SCHEME)
+        profile = record.profile
         rows.append([
-            history.project_name, profile.pup_months,
+            record.name, profile.pup_months,
             profile.birth_month, profile.total_activity,
-            outcome.pattern.value
-            + (" (exception)" if outcome.is_exception else ""),
+            record.pattern.value
+            + (" (exception)" if record.is_exception else ""),
         ])
     print(format_table(
         ["project", "PUP", "birth", "activity", "pattern"], rows,
@@ -369,31 +363,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return _fault_exit(timing)
 
 
-def _stratified_ids(source, limit: int) -> list[str]:
-    """The first ``limit`` project ids, drawn round-robin across strata.
-
-    The id-level counterpart of
-    :func:`repro.sources.corpusdir.stratified` — same selection, same
-    order, but over a lazy source's plan so nothing is realized.
-    """
-    from repro.sources import source_stratum
-    groups: dict[str, list[str]] = {}
-    for pid in source.project_ids():
-        groups.setdefault(source_stratum(source, pid), []).append(pid)
-    picked: list[str] = []
-    queues = list(groups.values())
-    while queues and len(picked) < limit:
-        for queue in list(queues):
-            if len(picked) >= limit:
-                break
-            picked.append(queue.pop(0))
-            if not queue:
-                queues.remove(queue)
-    return picked
-
-
 def _cmd_corpus_export(args: argparse.Namespace) -> int:
     from repro.sources import write_corpus_dir
+    from repro.sources.base import round_robin
     from repro.sources.corpusdir import stratified
     from repro.sources.synthetic import SyntheticSource
     config = _study_config(args)
@@ -403,14 +375,15 @@ def _cmd_corpus_export(args: argparse.Namespace) -> int:
         corpus = load_corpus(args.corpus)
         seed = corpus.seed
         projects = corpus.projects if args.limit is None \
-            else stratified(list(corpus.projects), args.limit)
+            else stratified(corpus.projects, args.limit)
     else:
         # Regenerating: realize projects one at a time off the lazy
         # synthetic plan so export memory stays O(shard), not
-        # O(corpus).
+        # O(corpus); --limit draws ids, so nothing else is realized.
         source = SyntheticSource(seed=config.seed)
         pids = source.project_ids() if args.limit is None \
-            else _stratified_ids(source, args.limit)
+            else round_robin(source.project_ids(), source.stratum,
+                             args.limit)
         seed = source.seed
         projects = (source.load(pid) for pid in pids)
     written = write_corpus_dir(projects, args.output, seed=seed,
@@ -579,13 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="content-addressed result cache; "
                                 "re-runs recompute only changed "
                                 "projects (default: no cache)")
-            p.add_argument("--no-delta", action="store_true",
-                           help="do not maintain per-project study "
-                                "checkpoints in the cache dir; "
-                                "'refresh' then recomputes grown "
-                                "histories in full (output is "
-                                "identical, just O(N) instead of "
-                                "O(K))")
         if faults:
             p.add_argument("--on-error",
                            choices=["fail", "skip", "retry"],

@@ -8,9 +8,9 @@ reports per-stage timings (:class:`ExecutionReport`). A single
 :class:`StudyConfig` (seed, scheme, jobs, cache dir, error policy) is
 threaded through the corpus generator, the study pipeline, the CLI and
 the benchmarks. Long-lived runtime state — the persistent worker pool,
-hot-layer caches, the source-handle registry and the run ledger —
-lives in an :class:`EngineSession`; every entry point takes an
-optional ``session=`` and opens a throwaway one otherwise.
+hot-layer caches and the run ledger — lives in an
+:class:`EngineSession`; every entry point takes an optional
+``session=`` and opens a throwaway one otherwise.
 
 Every source — synthetic, corpus directory, git checkout or
 in-memory objects — maps through one handle-driven records plan.

@@ -57,12 +57,6 @@ class StudyConfig:
             execution cannot be preempted and ignores this).
         faults: optional deterministic fault-injection plan (testing/
             chaos runs); ``None`` injects nothing.
-        delta: maintain per-project study checkpoints in the cache dir
-            and serve append-only history growth through the O(K)
-            suffix kernel instead of a full recompute (needs
-            ``cache_dir`` and a source speaking the version-chain
-            protocol; output is byte-identical either way). False
-            disables both checkpoint writes and reads.
         resume_from: journal run id of an interrupted/killed run to
             resume — its journaled chunks are replayed from the result
             cache and only the remainder executes. Needs ``cache_dir``
@@ -81,7 +75,6 @@ class StudyConfig:
     error_policy: ErrorPolicy = ErrorPolicy()
     stage_timeout: float | None = None
     faults: FaultPlan | None = None
-    delta: bool = True
     resume_from: str | None = None
 
     def __post_init__(self):

@@ -232,16 +232,14 @@ class DeltaStore:
 def delta_store_for(source: Any, config: Any) -> DeltaStore | None:
     """The delta store a run over ``source`` should use, or ``None``.
 
-    Checkpoints are maintained whenever (a) the config asks for delta
-    maintenance (the default), (b) a cache directory exists to hold
-    them, (c) the source speaks the version-chain protocol, and (d)
-    incremental statement parsing is globally enabled (the suffix
+    Checkpoints are maintained whenever (a) a cache directory exists
+    to hold them, (b) the source speaks the version-chain protocol, and
+    (c) incremental statement parsing is globally enabled (the suffix
     kernel rides the memo; ``--no-incremental`` A/B runs stay classic
-    end to end).
+    end to end). A cold study in a fresh cache dir is the oracle of a
+    delta refresh.
     """
     if config is None or config.cache_dir is None:
-        return None
-    if not getattr(config, "delta", True):
         return None
     if getattr(source, "version_chain", None) is None:
         return None

@@ -694,7 +694,6 @@ def _config_summary(config: StudyConfig) -> dict:
         "stratified": config.stratified,
         "on_error": config.error_policy.mode,
         "stage_timeout": config.stage_timeout,
-        "delta": config.delta,
         "resume_from": config.resume_from,
     }
 

@@ -16,10 +16,6 @@ query service and watch mode sit on:
   :class:`HotResultCache`: the on-disk content-addressed store fronted
   by a bounded in-memory LRU of *deserialized* values, so repeat hits
   skip the disk read, the envelope checksum and the unpickle entirely;
-* a **source-handle registry** — a lightweight source's project ids
-  and fingerprints are enumerated once per session (git walks, corpus
-  manifests) and reused on re-study, keyed by the source's content
-  identity;
 * a **run ledger** — ``session.runs`` records every plan execution
   (source fingerprint, config, stage timings, cache hit rates,
   parse-memo/kernel counters, failures, result digest) and appends the
@@ -27,11 +23,12 @@ query service and watch mode sit on:
   operated deployments their "what ran, on what data, how fast, what
   broke" story.
 
+Source enumeration is not session state: every run enumerates its
+source afresh, and sources memoize their own enumeration per instance.
+
 Lifecycle is context-manager or explicit :meth:`EngineSession.close`;
 a module-level ``atexit`` guard shuts down any pool a crashed or
 interrupted process left behind, so CLI runs never leak workers.
-Sessions assume their sources are stable for their lifetime — the
-watch-mode work will add invalidation.
 """
 
 from __future__ import annotations
@@ -61,14 +58,15 @@ LEDGER_NAME = "ledger.jsonl"
 
 
 def source_session_key(source: Any) -> str | None:
-    """The session-registry key of a history source, or ``None``.
+    """The content-identity key of a history source, or ``None``.
 
     Sources that can describe their content identity cheaply (an
     ``identity()`` method returning canonicalizable parts — seed and
     population for synthetic corpora, manifest digest for corpus
     directories, HEAD sha for git checkouts) are keyed by its
-    fingerprint; anything else (in-memory adapters) returns ``None``
-    and is never registry-cached.
+    fingerprint; anything else (in-memory adapters) returns ``None``.
+    The key is a run's source fingerprint (ledger and journal) and
+    what ``refresh --watch`` compares to skip an unchanged poll.
     """
     identity = getattr(source, "identity", None)
     if identity is None:
@@ -296,7 +294,6 @@ class EngineSession:
         config: default execution configuration for runs driven through
             this session's convenience entry points; individual
             ``execute_plan`` calls may still pass their own config.
-        hot_entries: LRU bound of each cache's in-memory hot layer.
 
     Attributes:
         runs: the in-memory run ledger, oldest first.
@@ -304,17 +301,13 @@ class EngineSession:
             (a warm re-run must not increase it).
     """
 
-    def __init__(self, config: StudyConfig | None = None, *,
-                 hot_entries: int = DEFAULT_HOT_ENTRIES):
+    def __init__(self, config: StudyConfig | None = None):
         self.config = config or StudyConfig()
-        self.hot_entries = hot_entries
         self.runs: list[RunRecord] = []
         self.pool_spawns = 0
         self._pool: ProcessPoolExecutor | None = None
         self._pool_jobs = 0
         self._caches: dict[Path, HotResultCache] = {}
-        self._handles: dict[str, tuple[list, list]] = {}
-        self._shard_handles: dict[str, list] = {}
         self._closed = False
         _live_sessions.add(self)
 
@@ -326,7 +319,7 @@ class EngineSession:
         return self._closed
 
     def close(self) -> None:
-        """Release the pool and registries; the ledger stays readable.
+        """Release the pool and caches; the ledger stays readable.
 
         Idempotent. All pool shutdown — normal, respawn, abandon,
         atexit — funnels through one codepath, so there is exactly one
@@ -337,8 +330,6 @@ class EngineSession:
         self._closed = True
         self._shutdown_pool(wait=True, cancel=True)
         self._caches.clear()
-        self._handles.clear()
-        self._shard_handles.clear()
         _live_sessions.discard(self)
 
     def __enter__(self) -> "EngineSession":
@@ -408,47 +399,9 @@ class EngineSession:
         key = root.expanduser().resolve()
         cache = self._caches.get(key)
         if cache is None:
-            cache = HotResultCache(root, hot_entries=self.hot_entries)
+            cache = HotResultCache(root)
             self._caches[key] = cache
         return cache
-
-    # -- source registry -----------------------------------------------
-
-    def replay_handles(self, key: str | None
-                       ) -> tuple[list, list] | None:
-        """A previous enumeration of source identity ``key``, if any.
-
-        The :class:`~repro.engine.stream.HandleStream` replays this
-        list instead of re-walking the source. ``None`` (unknown
-        identity, or an identity-less source) means enumerate live.
-        """
-        if key is None:
-            return None
-        memo = self._handles.get(key)
-        if memo is None:
-            return None
-        handles, failures = memo
-        return list(handles), list(failures)
-
-    def remember_handles(self, key: str | None, handles: list,
-                         failures: list) -> None:
-        """Register a clean, fully consumed enumeration for replay."""
-        if key is not None and not failures:
-            self._handles[key] = (list(handles), list(failures))
-
-    def replay_shard(self, shard_key: str) -> list | None:
-        """The memoized handles of one corpus shard, or ``None``.
-
-        Shard keys fold in the shard's content hash (see
-        :meth:`~repro.sources.corpusdir.CorpusDirSource.iter_handle_shards`),
-        so replay is exactly as valid as the bytes are unchanged.
-        """
-        handles = self._shard_handles.get(shard_key)
-        return list(handles) if handles is not None else None
-
-    def remember_shard(self, shard_key: str, handles: list) -> None:
-        """Memoize one shard's enumerated handles for this session."""
-        self._shard_handles[shard_key] = list(handles)
 
     # -- incremental re-study ------------------------------------------
 

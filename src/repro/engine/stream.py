@@ -2,20 +2,18 @@
 
 A :class:`HandleStream` is the engine-side face of a source's project
 enumeration: single-use, pulled one handle at a time by the
-executor's bounded in-flight window, never a materialized list. For a
-source that is not lightweight it attaches each loaded project to its
-handle, so plain, fault-capturing and sampled feeds all carry it. It
-folds in everything handle enumeration needs on the side —
+executor's bounded in-flight window, never a materialized list. Every
+source is enumerated the same way, live, on every run: sources memoize
+their own enumeration per instance (a parsed manifest, a per-HEAD git
+walk, a corpus plan). For a source that is not lightweight the stream
+attaches each loaded project to its handle, so plain, fault-capturing
+and sampled feeds all carry it. It folds in what handle enumeration
+needs on the side —
 
 * **failure capture** — under a skip/retry error policy, a project
   whose fingerprinting raises is quarantined as a
   :class:`~repro.engine.faults.ProjectFailure` (after the retry
   budget, for transient errors) instead of killing the enumeration;
-* **session registry** — with an :class:`~.session.EngineSession`, a
-  previously enumerated source identity replays without touching the
-  source, sharded corpora memoize per shard (an unchanged shard
-  replays even when a sibling shard changed), and a clean, bounded
-  enumeration registers itself for the next run;
 * **run lineage** — a running digest over every ``(pid, fingerprint)``
   pair stands in for the handle list in the run ledger, since a
   consumed stream cannot be re-iterated.
@@ -40,14 +38,10 @@ from repro.errors import EngineError
 from repro.sources.base import (
     SourceHandle,
     iter_source_handles,
+    round_robin,
     source_count,
     source_stratum,
 )
-
-#: Streams longer than this are not whole-source memoized in a session
-#: registry — replay would trade the bounded-memory guarantee for a
-#: warm-enumeration win that sharded corpora already get per shard.
-REGISTRY_HANDLE_LIMIT = 65536
 
 
 class HandleStream:
@@ -58,8 +52,6 @@ class HandleStream:
         policy: the run's error policy; a capturing one quarantines
             per-project fingerprint failures into :attr:`failures`,
             ``None`` or fail-fast lets them propagate.
-        session: optional engine session whose handle registry the
-            stream consults (replay) and feeds (registration).
 
     Attributes:
         source: the wrapped source.
@@ -68,11 +60,9 @@ class HandleStream:
         seen: handles yielded so far.
     """
 
-    def __init__(self, source: Any, policy: Any = None,
-                 session: Any = None):
+    def __init__(self, source: Any, policy: Any = None):
         self.source = source
         self.policy = policy
-        self.session = session
         self.failures: list[ProjectFailure] = []
         self.seen = 0
         self._digest = hashlib.sha256()
@@ -103,60 +93,12 @@ class HandleStream:
         return self._generate()
 
     def _generate(self) -> Iterator[SourceHandle]:
-        session = self.session
-        key = None
-        if session is not None:
-            from repro.engine.session import source_session_key
-            key = source_session_key(self.source)
-            replay = session.replay_handles(key)
-            if replay is not None:
-                handles, failures = replay
-                self.failures.extend(failures)
-                for handle in handles:
-                    yield self._note(handle)
-                return
-        shard_iter = getattr(self.source, "iter_handle_shards", None)
-        if session is not None and shard_iter is not None:
-            yield from self._generate_sharded(session, key, shard_iter)
-            return
-        collected: list[SourceHandle] | None = \
-            [] if session is not None and key is not None else None
         attach = not self.source.lightweight
         for handle in self._iter_capturing():
             if attach:
                 handle = dataclasses.replace(
                     handle, item=self.source.load(handle.pid))
-            if collected is not None:
-                collected.append(handle)
-                if len(collected) > REGISTRY_HANDLE_LIMIT:
-                    collected = None
             yield self._note(handle)
-        if collected is not None and not self.failures:
-            session.remember_handles(key, collected, [])
-
-    def _generate_sharded(self, session: Any, key: str | None,
-                          shard_iter: Any) -> Iterator[SourceHandle]:
-        """Enumerate shard by shard, memoizing each shard's handles.
-
-        Shard keys fold in the shard's content hash, so re-exporting
-        one shard of a corpus invalidates exactly that shard's replay
-        while its unchanged siblings still skip enumeration.
-        """
-        collected: list[SourceHandle] | None = \
-            [] if key is not None else None
-        for shard_key, handles in shard_iter():
-            cached = session.replay_shard(shard_key)
-            if cached is None:
-                cached = list(handles)
-                session.remember_shard(shard_key, cached)
-            if collected is not None:
-                collected.extend(cached)
-                if len(collected) > REGISTRY_HANDLE_LIMIT:
-                    collected = None
-            for handle in cached:
-                yield self._note(handle)
-        if collected is not None and not self.failures:
-            session.remember_handles(key, collected, [])
 
     def _iter_capturing(self) -> Iterator[SourceHandle]:
         policy = self.policy
@@ -214,21 +156,11 @@ def sample_handles(handles: Any, sample: int, seed: int,
     if sample >= len(indexed):
         return [handle for _, handle in indexed]
     if stratified:
-        groups: dict[str, list[tuple[int, SourceHandle]]] = {}
-        for index, handle in indexed:
-            stratum = source_stratum(source, handle.pid) \
-                if source is not None else handle.pid
-            groups.setdefault(stratum, []).append((index, handle))
-        picked: list[tuple[int, SourceHandle]] = []
-        queues = list(groups.values())
-        while queues and len(picked) < sample:
-            for queue in list(queues):
-                if len(picked) >= sample:
-                    break
-                picked.append(queue.pop(0))
-                if not queue:
-                    queues.remove(queue)
-        picked.sort()
+        def stratum(pair: tuple[int, SourceHandle]) -> str:
+            pid = pair[1].pid
+            return source_stratum(source, pid) if source is not None \
+                else pid
+        picked = sorted(round_robin(indexed, stratum, sample))
         return [handle for _, handle in picked]
     rng = random.Random(seed)
     keep = sorted(rng.sample(range(len(indexed)), sample))

@@ -679,7 +679,7 @@ def run_analyses(records: Sequence[StudyRecord],
     return results["results"]
 
 
-def _handle_feed(source, config: StudyConfig, session):
+def _handle_feed(source, config: StudyConfig):
     """The map-stage feed of a source.
 
     Returns ``(feed, stream)``: the feed is the lazily enumerated
@@ -690,7 +690,7 @@ def _handle_feed(source, config: StudyConfig, session):
     failures are only complete once the feed has been consumed.
     """
     from repro.engine.stream import HandleStream, sample_handles
-    stream = HandleStream(source, config.error_policy, session)
+    stream = HandleStream(source, config.error_policy)
     if config.sample is None:
         return stream, stream
     feed = sample_handles(stream, config.sample, config.seed,
@@ -702,7 +702,7 @@ def _execute_source_plan(build, source, config: StudyConfig, session):
     """Execute ``build(delta=...)`` over ``source``'s handle feed."""
     from repro.engine.delta import delta_store_for
     store = delta_store_for(source, config)
-    feed, stream = _handle_feed(source, config, session)
+    feed, stream = _handle_feed(source, config)
     return execute_plan(
         build(delta=store is not None),
         {"handles": feed, "source": source, "scheme": config.scheme,

@@ -36,7 +36,8 @@ module level so the engine can depend on it without a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import (Any, Callable, Iterable, Iterator, Protocol, Sequence,
+                    runtime_checkable)
 
 from repro.errors import SourceError
 
@@ -93,9 +94,10 @@ class HistorySource(Protocol):
     Sources may additionally implement ``identity() -> list`` — a
     cheap, canonicalizable description of everything that determines
     their project ids and fingerprints (a seed, a manifest digest, a
-    HEAD sha). An :class:`~repro.engine.session.EngineSession` uses it
-    to enumerate handles once per identity and replay them on
-    re-study; sources without it are simply never registry-cached.
+    HEAD sha). It becomes a run's source fingerprint in the ledger
+    and journal, and ``refresh --watch`` skips a poll whose identity
+    did not change. A source memoizes its own enumeration; the engine
+    enumerates it afresh on every run.
 
     Optional streaming surface (all bridged by helpers when absent):
 
@@ -118,7 +120,7 @@ class HistorySource(Protocol):
       corpora: per-commit content hashes). This is the delta layer's
       prefix proof: "old chain is a prefix of new chain" means the
       checkpointed study state can be extended by parsing only the
-      suffix (:func:`source_version_chain` bridges to ``None``).
+      suffix.
     * ``load_delta(pid, start) -> list[Commit]`` — the project's
       commits from chain position ``start`` onward, without reading
       earlier payloads (``"histories"`` sources only; ``"corpus"``
@@ -247,20 +249,6 @@ def source_count(source: Any) -> int:
         return len(source.project_ids())
 
 
-def source_version_chain(source: Any,
-                         pid: str) -> "tuple[str, ...] | None":
-    """The project's version-hash chain, or ``None``.
-
-    ``None`` — the source does not speak the delta protocol — simply
-    means "no prefix proof available": callers fall back to a full
-    recompute, which is always correct.
-    """
-    native = getattr(source, "version_chain", None)
-    if native is None:
-        return None
-    return tuple(native(pid))
-
-
 def source_stratum(source: Any, pid: str) -> str:
     """The sampling stratum of one project (stratified study modes).
 
@@ -279,3 +267,26 @@ def source_stratum(source: Any, pid: str) -> str:
     if sep and tail.isdigit():
         return head
     return pid
+
+
+def round_robin(items: Iterable[Any], key: Callable[[Any], Any],
+                limit: int) -> list:
+    """The first ``limit`` items, drawn round-robin across strata.
+
+    ``key`` gives each item's stratum; strata take turns in the order
+    they first appear, each yielding its items in input order, so a
+    small draw spans every stratum. Returned in draw order.
+    """
+    groups: dict[Any, list] = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    picked: list = []
+    queues = list(groups.values())
+    while queues and len(picked) < limit:
+        for queue in list(queues):
+            if len(picked) >= limit:
+                break
+            picked.append(queue.pop(0))
+            if not queue:
+                queues.remove(queue)
+    return picked

@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 from repro.corpus.dataset import project_from_dict, project_to_dict
 from repro.corpus.generator import Corpus, GeneratedProject
 from repro.errors import SourceError
-from repro.sources.base import SourceHandle
+from repro.sources.base import SourceHandle, round_robin
 
 #: On-disk format tag; anything else in the manifest is rejected.
 CORPUS_DIR_FORMAT = "repro-corpus-dir"
@@ -97,19 +97,8 @@ def stratified(projects: Iterable[GeneratedProject],
     a small limit would be a single-pattern (often constant-measure)
     sample; round-robin keeps tiny exports analyzable.
     """
-    groups: dict[object, list[GeneratedProject]] = {}
-    for project in projects:
-        groups.setdefault(project.intended_pattern, []).append(project)
-    picked: list[GeneratedProject] = []
-    queues = list(groups.values())
-    while queues and len(picked) < limit:
-        for queue in list(queues):
-            if len(picked) >= limit:
-                break
-            picked.append(queue.pop(0))
-            if not queue:
-                queues.remove(queue)
-    return picked
+    return round_robin(projects, lambda project: project.intended_pattern,
+                       limit)
 
 
 @dataclass(frozen=True)
@@ -288,9 +277,8 @@ class CorpusDirSource:
     The instance carries only the root path and the parsed manifest —
     pickling it to a worker costs a few kilobytes; each worker reads
     and parses only the project files (v1) or shard line ranges (v2)
-    it is assigned. Both layouts present the same protocol surface;
-    the sharded one additionally exposes :meth:`iter_handle_shards`
-    so an engine session can memoize handle enumeration per shard.
+    it is assigned. Both layouts present the same protocol surface.
+    The manifest is read and indexed once per instance.
 
     Args:
         root: directory written by :func:`write_corpus_dir`.
@@ -366,11 +354,11 @@ class CorpusDirSource:
         return int(self._manifest.get("seed", 0))
 
     def identity(self) -> list:
-        """Content identity for engine-session registries.
+        """Content identity: a run's source fingerprint.
 
         Hashes the manifest file itself — it indexes every project's
-        SHA-256, so any content change on disk changes this identity
-        and invalidates a session's replayed enumeration.
+        SHA-256, so any content change on disk changes this identity.
+        Read afresh on every call, unlike the memoized index.
         """
         path = self.root / MANIFEST_NAME
         try:
@@ -412,13 +400,14 @@ class CorpusDirSource:
 
     def iter_handle_shards(self
                            ) -> Iterator[tuple[str, list[SourceHandle]]]:
-        """``(shard_key, handles)`` per shard, for session registries.
+        """``(shard_key, handles)`` per shard.
 
         The key folds in the resolved root, the shard file name and
-        the shard's content hash, so an engine session can replay a
-        shard's enumeration exactly when that shard is byte-identical
-        — re-exporting one shard invalidates only its own key. A v1
-        corpus is one logical shard keyed off the manifest digest.
+        the shard's content hash, so it changes exactly when that
+        shard's bytes do. A v1 corpus is one logical shard keyed off
+        the manifest digest. The engine enumerates through
+        :meth:`iter_handles` and calls nothing here; perfbench's
+        tracer still wraps this method by name.
         """
         self._index()
         where = str(self.root.expanduser().resolve())

@@ -128,11 +128,12 @@ class GitDirSource:
         return tip
 
     def identity(self) -> list:
-        """Content identity for engine-session registries.
+        """Content identity: a run's source fingerprint.
 
         Keyed on HEAD: discovery and per-file history both derive from
-        the commit graph at HEAD, so an unchanged sha means a session
-        may replay its previous enumeration without re-walking git.
+        the commit graph at HEAD, so an unchanged sha means unchanged
+        ids and fingerprints — which is also when this instance's
+        memoized discovery and fingerprints stay valid.
         """
         head = self._sync_tip()
         return ["git", GIT_SOURCE_VERSION, self.root, head,
@@ -157,6 +158,10 @@ class GitDirSource:
 
     def fingerprint(self, pid: str) -> str:
         self._sync_tip()
+        return self._tip_fingerprint(pid)
+
+    def _tip_fingerprint(self, pid: str) -> str:
+        """The fingerprint at the last synced tip, memoized per tip."""
         cached = self._fingerprints.get(pid)
         if cached is not None:
             return cached
@@ -208,12 +213,14 @@ class GitDirSource:
         Discovery (one ``ls-files`` + per-file DDL sniff) still runs
         up front and is memoized; the per-file ``git log`` sha-chain
         fingerprints — the expensive part at scale — run one at a time
-        as the engine's bounded window pulls handles.
+        as the engine's bounded window pulls handles. HEAD is checked
+        once per enumeration, not once per file, so re-enumerating an
+        unchanged repository runs one ``rev-parse`` and nothing else.
         """
         from repro.sources.base import SourceHandle
         for pid in self.project_ids():
             yield SourceHandle(pid=pid,
-                               fingerprint=self.fingerprint(pid))
+                               fingerprint=self._tip_fingerprint(pid))
 
     def count(self) -> int:
         """Discovered DDL-file total (memoized discovery, no logs)."""

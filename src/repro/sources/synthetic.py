@@ -76,11 +76,12 @@ class SyntheticSource:
                 f"seed {self.seed}") from None
 
     def identity(self) -> list:
-        """Content identity for engine-session registries.
+        """Content identity: a run's source fingerprint.
 
         Everything that determines the planned corpus — an equal
-        identity guarantees equal project ids and fingerprints, so a
-        session may replay a previous enumeration.
+        identity guarantees equal project ids and fingerprints. The
+        plan itself is memoized per instance, so re-studying this
+        instance plans once.
         """
         population = None
         if self.population is not None:

@@ -113,11 +113,6 @@ class TestDeltaStoreGating:
         source = SyntheticSource(seed=99, population=POPULATION)
         assert delta_store_for(source, StudyConfig()) is None
 
-    def test_config_flag_disables(self, tmp_path):
-        source = SyntheticSource(seed=99, population=POPULATION)
-        config = StudyConfig(cache_dir=tmp_path, delta=False)
-        assert delta_store_for(source, config) is None
-
     def test_chainless_source_disables(self, tmp_path):
         class Chainless:
             pass
@@ -144,11 +139,6 @@ class TestCheckpointLifecycle:
             assert checkpoint.chain == commit_chain(history.commits)
             assert checkpoint.last_commit_ts \
                 == history.commits[-1].timestamp
-
-    def test_no_delta_config_writes_none(self, corpus_root, tmp_path):
-        cache = tmp_path / "cache"
-        study(corpus_root, cache, delta=False)
-        assert not (cache / DELTA_SUBDIR).exists()
 
     def test_corrupt_checkpoint_reads_as_missing(self, corpus_root,
                                                  tmp_path):

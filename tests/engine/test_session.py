@@ -1,4 +1,4 @@
-"""Engine sessions: warm pool, hot cache, handle registry, run ledger.
+"""Engine sessions: warm pool, hot cache, run ledger.
 
 The acceptance bar of the session layer:
 
@@ -20,6 +20,7 @@ import json
 
 import pytest
 
+from repro.corpus.generator import plan_corpus
 from repro.engine import (
     EngineSession,
     ErrorPolicy,
@@ -38,6 +39,7 @@ from repro.sources import (
     CorpusDirSource,
     SyntheticSource,
     export_corpus_dir,
+    synthetic,
 )
 from repro.sources.base import InMemorySource
 from tests.conftest import SMALL_POPULATION
@@ -210,32 +212,28 @@ class TestRunLedger:
 
 
 class TestHandleRegistry:
-    def test_enumerated_once_per_session(self, tmp_path):
+    def test_enumerated_once_per_session(self, monkeypatch):
+        # The source memoizes its own plan: a second study of the same
+        # instance re-enumerates it without planning the corpus again.
         calls = []
 
-        class CountingSource(SyntheticSource):
-            def identity(self):
-                return super().identity()
+        def counting_plan(*args):
+            calls.append(args)
+            return plan_corpus(*args)
 
-            def project_ids(self):
-                calls.append("ids")
-                return super().project_ids()
-
-        source = CountingSource(seed=99, population=SMALL_POPULATION,
-                                with_exceptions=False)
+        monkeypatch.setattr(synthetic, "plan_corpus", counting_plan)
+        source = SyntheticSource(seed=99, population=SMALL_POPULATION,
+                                 with_exceptions=False)
         with EngineSession() as session:
             study(source, session)
-            first = calls.count("ids")
             study(source, session)
-            assert calls.count("ids") == first
+        assert len(calls) == 1
 
     def test_in_memory_source_never_memoized(self, small_corpus):
         source = InMemorySource(small_corpus.projects, mode="corpus")
         with EngineSession() as session:
             results, _ = execute_study_from_source(source,
                                                    session=session)
-            assert session._handles == {}
-            assert session._shard_handles == {}
             assert len(results.records) == len(source)
 
 

@@ -1,12 +1,11 @@
 """Streaming handle enumeration: single-use streams, deterministic
-sampling, session replay, and the flat handle-side memory guarantee."""
+sampling, and the flat handle-side memory guarantee."""
 
 import tracemalloc
 
 import pytest
 
 from repro.engine import (
-    EngineSession,
     HandleStream,
     MapStage,
     StudyConfig,
@@ -126,30 +125,6 @@ class TestFailureCapture:
         stream = HandleStream(Flaky(2), policy=policy_from_name("fail"))
         with pytest.raises(ValueError):
             list(stream)
-
-
-class TestSessionReplay:
-    def test_clean_stream_registers_and_replays(self):
-        calls = []
-
-        class Spy(FakeStreamSource):
-            def iter_handles(self):
-                calls.append("enumerate")
-                return super().iter_handles()
-
-        source = Spy(8)
-        with EngineSession() as session:
-            first = list(HandleStream(source, session=session))
-            second = list(HandleStream(source, session=session))
-        assert calls == ["enumerate"]
-        assert second == first
-
-    def test_shard_memo_round_trip(self):
-        with EngineSession() as session:
-            assert session.replay_shard("k1") is None
-            handles = [SourceHandle(pid="a", fingerprint="fa")]
-            session.remember_shard("k1", handles)
-            assert session.replay_shard("k1") == handles
 
 
 class TestSampling:

@@ -7,11 +7,12 @@ another synthetic seed, a corpus directory written by ``corpus
 export --limit 24`` and a git repository committing those 24 projects
 version by version. It also pins the record list, as the three CSVs
 ``export`` writes for that directory, studied both as ``dir:`` and as
-an in-memory ``--corpus`` file. Every other golden check compares two
-execution paths of the same checkout, so a numerical drift shared by
-both paths shows only here. A change meant to move the report updates
-the digests deliberately. CI's runtime-only job checks the
-default-seed digest too.
+an in-memory ``--corpus`` file, and the ``classify`` and ``profile``
+stdout over those 24 projects saved as JSONL history logs. Every
+other golden check compares two execution paths of the same checkout,
+so a numerical drift shared by both paths shows only here. A change
+meant to move the report updates the digests deliberately. CI's
+runtime-only job checks the default-seed digest too.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.history.repository import save_history_to_jsonl
 from repro.sources import import_corpus_dir
 from tests.engine.test_delta import _git as git, needs_git
 
@@ -29,10 +31,15 @@ DIGESTS = json.loads(
      / "study_digests.json").read_text())
 
 
-def study_digest(capsys, *argv):
+def cli_stdout(capsys, *argv):
     capsys.readouterr()
-    assert main(["study", *argv]) == 0
-    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def study_digest(capsys, *argv):
+    return hashlib.sha256(
+        cli_stdout(capsys, "study", *argv).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -108,3 +115,31 @@ def git_24(export_24, tmp_path_factory):
 def test_git_repository_study(capsys, git_24, jobs):
     assert study_digest(capsys, "--source", f"git:{git_24}",
                         "--jobs", jobs) == DIGESTS["git-24"]
+
+
+@pytest.fixture(scope="module")
+def histories_24(export_24, tmp_path_factory):
+    """The 24 exported projects' histories, one JSONL log each."""
+    root = tmp_path_factory.mktemp("histories")
+    for project in import_corpus_dir(export_24).projects:
+        save_history_to_jsonl(project.history,
+                              root / f"{project.name}.jsonl")
+    return root
+
+
+# Every exported project passes the corpus-selection protocol, so both
+# classify pins are the same bytes; the second still runs the filter.
+@pytest.mark.parametrize("name, argv", [
+    ("classify-24", ()),
+    ("classify-24-protocol", ("--apply-protocol",)),
+])
+def test_classify_histories(capsys, histories_24, name, argv):
+    out = cli_stdout(capsys, "classify", str(histories_24), *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+
+
+def test_profile_histories(capsys, histories_24):
+    out = "".join(cli_stdout(capsys, "profile", str(path))
+                  for path in sorted(histories_24.iterdir()))
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == DIGESTS["profile-24"]

@@ -139,6 +139,20 @@ class TestTipMemo:
         assert source.tip() != tip
         assert "x INT" in source.load("schema.sql").commits[-1].ddl_text
 
+    def test_unchanged_head_reenumerates_with_one_rev_parse(self, repo):
+        source = GitDirSource(repo)
+        first = list(source.iter_handles())
+        calls = []
+        git = source._git
+
+        def counting(*args):
+            calls.append(args[0])
+            return git(*args)
+
+        source._git = counting
+        assert list(source.iter_handles()) == first
+        assert calls == ["rev-parse"]
+
     def test_identity_tracks_head(self, repo):
         source = GitDirSource(repo)
         before = source.identity()

@@ -122,21 +122,6 @@ class TestRefresh:
         err = capsys.readouterr().err
         assert err.count("source unchanged, skipping") == 2
 
-    def test_no_delta_still_correct(self, tmp_path, corpus_root,
-                                    capsys):
-        cache = tmp_path / "cache"
-        main(["study", "--source", f"dir:{corpus_root}",
-              "--cache-dir", str(cache), "--no-delta"])
-        capsys.readouterr()
-        grow(corpus_root, [0], 1)
-        assert main(["refresh", "--source", f"dir:{corpus_root}",
-                     "--cache-dir", str(cache), "--no-delta"]) == 0
-        refreshed = capsys.readouterr()
-        assert "0 appended" in refreshed.err
-        main(["study", "--source", f"dir:{corpus_root}",
-              "--cache-dir", str(tmp_path / "cold")])
-        assert refreshed.out == capsys.readouterr().out
-
 
 class TestLedgerColumns:
     def test_hot_and_delta_columns(self, tmp_path, corpus_root,
