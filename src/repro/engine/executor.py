@@ -32,8 +32,10 @@ around the call, reproducing the historical one-shot behavior exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import pickle
 import time
 from collections import Counter, deque
 from concurrent.futures import TimeoutError as FuturesTimeout
@@ -221,7 +223,37 @@ def _cells(counters: Mapping[str, int]) -> list[str]:
     return cells
 
 
-def _invoke_map(fn: Callable, extras: tuple, stage_name: str,
+class _Broadcast:
+    """A map stage's extras (source, scheme, delta store), pickled once
+    per stage and unpickled once per worker process, which keeps the
+    last stage's by token (counted as ``extras_unpickled``)."""
+
+    _tokens = itertools.count()
+
+    def __init__(self, extras: tuple | None, token: str = "",
+                 blob: bytes = b""):
+        self.extras, self.blob = extras, blob
+        self.token = token or f"{os.getpid()}-{next(self._tokens)}"
+
+    def __reduce__(self) -> tuple:
+        self.blob = self.blob or pickle.dumps(
+            self.extras, protocol=pickle.HIGHEST_PROTOCOL)
+        return _Broadcast, (None, self.token, self.blob)
+
+    def get(self) -> tuple:
+        global _received
+        if self.extras is None:
+            if _received[0] != self.token:
+                obs.count("extras_unpickled")
+                _received = (self.token, pickle.loads(self.blob))
+            self.extras = _received[1]
+        return self.extras
+
+
+_received: tuple = ("", ())
+
+
+def _invoke_map(fn: Callable, extras: _Broadcast, stage_name: str,
                 policy: ErrorPolicy, faults: FaultPlan | None,
                 attempt_base: int, item: Any
                 ) -> tuple[Any, dict[str, int]]:
@@ -248,7 +280,7 @@ def _invoke_map(fn: Callable, extras: tuple, stage_name: str,
             if faults is not None:
                 faults.check(item_id(item), stage_name,
                              attempt_base + attempt)
-            payload = fn(item, *extras)
+            payload = fn(item, *extras.get())
             break
         except Exception as exc:
             if not policy.captures:
@@ -367,6 +399,7 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
     """
     policy = config.error_policy
     faults = config.faults
+    broadcast = _Broadcast(extras)
     probe_cache = cache is not None and stage.cache_key_fn is not None
     results: dict[int, Any] = {}
     keys: dict[int, str] = {}
@@ -455,7 +488,7 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
             or _auto_chunk(_count_hint(items), config.jobs)
         chosen_chunk = chunk
         window = WINDOW_PER_JOB * config.jobs
-        worker = partial(_invoke_map, stage.fn, extras, stage.name,
+        worker = partial(_invoke_map, stage.fn, broadcast, stage.name,
                          policy, faults, 0)
         pool = None
         inflight: deque[tuple[list[int], list, Any]] = deque()
@@ -584,8 +617,8 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
             # Pool-crash / abandon recovery: finish in-process, one
             # attempt later than the pool pass so one-shot injected
             # crashes do not re-fire.
-            recover = partial(_invoke_map, stage.fn, extras, stage.name,
-                              policy, faults, 1)
+            recover = partial(_invoke_map, stage.fn, broadcast,
+                              stage.name, policy, faults, 1)
             for index, item in backlog:
                 if guard is not None:
                     guard.check()
@@ -593,7 +626,7 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
             journal_chunk([index for index, _ in backlog],
                           [item for _, item in backlog])
     else:
-        invoke = partial(_invoke_map, stage.fn, extras, stage.name,
+        invoke = partial(_invoke_map, stage.fn, broadcast, stage.name,
                          policy, faults, 0)
         for item in items:
             if guard is not None:

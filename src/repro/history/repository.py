@@ -12,10 +12,17 @@ from typing import Iterator
 
 from repro.errors import HistoryError
 from repro.history.commit import Commit, SchemaVersion
-from repro.schema.builder import SchemaBuilder
+from repro.schema.builder import (
+    FoldedCreate,
+    SchemaBuilder,
+    fold_create,
+    fold_statement,
+)
 from repro.schema.model import Schema
+from repro.sqlddl import ast_nodes as ast
 from repro.sqlddl.dialect import Dialect
-from repro.sqlddl.memo import StatementMemo
+from repro.sqlddl.memo import CutCreate, StatementMemo
+from repro.sqlddl.normalize import normalize_identifier
 from repro.sqlddl.parser import parse_script
 from repro.sqlddl.splitter import split_statements
 
@@ -75,18 +82,18 @@ def _fold_classic(text: str, dialect: Dialect) -> tuple[Schema, int]:
 class SnapshotFold:
     """The fold kernel of full-snapshot commits, resumable mid-history.
 
-    Folds one commit's DDL text at a time into a schema, doing the work
-    once per distinct piece of the history rather than once per
-    version, with output identical to :func:`_fold_classic`: a version
-    whose statements equal the previous version's folds to nothing new;
-    the :class:`StatementMemo` parses each distinct span once (and each
-    distinct ``CREATE TABLE`` body element once per process); the
-    builders share one ``creates`` memo, so each distinct ``CREATE
-    TABLE`` is folded once;
-    and ``snapshot_reusing`` hands back the previous version's frozen
-    ``Table`` for every table whose statement trace is unchanged. A
+    Folds one commit's DDL text at a time, doing the work once per
+    distinct piece of the history, with output identical to
+    :func:`_fold_classic`. A version whose statements equal the previous
+    version's folds to nothing new. The :class:`StatementMemo` parses
+    each distinct span once; each distinct ``CREATE TABLE``, cut or
+    parsed whole, is folded once per history
+    (:func:`~repro.schema.builder.fold_create`) and installed into each
+    version's :class:`SchemaBuilder` as a lazy state; and
+    ``snapshot_reusing`` hands back the previous version's ``Table``
+    for every table whose ``(name, trace)`` pool key is unchanged. A
     version holding a span the memo cannot parse in isolation folds
-    through :func:`_fold_classic` instead and clears the table pool.
+    classically and clears the table pool.
 
     Args:
         dialect: the parse dialect.
@@ -102,7 +109,7 @@ class SnapshotFold:
         self.memo = StatementMemo(dialect)
         self.prev_hashes = prev_hashes
         self.pool = pool
-        self._creates: dict = {}
+        self._creates: dict[str, FoldedCreate] = {}
 
     def fold(self, text: str) -> tuple[Schema, int] | None:
         """The schema and parse-issue count of the next version, or None
@@ -113,15 +120,27 @@ class SnapshotFold:
         if hashes == self.prev_hashes:
             return None
         self.prev_hashes = hashes
-        parsed = [self.memo.parse(segment) for segment in segments]
-        if any(entry.fallback for entry in parsed):
+        entries = [self.memo.parse(segment) for segment in segments]
+        if any(entry.fallback for entry in entries):
             self.pool = None
             return _fold_classic(text, self.dialect)
-        builder = SchemaBuilder(strict=False, creates=self._creates)
+        builder = SchemaBuilder(strict=False)
         skipped = 0
-        for segment, entry in zip(segments, parsed):
-            if entry.statement is not None:
-                builder.apply(entry.statement, token=segment.content_hash)
+        for token, entry in zip(hashes, entries):
+            cut = type(entry) is CutCreate
+            statement = entry.template if cut else entry.statement
+            if isinstance(statement, ast.CreateTable):
+                if statement.temporary:
+                    continue  # as SchemaBuilder.apply: not persistent
+                folded = self._creates.get(token)
+                if folded is None:
+                    folded = self._creates[token] = fold_create(
+                        normalize_identifier(statement.name),
+                        entry.columns, entry.constraints) if cut \
+                        else fold_statement(statement)
+                builder.install(folded, statement.if_not_exists, token)
+            elif statement is not None:
+                builder.apply(statement, token=token)
             else:
                 skipped += 1
         schema, self.pool = builder.snapshot_reusing(self.pool)

@@ -10,20 +10,22 @@ emits immutable :class:`~repro.schema.model.Schema` snapshots. Two modes:
   history extraction must behave on real-world dumps that occasionally
   re-create tables or drop what is not there.
 
-A lenient builder can share ``CREATE TABLE`` folds with the other
-builders of one history through a ``creates`` memo (see
-:class:`SchemaBuilder`): folding a ``CREATE TABLE`` into a fresh table
-depends only on the statement, so each distinct statement is folded
-once and every repeat installs a lazy state that reads through it.
+One function folds a ``CREATE TABLE`` into a fresh table,
+:func:`fold_create`, over its element folds (:mod:`repro.sqlddl.memo`):
+the builder's for a parsed statement, the fold kernel's cached ones for
+a cut span. A folded create enters a builder as a lazy table state
+(:meth:`SchemaBuilder.install`) until an ``ALTER`` needs its own copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from repro.errors import SchemaError
 from repro.schema.model import Attribute, ForeignKey, Schema, Table
 from repro.sqlddl import ast_nodes as ast
+from repro.sqlddl.memo import ColumnFold, fold_element
 from repro.sqlddl.normalize import canonical_type, normalize_identifier
 
 
@@ -56,24 +58,23 @@ class _TableState:
     unique_keys: list[tuple[str, ...]] = field(default_factory=list)
     named_constraints: dict[str, str] = field(default_factory=dict)
     trace: list = field(default_factory=list)
-    #: The memoized ``CREATE TABLE`` fold this state still reads
-    #: through; while set, the column and key fields above are unfilled
-    #: and :meth:`thaw` must run before anything reads or writes them.
-    folded: _FoldedCreate | None = None
+    #: The ``CREATE TABLE`` fold this state reads through while set;
+    #: :meth:`thaw` fills the fields above before any use of them.
+    folded: FoldedCreate | None = None
 
     def thaw(self) -> None:
-        """Copy the memoized fold's content into this state's own
-        fields (a no-op once they are its own)."""
+        """Copy the fold's content into this state's own fields (a
+        no-op once they are its own)."""
         folded = self.folded
         if folded is None:
             return
-        template = folded.state
+        table = folded.table
         self.columns = [_ColumnState(c.name, c.data_type, c.not_null)
-                        for c in template.columns]
-        self.primary_key = list(template.primary_key)
-        self.foreign_keys = list(template.foreign_keys)
-        self.unique_keys = list(template.unique_keys)
-        self.named_constraints = dict(template.named_constraints)
+                        for c in folded.columns]
+        self.primary_key = list(table.primary_key)
+        self.foreign_keys = list(table.foreign_keys)
+        self.unique_keys = list(table.unique_keys)
+        self.named_constraints = dict(folded.named)
         self.folded = None
 
     def column(self, name: str) -> _ColumnState | None:
@@ -90,18 +91,112 @@ class _TableState:
 
 
 @dataclass(frozen=True, slots=True)
-class _FoldedCreate:
-    """One ``CREATE TABLE`` folded into a fresh table state.
+class FoldedCreate:
+    """One ``CREATE TABLE`` folded into a fresh table: the table, the
+    lenient-mode issues the fold raised, and for
+    :meth:`_TableState.thaw` the folds of the columns it kept and the
+    ``(name, kind)`` of its named constraints."""
 
-    Attributes:
-        state: the folded state, never written after the fold.
-        table: its frozen snapshot.
-        issues: the lenient-mode issues the fold raised, in order.
-    """
-
-    state: _TableState
     table: Table
     issues: tuple[str, ...]
+    columns: tuple[ColumnFold, ...]
+    named: tuple[tuple[str, str], ...]
+
+
+def _interned(column: ColumnFold, in_pk: bool, in_fk: bool) -> Attribute:
+    """``column``'s attribute, interned on its fold per key membership."""
+    slot = 2 * in_pk + in_fk
+    attribute = column.attributes[slot]
+    if attribute is None:
+        attribute = column.attributes[slot] = Attribute(
+            column.name, column.data_type, column.not_null or in_pk,
+            in_pk, in_fk)
+    return attribute
+
+
+def _apply_inline_keys(state: _TableState, column: ColumnFold) -> None:
+    name = column.name
+    if column.primary_key:
+        state.primary_key = [name]
+    if column.unique and (name,) not in state.unique_keys:
+        state.unique_keys.append((name,))
+    if column.references is not None:
+        fk = ForeignKey((name,), *column.references)
+        if fk not in state.foreign_keys:
+            state.foreign_keys.append(fk)
+
+
+def _apply_constraint(state: _TableState,
+                      constraint: ast.TableConstraint,
+                      problem: Callable[[str], None]) -> None:
+    """Apply a constraint whose names :func:`fold_element` normalised."""
+    if isinstance(constraint, ast.PrimaryKeyConstraint):
+        state.primary_key = list(constraint.columns)
+        kind = "primary key"
+    elif isinstance(constraint, ast.ForeignKeyConstraint):
+        fk = ForeignKey(constraint.columns, constraint.ref_table,
+                        constraint.ref_columns)
+        if fk not in state.foreign_keys:
+            state.foreign_keys.append(fk)
+        kind = "foreign key"
+    elif isinstance(constraint, ast.UniqueConstraint):
+        if constraint.columns not in state.unique_keys:
+            state.unique_keys.append(constraint.columns)
+        kind = "unique"
+    elif isinstance(constraint, (ast.CheckConstraint, ast.IndexKey)):
+        return  # checks and plain indexes: no logical-model effect
+    else:
+        problem(f"unsupported constraint {type(constraint).__name__}")
+        return
+    if constraint.name:
+        state.named_constraints[constraint.name] = kind
+
+
+def fold_create(name: str, columns: Iterable[ColumnFold],
+                constraints: Iterable[ast.TableConstraint]) -> FoldedCreate:
+    """Fold one ``CREATE TABLE`` into a fresh table named ``name``:
+    columns first, in order (a repeated name is an issue and dropped),
+    then constraints; attributes are interned on their column folds."""
+    state = _TableState(name=name)
+    issues: list[str] = []
+    kept: list[ColumnFold] = []
+    seen: set[str] = set()
+    for column in columns:
+        if column.name in seen:
+            issues.append(f"duplicate column {name}.{column.name}")
+            continue
+        seen.add(column.name)
+        kept.append(column)
+        if column.primary_key or column.unique or column.references:
+            _apply_inline_keys(state, column)
+    for constraint in constraints:
+        _apply_constraint(state, constraint, issues.append)
+    return FoldedCreate(_table(state, kept, _interned), tuple(issues),
+                        tuple(kept), tuple(state.named_constraints.items()))
+
+
+def fold_statement(stmt: ast.CreateTable) -> FoldedCreate:
+    """:func:`fold_create` of a parsed ``CREATE TABLE``."""
+    return fold_create(normalize_identifier(stmt.name),
+                       map(fold_element, stmt.columns),
+                       map(fold_element, stmt.constraints))
+
+
+def _table(state: _TableState, columns: Iterable,
+           attribute: Callable[..., Attribute]) -> Table:
+    """``state``'s table over ``columns``, made attributes by
+    ``attribute(column, in_pk, in_fk)``."""
+    keyed = set(state.primary_key)
+    referencing = {c for fk in state.foreign_keys for c in fk.columns}
+    return Table(state.name, tuple([
+        attribute(c, c.name in keyed, c.name in referencing)
+        for c in columns]), tuple(state.primary_key),
+        tuple(state.foreign_keys), tuple(state.unique_keys))
+
+
+def _fresh(column: _ColumnState, in_pk: bool, in_fk: bool) -> Attribute:
+    return Attribute(column.name, column.data_type,
+                     column.not_null or in_pk, in_pk, in_fk)
 
 
 class SchemaBuilder:
@@ -109,20 +204,13 @@ class SchemaBuilder:
 
     Args:
         strict: raise on schema violations instead of recording them.
-        creates: memo of folded ``CREATE TABLE`` statements, keyed by
-            statement token and shared by the builders of one history.
-            A lenient builder folds a statement applied with a token
-            once per memo: a repeat replays the fold's issues and
-            installs a lazy table state. Without a memo or a token, or
-            in strict mode, every statement is folded afresh.
 
     Attributes:
         issues: human-readable descriptions of every lenient-mode skip.
     """
 
-    def __init__(self, strict: bool = False, creates: dict | None = None):
+    def __init__(self, strict: bool = False):
         self._strict = strict
-        self._creates = creates if not strict else None
         self._tables: dict[str, _TableState] = {}
         self._order: list[str] = []
         self._views: list[str] = []
@@ -258,40 +346,26 @@ class SchemaBuilder:
     def _apply_create_table(self, stmt: ast.CreateTable) -> None:
         if stmt.temporary:
             return  # temp tables are not part of the persistent schema
-        name = normalize_identifier(stmt.name)
+        self.install(fold_statement(stmt), stmt.if_not_exists, self._token)
+
+    def install(self, folded: FoldedCreate, if_not_exists: bool,
+                token: object | None = None) -> None:
+        """Apply a folded, non-temporary ``CREATE TABLE`` as :meth:`apply`
+        does a parsed one: a lazy state reading through ``folded``."""
+        self._token = token
+        name = folded.table.name
         if name in self._tables:
-            if stmt.if_not_exists:
+            if if_not_exists:
                 return
             self._problem(f"table {name!r} already exists")
             # Real dumps re-create tables; treat as replace in lenient mode.
             self._remove_table(name)
-        token = self._token
-        if self._creates is None or token is None:
-            state = self._fold_create_table(name, stmt)
-        else:
-            folded = self._creates.get(token)
-            if folded is None:
-                issued = len(self.issues)
-                template = self._fold_create_table(name, stmt)
-                folded = self._creates[token] = _FoldedCreate(
-                    state=template, table=self._snapshot_table(template),
-                    issues=tuple(self.issues[issued:]))
-            else:
-                self.issues.extend(folded.issues)
-            state = _TableState(name=name, trace=[token], folded=folded)
+        for issue in folded.issues:
+            self._problem(issue)
+        state = _TableState(name=name, folded=folded)
+        self._stamp(state)
         self._tables[name] = state
         self._order.append(name)
-
-    def _fold_create_table(self, name: str,
-                           stmt: ast.CreateTable) -> _TableState:
-        """Fold ``stmt``'s columns and constraints into a fresh state."""
-        state = _TableState(name=name)
-        self._stamp(state)
-        for coldef in stmt.columns:
-            self._add_column_to_state(state, coldef)
-        for constraint in stmt.constraints:
-            self._apply_constraint(state, constraint)
-        return state
 
     def _apply_drop_table(self, stmt: ast.DropTable) -> None:
         for raw in stmt.names:
@@ -339,7 +413,8 @@ class SchemaBuilder:
             if col is not None:
                 col.not_null = action.not_null
         elif isinstance(action, ast.AddConstraint):
-            self._apply_constraint(state, action.constraint)
+            _apply_constraint(state, fold_element(action.constraint),
+                              self._problem)
         elif isinstance(action, ast.DropConstraint):
             self._drop_constraint(state, action)
         elif isinstance(action, ast.RenameTable):
@@ -373,12 +448,13 @@ class SchemaBuilder:
         col = self._require_column(state, old)
         if col is None:
             return
-        new_name = normalize_identifier(coldef.name)
-        col.data_type = canonical_type(coldef.data_type)
-        col.not_null = coldef.not_null
-        if new_name != old:
-            self._rename_column(state, old, new_name, already_checked=col)
-        self._apply_inline_keys(state, new_name, coldef)
+        column = fold_element(coldef)
+        col.data_type = column.data_type
+        col.not_null = column.not_null
+        if column.name != old:
+            self._rename_column(state, old, column.name,
+                                already_checked=col)
+        _apply_inline_keys(state, column)
 
     def _rename_table(self, state: _TableState, new_raw: str) -> None:
         new_name = normalize_identifier(new_raw)
@@ -445,13 +521,13 @@ class SchemaBuilder:
 
     def _add_column_to_state(self, state: _TableState, coldef: ast.ColumnDef,
                              position: str | None = None) -> None:
-        name = normalize_identifier(coldef.name)
+        column = fold_element(coldef)
+        name = column.name
         if state.column(name) is not None:
             self._problem(f"duplicate column {state.name}.{name}")
             return
-        col = _ColumnState(name=name,
-                           data_type=canonical_type(coldef.data_type),
-                           not_null=coldef.not_null)
+        col = _ColumnState(name=name, data_type=column.data_type,
+                           not_null=column.not_null)
         index = len(state.columns)
         if position == "FIRST":
             index = 0
@@ -461,56 +537,7 @@ class SchemaBuilder:
             if anchor_index >= 0:
                 index = anchor_index + 1
         state.columns.insert(index, col)
-        self._apply_inline_keys(state, name, coldef)
-
-    def _apply_inline_keys(self, state: _TableState, name: str,
-                           coldef: ast.ColumnDef) -> None:
-        if coldef.primary_key:
-            state.primary_key = [name]
-        if coldef.unique and (name,) not in state.unique_keys:
-            state.unique_keys.append((name,))
-        if coldef.references is not None:
-            ref = coldef.references
-            fk = ForeignKey(
-                columns=(name,),
-                ref_table=normalize_identifier(ref.table),
-                ref_columns=tuple(normalize_identifier(c)
-                                  for c in ref.columns),
-            )
-            if fk not in state.foreign_keys:
-                state.foreign_keys.append(fk)
-
-    def _apply_constraint(self, state: _TableState,
-                          constraint: ast.TableConstraint) -> None:
-        name = normalize_identifier(getattr(constraint, "name", None) or "")
-        if isinstance(constraint, ast.PrimaryKeyConstraint):
-            state.primary_key = [normalize_identifier(c)
-                                 for c in constraint.columns]
-            if name:
-                state.named_constraints[name] = "primary key"
-        elif isinstance(constraint, ast.ForeignKeyConstraint):
-            fk = ForeignKey(
-                columns=tuple(normalize_identifier(c)
-                              for c in constraint.columns),
-                ref_table=normalize_identifier(constraint.ref_table),
-                ref_columns=tuple(normalize_identifier(c)
-                                  for c in constraint.ref_columns),
-            )
-            if fk not in state.foreign_keys:
-                state.foreign_keys.append(fk)
-            if name:
-                state.named_constraints[name] = "foreign key"
-        elif isinstance(constraint, ast.UniqueConstraint):
-            key = tuple(normalize_identifier(c) for c in constraint.columns)
-            if key not in state.unique_keys:
-                state.unique_keys.append(key)
-            if name:
-                state.named_constraints[name] = "unique"
-        elif isinstance(constraint, (ast.CheckConstraint, ast.IndexKey)):
-            pass  # checks and plain indexes: no logical-model effect
-        else:
-            self._problem(f"unsupported constraint "
-                          f"{type(constraint).__name__}")
+        _apply_inline_keys(state, column)
 
     def _require_column(self, state: _TableState,
                         raw_name: str) -> _ColumnState | None:
@@ -536,19 +563,7 @@ class SchemaBuilder:
     def _snapshot_table(self, state: _TableState) -> Table:
         if state.folded is not None:
             return state.folded.table
-        pk = set(state.primary_key)
-        fk_cols = {c for fk in state.foreign_keys for c in fk.columns}
-        attributes = tuple(
-            Attribute(name=col.name, data_type=col.data_type,
-                      not_null=col.not_null or col.name in pk,
-                      in_primary_key=col.name in pk,
-                      in_foreign_key=col.name in fk_cols)
-            for col in state.columns
-        )
-        return Table(name=state.name, attributes=attributes,
-                     primary_key=tuple(state.primary_key),
-                     foreign_keys=tuple(state.foreign_keys),
-                     unique_keys=tuple(state.unique_keys))
+        return _table(state, state.columns, _fresh)
 
 
 def build_schema(script: ast.Script, strict: bool = False) -> Schema:

@@ -90,6 +90,7 @@ class GitDirSource:
         self._ids: tuple[str, ...] | None = None
         self._memo_tip: str | None = None
         self._fingerprints: dict[str, str] = {}
+        self._enumerated: set[str] = set()  # ids not yet fingerprinted
 
     def _git(self, *args: str) -> str:
         try:
@@ -125,6 +126,7 @@ class GitDirSource:
             self._memo_tip = tip
             self._ids = None
             self._fingerprints.clear()
+            self._enumerated.clear()
         return tip
 
     def identity(self) -> list:
@@ -140,6 +142,12 @@ class GitDirSource:
                 self.dialect.traits.name, self.glob, self.drop_noise]
 
     def project_ids(self) -> tuple[str, ...]:
+        """The DDL files at HEAD, starting an enumeration."""
+        ids = self._discover()
+        self._enumerated = set(ids)
+        return ids
+
+    def _discover(self) -> tuple[str, ...]:
         self._sync_tip()
         if self._ids is None:
             listing = self._git("ls-files", "-z", "--", self.glob)
@@ -157,11 +165,14 @@ class GitDirSource:
         return self._ids
 
     def fingerprint(self, pid: str) -> str:
-        self._sync_tip()
-        return self._tip_fingerprint(pid)
-
-    def _tip_fingerprint(self, pid: str) -> str:
-        """The fingerprint at the last synced tip, memoized per tip."""
+        """The file's fingerprint, memoized per HEAD: at the HEAD the
+        last :meth:`project_ids` call checked for each of its ids (once
+        each), else at HEAD checked now. So an enumeration of an
+        unchanged repository runs one ``rev-parse``, however driven."""
+        if pid in self._enumerated:
+            self._enumerated.discard(pid)
+        else:
+            self._sync_tip()
         cached = self._fingerprints.get(pid)
         if cached is not None:
             return cached
@@ -219,12 +230,11 @@ class GitDirSource:
         """
         from repro.sources.base import SourceHandle
         for pid in self.project_ids():
-            yield SourceHandle(pid=pid,
-                               fingerprint=self._tip_fingerprint(pid))
+            yield SourceHandle(pid=pid, fingerprint=self.fingerprint(pid))
 
     def count(self) -> int:
         """Discovered DDL-file total (memoized discovery, no logs)."""
-        return len(self.project_ids())
+        return len(self._discover())
 
     def load(self, pid: str) -> SchemaHistory:
         log = self._git("log", "--reverse", "--format=%H%x09%cI",
@@ -248,7 +258,7 @@ class GitDirSource:
         return SchemaHistory(name, commits, dialect=self.dialect)
 
     def __len__(self) -> int:
-        return len(self.project_ids())
+        return len(self._discover())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GitDirSource({self.root!r}, glob={self.glob!r})"

@@ -261,11 +261,13 @@ class Lexer:
 
 #: Number literal, mirroring the classic `_read_number` quirks:
 #: one dot max, exponent only directly after a digit, `1.` allowed.
+#: ASCII digits only: a word the classic path continues through another
+#: script's digit (``A\u0ce6``) must fall back, not split.
 _NUMBER_PATTERN = (
-    r"\d+\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+\.(?!\d)"
-    r"|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?"
+    r"[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+    r"|[0-9]+\.(?![0-9])"
+    r"|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+    r"|[0-9]+(?:[eE][+-]?[0-9]+)?"
 )
 
 #: Punctuation the master pattern may claim outright. `$` is absent

@@ -1,58 +1,41 @@
-"""Statement memo of one fold kernel, over process-wide element caches.
+"""Statement memo of one fold kernel, over process-wide element folds.
 
-Within one schema history only ~25-30% of statement instances are
-unique, because each snapshot repeats the previous one nearly verbatim.
-A :class:`StatementMemo` caches the parse result of every statement
-span (keyed by the splitter's content hash), so a statement is parsed
-once per *history* instead of once per *version*. Statements rarely
-repeat across histories, so this memo lives as long as its kernel.
+Each snapshot of a history repeats the previous one nearly verbatim,
+so a :class:`StatementMemo` caches the parse of every statement span by
+the splitter's content hash: a statement is parsed once per *history*.
 
-A changed ``CREATE TABLE`` mostly repeats its previous version too: one
-column added among a dozen unchanged ones. So a missed ``CREATE TABLE``
-span is cut into head, body elements and tail
-(:func:`~repro.sqlddl.splitter.cut_create_table`); only element texts
-unseen in the process are tokenized and parsed, and the statement is
-assembled by :func:`~repro.sqlddl.parser.parse_token_group` over the
-head and tail tokens with the parsed body handed in. AST nodes carry no
-source positions and every cut falls between tokens, so the assembled
-statement equals the whole-span parse. Anything that does not assemble
-cleanly (another head, an element the parser does not consume exactly,
-a lex or parse error) takes the whole-span route below, so skip records
-and fallback markers always come from it.
+A missed ``CREATE TABLE`` mostly repeats its previous version too, so
+it is cut into head, body elements and tail
+(:func:`~repro.sqlddl.splitter.cut_create_table`) and read from two
+process-wide caches, never parsed whole: *element folds* map each
+element text to its folded facts (:func:`fold_element` of one
+:func:`~repro.sqlddl.parser.parse_table_element` call), *templates*
+each (head, tail) pair to the ``CREATE TABLE`` it parses to around an
+empty body. AST nodes carry no source positions and every cut falls
+between tokens, so the pieces equal the whole-span parse. Element texts
+repeat across histories, and the same text can lex differently per
+dialect, so each cache keeps a text-keyed map per dialect, bounded over
+all of them. Both fills are pure functions of their keys.
 
-Element texts, unlike statements, repeat across histories: projects
-share idioms such as ``id INTEGER NOT NULL`` or ``PRIMARY KEY (id)``.
-So parsed elements and the head and tail tokens live in two bounded
-process-wide caches keyed by ``(text, dialect)`` (the same text can lex
-differently per dialect). Both cached calls are pure functions of their
-key returning immutable values (frozen AST nodes, token tuples), so
-sharing them across histories cannot change any output; a
-:class:`~repro.errors.LexError` propagates and is not cached.
-
-Safety: the memo must never change what the pipeline observes. Each
-entry is a :class:`ParsedSegment` holding either the frozen statement
-AST, the :class:`~repro.sqlddl.ast_nodes.SkippedStatement` that the
-classic path would record, or a ``fallback`` marker meaning "this span
-cannot be parsed in isolation" (its tokenization fails, or it does not
-lex to exactly one statement group). Callers seeing a fallback entry
-must re-run the classic whole-file parse for that version, which
-reproduces the full-parse behaviour bit for bit.
-
-Every lookup also counts as ``parse_hits`` or ``parse_misses`` in
-:mod:`repro.obs`, so the execution engine reports memo activity per
-stage next to its cache stats.
+A span that does not cut cleanly (another head, an element the parser
+does not consume exactly, a lex or parse error) is parsed whole into a
+:class:`ParsedSegment`: the statement, the
+:class:`~repro.sqlddl.ast_nodes.SkippedStatement` the classic path
+would record, or a ``fallback`` marker: the span cannot be parsed in
+isolation, so the caller re-runs the classic whole-file parse. Every
+lookup counts as ``parse_hits`` or ``parse_misses`` in :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 
 from repro import obs
 from repro.errors import LexError
 from repro.sqlddl import ast_nodes as ast
 from repro.sqlddl.dialect import Dialect
 from repro.sqlddl.lexer import tokenize
+from repro.sqlddl.normalize import canonical_type, normalize_identifier
 from repro.sqlddl.parser import (
     _split_statements,
     parse_table_element,
@@ -60,32 +43,80 @@ from repro.sqlddl.parser import (
 )
 from repro.sqlddl.splitter import Segment, cut_create_table
 
-__all__ = [
-    "ParsedSegment",
-    "StatementMemo",
-    "parse_counters",
-]
+__all__ = ["CutCreate", "ParsedSegment", "StatementMemo", "parse_counters"]
 
 
-#: Bounds of the two caches below. Distinct element texts grow with the
-#: corpus and a session's process lives long, so both are bounded: at
-#: ~520 B an entry they hold at most ~20 MiB together.
-_ELEMENT_CACHE_SIZE = 1 << 15
-_PIECE_CACHE_SIZE = 1 << 13
+@dataclass(frozen=True, slots=True)
+class ColumnFold:
+    """A column definition's facts, normalised (``references``: the
+    ``(table, columns)`` of an inline ``REFERENCES``), and the schema
+    layer's memo of its attribute, one slot per key membership."""
+
+    name: str
+    data_type: ast.DataType | None
+    not_null: bool
+    primary_key: bool
+    unique: bool
+    references: tuple[str, tuple[str, ...]] | None
+    attributes: list = field(default_factory=lambda: [None] * 4,
+                             compare=False, repr=False)
 
 
-@lru_cache(maxsize=_ELEMENT_CACHE_SIZE)
-def _parse_element(text: str, dialect: Dialect
-                   ) -> ast.ColumnDef | ast.TableConstraint | None:
-    """:func:`parse_table_element`, cached per process."""
-    return parse_table_element(text, dialect)
+def _names(names: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(normalize_identifier(name) for name in names)
 
 
-@lru_cache(maxsize=_PIECE_CACHE_SIZE)
-def _piece_tokens(text: str, dialect: Dialect) -> tuple:
-    """The tokens of a head or tail text (without the EOF token),
-    cached per process."""
-    return tuple(tokenize(text, dialect)[:-1])
+def fold_element(element: object) -> ColumnFold | ast.TableConstraint:
+    """The folded facts of one parsed column definition, or the table
+    constraint with its names normalised."""
+    if isinstance(element, ast.ColumnDef):
+        ref = element.references
+        return ColumnFold(
+            normalize_identifier(element.name),
+            canonical_type(element.data_type), element.not_null,
+            element.primary_key, element.unique,
+            None if ref is None else (normalize_identifier(ref.table),
+                                      _names(ref.columns)))
+    if isinstance(element, ast.ForeignKeyConstraint):
+        element = replace(element, ref_columns=_names(element.ref_columns),
+                          ref_table=normalize_identifier(element.ref_table))
+    if isinstance(element, (ast.PrimaryKeyConstraint, ast.UniqueConstraint,
+                            ast.ForeignKeyConstraint)):
+        element = replace(element, columns=_names(element.columns),
+                          name=normalize_identifier(element.name or ""))
+    return element
+
+
+#: The two process-wide caches (one map per dialect each) and their
+#: bounds over all dialects: at ~370 B an entry (interned attributes
+#: included) they hold at most ~15 MiB together.
+_ELEMENT_FOLDS: dict[Dialect, dict] = {}
+_TEMPLATES: dict[Dialect, dict] = {}
+_ELEMENT_BOUND, _TEMPLATE_BOUND = 1 << 15, 1 << 13
+_MISSING = object()
+
+
+def _store(cache: dict[Dialect, dict], bound: int, table: dict,
+           key: object, value: object) -> object:
+    """``table[key] = value`` in a map of ``cache``, emptied if full."""
+    maps = list(cache.values())
+    if sum(map(len, maps)) >= bound:
+        for each in maps:
+            each.clear()
+    table[key] = value
+    return value
+
+
+def _parse_template(head: str, tail: str, dialect: Dialect
+                    ) -> ast.CreateTable | None:
+    """The empty-body ``CREATE TABLE`` of a head and tail, or None."""
+    try:
+        group = [*tokenize(head, dialect)[:-1],
+                 *tokenize(tail, dialect)[:-1]]
+    except LexError:
+        return None
+    statement, _ = parse_token_group(group, dialect, table_body=())
+    return statement if isinstance(statement, ast.CreateTable) else None
 
 
 def parse_counters() -> tuple[int, int]:
@@ -110,19 +141,34 @@ class ParsedSegment:
     fallback: bool = False
 
 
+@dataclass(frozen=True, slots=True)
+class CutCreate:
+    """A ``CREATE TABLE`` span read from its cut: its head and tail's
+    template (the statement around an empty body) and its element
+    folds, columns and table constraints each in order."""
+
+    template: ast.CreateTable
+    columns: tuple[ColumnFold, ...]
+    constraints: tuple[ast.TableConstraint, ...]
+
+    fallback = False
+
+
 class StatementMemo:
     """Caches parsed statements of one schema history.
 
     The statement entries are scoped per fold kernel, so their lifetime
-    matches the history whose versions they serve; body elements and
-    head and tail tokens come from the process-wide caches above.
+    matches the history whose versions they serve; element folds and
+    templates come from the process-wide caches above.
     """
 
     def __init__(self, dialect: Dialect = Dialect.GENERIC):
         self.dialect = dialect
-        self._entries: dict[str, ParsedSegment] = {}
+        self._entries: dict[str, ParsedSegment | CutCreate] = {}
+        self._folds = _ELEMENT_FOLDS.setdefault(dialect, {})
+        self._templates = _TEMPLATES.setdefault(dialect, {})
 
-    def parse(self, segment: Segment) -> ParsedSegment:
+    def parse(self, segment: Segment) -> ParsedSegment | CutCreate:
         """The parse outcome of ``segment``, cached by content hash."""
         entry = self._entries.get(segment.content_hash)
         if entry is not None:
@@ -133,12 +179,12 @@ class StatementMemo:
         self._entries[segment.content_hash] = entry
         return entry
 
-    def _parse_segment(self, text: str) -> ParsedSegment:
+    def _parse_segment(self, text: str) -> ParsedSegment | CutCreate:
         pieces = cut_create_table(text, self.dialect)
         if pieces is not None:
-            statement = self._assemble(*pieces)
-            if statement is not None:
-                return ParsedSegment(statement=statement)
+            create = self._cut_create(*pieces)
+            if create is not None:
+                return create
         try:
             tokens = tokenize(text, self.dialect)
         except LexError:
@@ -157,23 +203,27 @@ class StatementMemo:
             return ParsedSegment(skipped=skipped)
         return ParsedSegment(statement=statement)
 
-    def _assemble(self, head: str, elements: list[str],
-                  tail: str) -> ast.CreateTable | None:
-        """The ``CREATE TABLE`` of a cut span, or None to parse it
-        whole."""
-        body = []
+    def _cut_create(self, head: str, elements: list[str],
+                    tail: str) -> CutCreate | None:
+        """The entry of a cut ``CREATE TABLE`` span, or None to parse
+        it whole."""
+        dialect, folds = self.dialect, self._folds
+        columns, constraints = [], []
         for text in elements:
-            element = _parse_element(text, self.dialect)
-            if element is None:
+            fold = folds.get(text, _MISSING)
+            if fold is _MISSING:
+                element = parse_table_element(text, dialect)
+                fold = _store(_ELEMENT_FOLDS, _ELEMENT_BOUND, folds, text,
+                              element and fold_element(element))
+            if fold is None:
                 return None
-            body.append(element)
-        try:
-            group = [*_piece_tokens(head, self.dialect),
-                     *_piece_tokens(tail, self.dialect)]
-        except LexError:
+            (columns if type(fold) is ColumnFold else constraints).append(
+                fold)
+        template = self._templates.get((head, tail), _MISSING)
+        if template is _MISSING:
+            template = _store(_TEMPLATES, _TEMPLATE_BOUND, self._templates,
+                              (head, tail),
+                              _parse_template(head, tail, dialect))
+        if template is None:
             return None
-        statement, _ = parse_token_group(group, self.dialect,
-                                         table_body=tuple(body))
-        if not isinstance(statement, ast.CreateTable):
-            return None
-        return statement
+        return CutCreate(template, tuple(columns), tuple(constraints))

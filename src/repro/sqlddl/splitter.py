@@ -23,8 +23,9 @@ to the classic full parse.
 
 Beside the split, :func:`cut_create_table` cuts one ``CREATE TABLE``
 span into its head, its body elements and its tail with the same scan
-helpers, so the statement memo can parse each column definition or
-table constraint once per history rather than once per changed table.
+helpers, so the statement memo can read each column definition, table
+constraint and head/tail pair from a per-process cache instead of
+parsing every changed table whole.
 """
 
 from __future__ import annotations
@@ -253,8 +254,9 @@ def cut_create_table(text: str, dialect: Dialect = Dialect.GENERIC
                      ) -> tuple[str, list[str], str] | None:
     """Cut a ``CREATE [TEMPORARY] TABLE`` span at its body's structure.
 
-    Returns ``(head, elements, tail)``: the head (leading comments
-    included) runs up to and including the first top-level ``(``; the
+    Returns ``(head, elements, tail)``: the head runs from the first
+    token (leading comments excluded) up to and including the first
+    top-level ``(``; the
     elements are the stripped texts between the body's top-level
     commas (one column definition or table constraint each); the tail
     starts at the ``)`` closing the body. Every cut falls on a
@@ -319,4 +321,4 @@ def cut_create_table(text: str, dialect: Dialect = Dialect.GENERIC
                 for left, right in zip(bounds, bounds[1:])]
     if not all(elements):
         return None
-    return text[:head_end], elements, text[i:]
+    return text[start:head_end], elements, text[i:]

@@ -71,6 +71,20 @@ class TestWorkPlacement:
         assert serial.parse_hits > 0 and serial.kernel_series > 0
         assert serial.pack_rows == len(source)
 
+    def test_parallel_map_unpickles_its_extras_once_per_worker(
+            self, tmp_path):
+        # Eight one-project chunks carry one pickle of the source and
+        # the scheme; each of the two workers unpickles it once.
+        root = export_small_corpus(tmp_path / "corpus")
+        _, report = execute_study_from_source(
+            CorpusDirSource(root), StudyConfig(jobs=2, chunk_size=1))
+        records = report.timings[0]
+        assert (records.stage, records.items) == ("records", 8)
+        assert 1 <= records.counters["extras_unpickled"] <= 2
+        _, serial = execute_study_from_source(CorpusDirSource(root),
+                                              StudyConfig())
+        assert "extras_unpickled" not in serial.counters
+
     def test_threads_count_only_their_own_work(self, tmp_path):
         # One session and cache dir per thread, run concurrently: each
         # report counts its own run exactly, as a solo run does.

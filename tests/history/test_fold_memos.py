@@ -1,21 +1,24 @@
 """Differential oracle of the fold memos against the classic path.
 
-:class:`~repro.history.repository.SnapshotFold` parses each distinct
-``CREATE TABLE`` body element once per process (the element cache of
-:mod:`repro.sqlddl.memo`, keyed by text and dialect) and folds each
-distinct ``CREATE TABLE`` once per history (the ``creates`` memo of
-:class:`~repro.schema.builder.SchemaBuilder`). Both must be invisible:
-memoized versions equal the classic full re-parse (schemas and
-``parse_issues``), and every span the statement memo parses equals the
-whole-span parse. Edge cases run in all four dialects, followed by a
-property over generated histories and a seeded run of mixed-dialect
+:class:`~repro.history.repository.SnapshotFold` reads each cut
+``CREATE TABLE`` from per-process element folds and head/tail
+templates (the caches of :mod:`repro.sqlddl.memo`, one map per
+dialect), folds each distinct ``CREATE TABLE`` once per history
+(:func:`~repro.schema.builder.fold_create`). All of it must be
+invisible: memoized versions equal the classic full re-parse (schemas
+and ``parse_issues``), and every span the statement memo parses equals
+the whole-span parse. Edge cases run in all four dialects, followed by
+a property over generated histories and a seeded run of mixed-dialect
 histories sharing one warm element cache; the count tests pin that the
-memos really skip the work.
+memos really skip the work, and a delta checkpoint taken after
+create-only versions resumes like a cold fold.
 """
 
+import pickle
 import random
 import sys
 import threading
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 import pytest
@@ -23,13 +26,31 @@ from hypothesis import given, settings, strategies as st
 
 from repro.corpus.ddlgen import realize_history
 from repro.corpus.planner import plan_schedule
+from repro.engine.delta import capture_checkpoint, extend_checkpoint
+from repro.engine.study_plan import history_record
 from repro.errors import CorpusError, LexError
+from repro.history import repository
 from repro.history.commit import Commit
 from repro.history.repository import SchemaHistory, _fold_classic
+from repro.labels.quantization import LabelScheme
+from repro.metrics.profile import ProjectProfile
 from repro.schema.builder import SchemaBuilder
+from repro.sqlddl import memo as memo_module
 from repro.sqlddl import Dialect, tokenize
-from repro.sqlddl.memo import StatementMemo, _parse_element, _piece_tokens
-from repro.sqlddl.parser import Parser, _split_statements, parse_token_group
+from repro.sqlddl.ast_nodes import ColumnDef, CreateTable
+from repro.sqlddl.memo import (
+    _ELEMENT_FOLDS,
+    _TEMPLATES,
+    CutCreate,
+    StatementMemo,
+    fold_element,
+)
+from repro.sqlddl.parser import (
+    Parser,
+    _split_statements,
+    parse_table_element,
+    parse_token_group,
+)
 from repro.sqlddl.splitter import cut_create_table, split_statements
 
 
@@ -55,6 +76,27 @@ def whole_span(text, dialect):
     return parse_token_group(groups[0], dialect)
 
 
+def memo_outcome(entry, text, dialect):
+    """What the statement memo made of a span, shaped as
+    :func:`whole_span`: a cut ``CREATE TABLE`` is re-assembled from its
+    template and its elements parsed one by one, whose folds must be
+    the entry's."""
+    if entry.fallback:
+        return "fallback"
+    if type(entry) is not CutCreate:
+        return entry.statement, entry.skipped
+    _, elements, _ = cut_create_table(text, dialect)
+    body = [parse_table_element(element, dialect) for element in elements]
+    statement = replace(
+        entry.template,
+        columns=tuple(e for e in body if isinstance(e, ColumnDef)),
+        constraints=tuple(e for e in body if not isinstance(e, ColumnDef)))
+    assert entry.columns == tuple(map(fold_element, statement.columns))
+    assert entry.constraints \
+        == tuple(map(fold_element, statement.constraints))
+    return statement, None
+
+
 def assert_folds_like_classic(texts, dialect):
     history = history_of(texts, dialect)
     history.incremental_parse = True
@@ -67,9 +109,7 @@ def assert_folds_like_classic(texts, dialect):
     memo = StatementMemo(dialect)
     for text in texts:
         for segment in split_statements(text, dialect):
-            entry = memo.parse(segment)
-            got = ("fallback" if entry.fallback
-                   else (entry.statement, entry.skipped))
+            got = memo_outcome(memo.parse(segment), segment.text, dialect)
             assert got == whole_span(segment.text, dialect), segment.text
 
 
@@ -205,6 +245,63 @@ SCENARIOS = {
 }
 
 
+#: Dump shapes around the folded creates: one name created twice,
+#: temporary tables, mysqldump's drops, pg_dump's trailing constraints,
+#: noise between creates, and create-only versions between altered ones.
+DUMP = f"SET NAMES utf8;\n{BASE};\nINSERT INTO base VALUES (1, 'a;b');"
+SCENARIOS.update({
+    "one name twice": [
+        "CREATE TABLE t (a INT);\nCREATE TABLE t (b INT, b TEXT);",
+        "CREATE TABLE t (a INT);",
+        "CREATE TABLE t (a INT);\nCREATE TABLE t (b INT, b TEXT);",
+    ],
+    "if not exists twice": [
+        "CREATE TABLE IF NOT EXISTS t (a INT);\n"
+        "CREATE TABLE IF NOT EXISTS t (b INT);",
+        "CREATE TABLE IF NOT EXISTS t (a INT);",
+        "CREATE TABLE IF NOT EXISTS t (b INT);\n"
+        "CREATE TABLE IF NOT EXISTS t (a INT);",
+    ],
+    "temporary beside real": [
+        f"{EXTRA};",
+        f"CREATE TEMPORARY TABLE extra (a INT, a INT);\n{EXTRA};",
+        f"{EXTRA};\nCREATE TEMP TABLE scratch (a INT);",
+        f"{EXTRA};",
+    ],
+    "mysqldump drops": [
+        f"DROP TABLE IF EXISTS base;\n{BASE};",
+        f"DROP TABLE IF EXISTS base;\n{BASE};\n"
+        f"DROP TABLE IF EXISTS extra;\n{EXTRA};",
+        f"{BASE};\n{EXTRA};",
+        f"DROP TABLE IF EXISTS base;\n{BASE};\n{EXTRA};",
+    ],
+    "pg_dump constraints": [
+        "CREATE TABLE a (id INT, b INT);\nCREATE TABLE b (id INT);",
+        "CREATE TABLE a (id INT, b INT);\nCREATE TABLE b (id INT);\n"
+        "ALTER TABLE ONLY a ADD CONSTRAINT a_pkey PRIMARY KEY (id);\n"
+        "ALTER TABLE a ADD CONSTRAINT a_b_fkey FOREIGN KEY (b)"
+        " REFERENCES b (id);",
+        "CREATE TABLE a (id INT, b INT);\nCREATE TABLE b (id INT);",
+    ],
+    "noise and indexes": [
+        DUMP,
+        f"{DUMP}\nCREATE INDEX name_idx ON base (name);\n{EXTRA};",
+        f"{EXTRA};\n{DUMP}\nDROP INDEX name_idx;",
+        "SET NAMES utf8;\nINSERT INTO base VALUES (2);",
+    ],
+    "create-only and altered versions alternate": [
+        f"{BASE};\n{EXTRA};",
+        f"{BASE};\n{EXTRA};\nALTER TABLE extra ADD COLUMN note TEXT;",
+        f"{BASE};\n{EXTRA};",
+        f"{BASE};\nCREATE VIEW v AS SELECT id FROM base;",
+        "CREATE TABLE base (id INT PRIMARY KEY, name VARCHAR(10),"
+        " note TEXT);",
+        f"{BASE};\nDROP TABLE base;\n{EXTRA};",
+        f"{BASE};\n{EXTRA};",
+    ],
+})
+
+
 @pytest.mark.parametrize("dialect", DIALECTS, ids=lambda d: d.traits.name)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_folds_like_classic(name, dialect):
@@ -222,10 +319,10 @@ def test_hazards_take_the_cut():
         if name == "dollar default":
             assert pieces is None
         else:
-            assert memo._assemble(*pieces) is not None, name
+            assert memo._cut_create(*pieces) is not None, name
     for name, statement in WHOLE.items():
         pieces = cut_create_table(statement, generic)
-        assert pieces is None or memo._assemble(*pieces) is None, name
+        assert pieces is None or memo._cut_create(*pieces) is None, name
     assert cut_create_table(HAZARDS["line comment"], generic)[1] \
         == ["a INT -- legacy, y INT", "b INT"]
 
@@ -287,8 +384,8 @@ def test_mixed_dialects_share_the_element_cache():
     element and head/tail caches. The same text can lex in one dialect
     and not in another (a backtick name, a ``#`` comment), so a cache
     keyed by text alone would serve one dialect's parse to another."""
-    _parse_element.cache_clear()
-    _piece_tokens.cache_clear()
+    _ELEMENT_FOLDS.clear()
+    _TEMPLATES.clear()
     pieces, rng = hazard_pieces(), random.Random(4242)
     histories = [mixed_history(rng, *pieces) for _ in range(200)]
     # Generic first: it lexes every hazard, so its pass caches the
@@ -310,8 +407,8 @@ def test_threads_share_the_element_cache():
         except BaseException as exc:  # noqa: BLE001 - test capture
             errors.append(exc)
 
-    _parse_element.cache_clear()
-    _piece_tokens.cache_clear()
+    _ELEMENT_FOLDS.clear()
+    _TEMPLATES.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -406,8 +503,8 @@ def fold_versions(dialect):
 def test_each_distinct_element_parses_once(monkeypatch):
     """Once per process and dialect: a second history with the same
     elements parses none of them, another dialect parses them again."""
-    _parse_element.cache_clear()
-    _piece_tokens.cache_clear()
+    _ELEMENT_FOLDS.clear()
+    _TEMPLATES.clear()
     parses = counting(monkeypatch, Parser, "_parse_table_element")
     fold_versions(Dialect.GENERIC)
     distinct = {element for elements in DISTINCT_CREATES
@@ -419,10 +516,72 @@ def test_each_distinct_element_parses_once(monkeypatch):
     assert len(parses) == 2 * 8
 
 
+#: A ``CREATE TABLE`` the cut rejects (a ``$`` in a default), so the
+#: statement memo parses it whole.
+UNCUT = "CREATE TABLE notes (body TEXT DEFAULT $$a, b$$, n INT);"
+
+
 def test_each_distinct_create_table_folds_once(monkeypatch):
+    """Cut or parsed whole, a CREATE TABLE folds once per history,
+    while the ALTER runs in each version holding it."""
+    folds = counting(monkeypatch, repository, "fold_create")
+    whole = counting(monkeypatch, repository, "fold_statement")
     adds = counting(monkeypatch, SchemaBuilder, "_add_column_to_state")
+    texts = VERSIONS[:1] + [f"{text}\n{UNCUT}" for text in VERSIONS[1:]]
+    (segment,) = split_statements(UNCUT, Dialect.GENERIC)
+    entry = StatementMemo(Dialect.GENERIC).parse(segment)
+    assert isinstance(entry.statement, CreateTable)
+    history = history_of(texts, Dialect.GENERIC)
+    history.incremental_parse = True
+    history.versions()
+    assert len(folds) == len(DISTINCT_CREATES) == 5
+    assert len(whole) == 1
+    assert len(adds) == 2
+
+
+def test_each_template_parses_once(monkeypatch):
+    """Once per process and dialect, like the elements: the three heads
+    share one tail."""
+    _ELEMENT_FOLDS.clear()
+    _TEMPLATES.clear()
+    parses = counting(monkeypatch, memo_module, "_parse_template")
     fold_versions(Dialect.GENERIC)
-    columns = sum(1 for elements in DISTINCT_CREATES for element in elements
-                  if not element.startswith("PRIMARY KEY"))
-    alters = 2  # the ADD COLUMN runs in both versions holding it
-    assert len(adds) == columns + alters == 16
+    assert len(parses) == 3
+    fold_versions(Dialect.GENERIC)
+    assert len(parses) == 3
+    fold_versions(Dialect.POSTGRES)
+    assert len(parses) == 2 * 3
+
+
+def test_cut_creates_are_installed_not_applied(monkeypatch):
+    """Each changed version runs one builder, which installs the folded
+    creates and applies only the ALTER."""
+    applies = counting(monkeypatch, SchemaBuilder, "apply")
+    installs = counting(monkeypatch, SchemaBuilder, "install")
+    snapshots = counting(monkeypatch, SchemaBuilder, "snapshot_reusing")
+    fold_versions(Dialect.GENERIC)
+    assert (len(applies), len(installs), len(snapshots)) == (2, 10, 4)
+
+
+@pytest.mark.parametrize("dialect", DIALECTS, ids=lambda d: d.traits.name)
+def test_checkpoint_after_create_only_version_resumes(dialect):
+    """A delta checkpoint taken after create-only versions, stored and
+    loaded, resumes through versions with an ALTER and then a
+    create-only one again, exactly as a cold fold of the grown
+    history."""
+    grown = history_of(VERSIONS + [VERSIONS[1]], dialect)
+    prefix = history_of(VERSIONS[:2], dialect)
+    prefix.incremental_parse = True
+    scheme = LabelScheme()
+    checkpoint = capture_checkpoint(
+        "p", "histories", prefix, history_record(prefix, scheme),
+        chain=("v0", "v1"))
+    assert checkpoint is not None
+    checkpoint = pickle.loads(pickle.dumps(checkpoint))
+    series, advanced = extend_checkpoint(
+        checkpoint, grown.commits[2:], grown.project_end, dialect)
+    grown.incremental_parse = True
+    cold = grown.versions()
+    assert advanced.schema == cold[-1].schema
+    assert advanced.schema == _fold_classic(VERSIONS[1], dialect)[0]
+    assert series == ProjectProfile.from_history(grown).heartbeat

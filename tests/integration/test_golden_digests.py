@@ -7,8 +7,10 @@ another synthetic seed, a corpus directory written by ``corpus
 export --limit 24`` and a git repository committing those 24 projects
 version by version. It also pins the record list, as the three CSVs
 ``export`` writes for that directory, studied both as ``dir:`` and as
-an in-memory ``--corpus`` file, and the ``classify`` and ``profile``
-stdout over those 24 projects saved as JSONL history logs. Every
+an in-memory ``--corpus`` file, the ``classify`` and ``profile``
+stdout over those 24 projects saved as JSONL history logs, and the
+study of a 40-project dump-shaped corpus (``dump_corpus.py``: noise
+between statements, ``DROP TABLE IF EXISTS`` before each create). Every
 other golden check compares two execution paths of the same checkout,
 so a numerical drift shared by both paths shows only here. A change
 meant to move the report updates the digests deliberately. CI's
@@ -25,6 +27,7 @@ from repro.cli import main
 from repro.history.repository import save_history_to_jsonl
 from repro.sources import import_corpus_dir
 from tests.engine.test_delta import _git as git, needs_git
+from tests.integration.dump_corpus import write_dump_corpus
 
 DIGESTS = json.loads(
     (Path(__file__).resolve().parents[1] / "fixtures"
@@ -61,6 +64,12 @@ def test_exported_corpus_dir_study(capsys, tmp_path):
 def test_corpus_file_study(capsys, default_corpus_json, jobs):
     assert study_digest(capsys, "--corpus", str(default_corpus_json),
                         "--jobs", jobs) == DIGESTS["default-seed"]
+
+
+def test_dump_shaped_corpus_study(capsys, tmp_path):
+    write_dump_corpus(tmp_path / "corpus")
+    assert study_digest(capsys, "--source", f"dir:{tmp_path / 'corpus'}") \
+        == DIGESTS["dump-40"]
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,8 @@ from datetime import datetime
 
 import pytest
 
+from repro.engine import ErrorPolicy
+from repro.engine.stream import HandleStream
 from repro.errors import SourceError
 from repro.sources import GitDirSource
 
@@ -152,6 +154,27 @@ class TestTipMemo:
         source._git = counting
         assert list(source.iter_handles()) == first
         assert calls == ["rev-parse"]
+
+    def test_capturing_enumeration_checks_head_once(self, repo):
+        """Under a fault-capturing policy the stream bridges through
+        ``project_ids()`` and ``fingerprint(pid)``, and still checks
+        HEAD once per enumeration."""
+        source = GitDirSource(repo)
+        first = list(HandleStream(source, ErrorPolicy.skip()))
+        assert first
+        calls = []
+        git = source._git
+
+        def counting(*args):
+            calls.append(args[0])
+            return git(*args)
+
+        source._git = counting
+        assert list(HandleStream(source, ErrorPolicy.skip())) == first
+        assert calls == ["rev-parse"]
+        # Outside an enumeration every fingerprint checks HEAD.
+        source.fingerprint(first[0].pid)
+        assert calls == ["rev-parse", "rev-parse"]
 
     def test_identity_tracks_head(self, repo):
         source = GitDirSource(repo)

@@ -2,8 +2,7 @@
 
 from repro import obs
 from repro.sqlddl import Dialect
-from repro.sqlddl.ast_nodes import CreateTable
-from repro.sqlddl.memo import StatementMemo, parse_counters
+from repro.sqlddl.memo import CutCreate, StatementMemo, parse_counters
 from repro.sqlddl.splitter import split_statements
 
 
@@ -18,7 +17,9 @@ def test_memo_caches_by_content_hash():
     first = memo.parse(segment)
     second = memo.parse(segment)
     assert first is second  # identical entry object, not a re-parse
-    assert isinstance(first.statement, CreateTable)
+    assert isinstance(first, CutCreate)
+    assert first.template.name == "a"
+    assert [column.name for column in first.columns] == ["x"]
     assert obs.since(before) == {"parse_hits": 1, "parse_misses": 1}
 
 
