@@ -79,8 +79,6 @@ from repro.engine.stream import (
     sample_handles,
 )
 from repro.engine.study_plan import (
-    RECORDS_STAGE_VERSION,
-    bare_history,
     build_analysis_plan,
     build_source_records_plan,
     build_source_study_plan,
@@ -92,7 +90,6 @@ from repro.engine.study_plan import (
     source_record,
     source_record_delta,
     source_record_key,
-    strip_project,
 )
 
 __all__ = [
@@ -113,7 +110,6 @@ __all__ = [
     "HandleStream",
     "MapStage",
     "ProjectFailure",
-    "RECORDS_STAGE_VERSION",
     "ResultCache",
     "Stage",
     "StageTiming",
@@ -121,7 +117,6 @@ __all__ = [
     "StudyConfig",
     "StudyPlan",
     "append_line",
-    "bare_history",
     "build_analysis_plan",
     "build_source_records_plan",
     "build_source_study_plan",
@@ -147,5 +142,4 @@ __all__ = [
     "source_record",
     "source_record_delta",
     "source_record_key",
-    "strip_project",
 ]

@@ -1,11 +1,12 @@
 """Content-addressed result cache with a self-healing envelope.
 
 Cache keys are stable SHA-256 fingerprints of *content* — DDL text,
-timestamps, label-scheme boundaries, stage code versions — never of
-object identities, so a key computed in any process on any run
-addresses the same result. Values are pickled inside a checksummed
-envelope to ``<cache_dir>/objects/<k[:2]>/<key>.pkl``; writes are
-atomic (tmp + rename).
+timestamps, label-scheme boundaries, the :func:`code_digest` of the
+package — never of object identities, so a key computed in any process
+of one code tree addresses the same result, and no key of another tree
+does. Values are pickled inside a checksummed envelope to
+``<cache_dir>/objects/<k[:2]>/<key>.pkl``; writes are atomic (tmp +
+rename).
 
 The envelope is one ASCII header line followed by the pickle payload::
 
@@ -22,6 +23,7 @@ disk writes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -35,11 +37,6 @@ from repro.errors import EngineError
 
 #: Sentinel returned by :meth:`ResultCache.get` for absent/corrupt keys.
 MISS = object()
-
-#: Key-space version; bump on incompatible pickle layout changes.
-#: "v2": checksummed envelope — pre-envelope entries address different
-#: keys entirely instead of being mass-quarantined on first read.
-CACHE_FORMAT = "repro-cache-v2"
 
 #: First token of every entry's header line.
 ENVELOPE_MAGIC = b"%repro-cache%"
@@ -108,9 +105,32 @@ def canonical(value: Any) -> Any:
 
 def fingerprint(*parts: Any) -> str:
     """A stable SHA-256 hex digest of the given content parts."""
-    payload = json.dumps([CACHE_FORMAT, canonical(list(parts))],
+    payload = json.dumps(canonical(list(parts)),
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+@functools.cache
+def code_digest() -> str:
+    """SHA-256 of the imported ``repro`` package's source, once per
+    process: every ``*.py`` file's relative path and bytes, in path
+    order.
+
+    Stored results (cache entries, delta checkpoints) are addressed
+    with it, so a result computed by other code is never served. It
+    hashes the whole package rather than the modules a result depends
+    on: an unrelated edit retires the cache too, but no list of files
+    can fall out of step with the code.
+    """
+    import repro
+    root = Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for rel in sorted(path.relative_to(root).as_posix()
+                      for path in root.rglob("*.py")):
+        data = (root / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def _envelope(payload: bytes, digest: str) -> bytes:

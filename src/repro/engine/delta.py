@@ -38,8 +38,10 @@ Checkpoints are written on *every* computed record when a delta store
 is active — cold studies included — so the very first ``refresh`` after
 an append already runs the suffix path. Files live under
 ``<cache_dir>/delta/``, wrapped in the result cache's checksummed
-envelope and written atomically; a corrupt or alien file reads as "no
-checkpoint".
+envelope and written atomically, at a path that mixes in the
+:func:`~repro.engine.cache.code_digest`: a checkpoint written by other
+code is never found, so its pickled ``Schema``/``Table`` objects are
+never loaded, and a corrupt file reads as "no checkpoint".
 
 The serve path counts in :mod:`repro.obs`: ``delta_appended``
 (projects served by the append path), ``delta_rewritten`` (projects
@@ -61,7 +63,12 @@ from repro import obs
 from repro.analysis.records import StudyRecord
 from repro.diff.engine import diff_schemas
 from repro.diff.stats import EMPTY_BREAKDOWN, ChangeBreakdown
-from repro.engine.cache import decode_entry, encode_entry, fingerprint
+from repro.engine.cache import (
+    code_digest,
+    decode_entry,
+    encode_entry,
+    fingerprint,
+)
 from repro.errors import EngineError
 from repro.history.heartbeat import ActivitySeries
 from repro.history.repository import (
@@ -80,11 +87,6 @@ from repro.patterns.classifier import (
     classify,
     classify_with_tolerance,
 )
-
-#: Checkpoint format version; bump when the pickle layout changes so
-#: stale checkpoints read as missing instead of exploding.
-#: "2": checkpoints no longer carry a packed row or a scheme key.
-DELTA_FORMAT_VERSION = 2
 
 #: Subdirectory of the cache dir that holds the checkpoint files.
 DELTA_SUBDIR = "delta"
@@ -127,7 +129,6 @@ class StudyCheckpoint:
     """Everything needed to extend one project's study by a suffix.
 
     Attributes:
-        format: :data:`DELTA_FORMAT_VERSION` at write time.
         pid: the source-side project id.
         mode: ``"corpus"`` or ``"histories"`` (the record flavor).
         name: the project/history name the record carries.
@@ -148,7 +149,6 @@ class StudyCheckpoint:
             after a classic-fallback final commit).
     """
 
-    format: int
     pid: str
     mode: str
     name: str
@@ -171,10 +171,11 @@ class DeltaStore:
     The store is a broadcast extra of the records map stage: it holds
     only its root path, so it pickles to workers in a few bytes, and
     each worker reads/writes checkpoint files directly (one project is
-    mapped at most once per run, so writers never race). Reads treat
-    anything unreadable — missing file, torn write, foreign format —
-    as "no checkpoint"; writes are atomic tmp+rename and best-effort,
-    mirroring :class:`~repro.engine.cache.ResultCache`.
+    mapped at most once per run, so writers never race). A project's
+    path is keyed by the code digest too, so other code's checkpoints
+    are never read. Reads treat anything unreadable — missing or torn
+    file — as "no checkpoint"; writes are atomic tmp+rename and
+    best-effort, mirroring :class:`~repro.engine.cache.ResultCache`.
     """
 
     def __init__(self, root: str | Path):
@@ -182,7 +183,8 @@ class DeltaStore:
 
     def path_for(self, pid: str, mode: str) -> Path:
         digest = hashlib.sha256(
-            f"{mode}\x1f{pid}".encode("utf-8")).hexdigest()
+            f"{code_digest()}\x1f{mode}\x1f{pid}".encode("utf-8")
+        ).hexdigest()
         return self.root / digest[:2] / f"{digest}.ckpt"
 
     def load(self, pid: str, mode: str) -> StudyCheckpoint | None:
@@ -197,7 +199,6 @@ class DeltaStore:
         except EngineError:
             return None
         if not isinstance(value, StudyCheckpoint) \
-                or value.format != DELTA_FORMAT_VERSION \
                 or value.pid != pid or value.mode != mode:
             return None
         return value
@@ -257,14 +258,15 @@ def capture_checkpoint(pid: str, mode: str, history: SchemaHistory,
                        chain: tuple) -> StudyCheckpoint | None:
     """A checkpoint of a freshly, fully computed record.
 
-    Returns ``None`` when the history did not materialize through the
-    memoized path (migration-style ``incremental`` histories, classic
-    full parses) — there is no tail state to resume from, and the next
-    run simply recomputes in full.
+    Called in the process that folded ``history`` (the tail state does
+    not pickle). Returns ``None`` when the history did not materialize
+    through the memoized path (migration-style ``incremental``
+    histories, classic full parses) — there is no tail state to resume
+    from, and the next run simply recomputes in full.
     """
     if history.incremental:
         return None
-    state = getattr(history, "_delta_state", None)
+    state = history._delta_state
     versions = history._versions
     if state is None or not versions:
         return None
@@ -275,7 +277,6 @@ def capture_checkpoint(pid: str, mode: str, history: SchemaHistory,
     rows = tuple(tuple(b.flat) if any(b.flat) else None
                  for b in series.breakdowns)
     return StudyCheckpoint(
-        format=DELTA_FORMAT_VERSION,
         pid=pid,
         mode=mode,
         name=history.project_name,

@@ -435,7 +435,7 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
         if not probe_cache:
             obs.count("cache_misses")
             return True
-        key = stage.cache_key_fn(item, extras, stage.version)
+        key = stage.cache_key_fn(item, extras)
         if faults is not None and faults.wants_cache_corruption(
                 item_id(item), stage.name):
             cache.corrupt_entry(key)
@@ -573,8 +573,6 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
                 total += 1
                 if not probe(index, item):
                     continue
-                if stage.item_transport_fn is not None:
-                    item = stage.item_transport_fn(item)
                 buffer.append((index, item))
                 if len(buffer) >= chunk:
                     submit_buffer()

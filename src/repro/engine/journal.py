@@ -7,7 +7,7 @@ and result digests. The journal is what makes a run *restartable*: after
 a SIGKILL, crash or Ctrl-C, ``--resume RUN_ID`` loads the journaled
 chunks, serves them from the result cache, and executes only the
 remainder — byte-identical to an uninterrupted run, because cache keys
-and stage versions are untouched by resumption.
+are untouched by resumption.
 
 Records and durability:
 

@@ -27,14 +27,11 @@ class Stage:
             stay picklable for the process backend.
         inputs: names of the values the stage consumes — either other
             stage names or keys of the initial input dict.
-        version: code-version tag mixed into cache keys; bump it when
-            the stage's logic changes so stale cache entries die.
     """
 
     name: str
     fn: Callable[..., Any]
     inputs: tuple[str, ...] = ()
-    version: str = "1"
 
     def __post_init__(self):
         if not self.name:
@@ -54,18 +51,13 @@ class MapStage(Stage):
     indistinguishable to downstream stages.
 
     Attributes:
-        cache_key_fn: optional ``fn(item, extras, version) -> str``
-            producing the content hash under which one item's result is
-            cached; ``None`` disables caching for the stage.
-        item_transport_fn: optional ``fn(item) -> item`` applied to each
-            input item before it is pickled to a worker process. Used
-            to shed derived caches that are cheap to rebuild but
-            expensive to serialize.
+        cache_key_fn: optional ``fn(item, extras) -> str`` producing the
+            content hash under which one item's result is cached — the
+            key names the code that computes it too; ``None`` disables
+            caching for the stage.
     """
 
-    cache_key_fn: Callable[[Any, tuple, str], str] | None = field(
-        default=None, compare=False)
-    item_transport_fn: Callable[[Any], Any] | None = field(
+    cache_key_fn: Callable[[Any, tuple], str] | None = field(
         default=None, compare=False)
 
     def __post_init__(self):

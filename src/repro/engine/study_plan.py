@@ -32,8 +32,6 @@ pickle them by reference.
 
 from __future__ import annotations
 
-import copy
-import dataclasses
 import statistics
 from typing import NamedTuple, Sequence
 
@@ -71,7 +69,7 @@ from repro.analysis.table import (
     RecordTable,
 )
 from repro.diff.changes import KIND_ORDER, N_KINDS
-from repro.engine.cache import fingerprint
+from repro.engine.cache import code_digest, fingerprint
 from repro.engine.config import StudyConfig
 from repro.engine.executor import ExecutionReport, execute_plan
 from repro.engine.stage import MapStage, Stage, StudyPlan
@@ -89,14 +87,6 @@ from repro.patterns.classifier import (
 )
 from repro.patterns.exceptions import ExceptionReport
 from repro.patterns.taxonomy import Pattern, REAL_PATTERNS
-
-#: Bump when the history → record computation changes observably; this
-#: invalidates every cached StudyRecord (the cache key mixes it in).
-#: "2": columnar ChangeBreakdown — cached record pickles changed shape.
-#: "3": profiles no longer carry ``history`` or ``source`` — a cached
-#: record from "2" would unpickle with fields the class lacks.
-RECORDS_STAGE_VERSION = "3"
-
 
 # ----------------------------------------------------------------------
 # per-project map stage
@@ -146,43 +136,11 @@ def history_fingerprint_parts(history: SchemaHistory) -> list:
     ]
 
 
-def bare_history(history: SchemaHistory) -> SchemaHistory:
-    """A shallow copy of ``history`` without its parsed-version cache."""
-    if history._versions is None:
-        return history
-    bare = copy.copy(history)
-    bare._versions = None
-    return bare
-
-
-def strip_project(project):
-    """A copy of a generated project with a bare history (pre-pickle)."""
-    bare = bare_history(project.history)
-    if bare is project.history:
-        return project
-    return dataclasses.replace(project, history=bare)
-
-
 def strip_record(record: StudyRecord) -> StudyRecord:
     """``record`` as it is pickled: records hold no derived caches, so
     this is the identity (kept for callers sizing what a worker ships).
     """
     return record
-
-
-def strip_handle(handle):
-    """A copy of a handle whose attached project is stripped (pre-pickle).
-
-    Handles of lightweight sources carry no project and pass through.
-    """
-    item = handle.item
-    if item is None:
-        return handle
-    bare = bare_history(item) if isinstance(item, SchemaHistory) \
-        else strip_project(item)
-    if bare is item:
-        return handle
-    return dataclasses.replace(handle, item=bare)
 
 
 def source_record(handle, source, scheme: LabelScheme) -> StudyRecord:
@@ -203,19 +161,21 @@ def source_record(handle, source, scheme: LabelScheme) -> StudyRecord:
     return history_record(loaded, scheme)
 
 
-def source_record_key(handle, extras: tuple, version: str) -> str:
+def source_record_key(handle, extras: tuple) -> str:
     """Content hash of one handle's record computation.
 
     The handle's fingerprint stands in for the project content, so the
     key is computable without loading the project — the point of the
-    lazy path: a warm cache never materializes anything. The delta
+    lazy path: a warm cache never materializes anything. The
+    :func:`~repro.engine.cache.code_digest` stands in for the code, so
+    an edited tree never reads a record an older one stored. The delta
     plan's extra broadcast input (the checkpoint store) deliberately
     does not participate: checkpoints accelerate the compute, they
     never change its result, so delta and non-delta runs share cache
     entries.
     """
     source, scheme = extras[0], extras[1]
-    return fingerprint("source-record", version, source.mode,
+    return fingerprint("source-record", code_digest(), source.mode,
                        scheme.to_dict(), handle.pid, handle.fingerprint)
 
 
@@ -628,23 +588,20 @@ def source_map_stage(delta: bool = False) -> MapStage:
 
     The mapped items are :class:`~repro.sources.base.SourceHandle`\\ s
     — (pid, fingerprint) pairs a few dozen bytes each, plus the
-    project itself for a source that is not lightweight — and the
-    source object travels to workers as a broadcast extra.
-    :func:`strip_handle` sheds an attached project's parse cache
-    before its handle is pickled. ``delta`` additionally broadcasts a
-    checkpoint store (the ``delta_store`` initial input — a picklable
-    path holder; workers read and write the checkpoint files
-    themselves) and maps through :func:`source_record_delta`; version
-    and cache keys are untouched, so delta and plain plans share the
-    result cache.
+    project itself for a source that is not lightweight, which
+    pickles without its parse state (``SchemaHistory.__getstate__``)
+    — and the source object travels to workers as a broadcast extra.
+    ``delta`` additionally broadcasts a checkpoint store (the
+    ``delta_store`` initial input — a picklable path holder; workers
+    read and write the checkpoint files themselves) and maps through
+    :func:`source_record_delta`; cache keys are untouched, so delta
+    and plain plans share the result cache.
     """
     fn, inputs = source_record, ("handles", "source", "scheme")
     if delta:
         fn, inputs = source_record_delta, (*inputs, "delta_store")
     return MapStage(name="records", fn=fn, inputs=inputs,
-                    version=RECORDS_STAGE_VERSION,
-                    cache_key_fn=source_record_key,
-                    item_transport_fn=strip_handle)
+                    cache_key_fn=source_record_key)
 
 
 def build_source_records_plan(delta: bool = False) -> StudyPlan:

@@ -173,14 +173,16 @@ class SchemaHistory:
             dataset format). True: each commit holds only the new
             statements of that change (migration-script style); versions
             are materialized cumulatively.
-        incremental_parse: whether full-snapshot commits materialize
-            through :class:`SnapshotFold` (parse and fold only what
-            changed since the previous version, reuse unchanged
-            ``Table`` objects). None (default) defers to the
-            process-wide default
-            (:func:`incremental_parse_default`). Output is guaranteed
-            identical either way; the flag exists for A/B verification
-            and as an escape hatch.
+
+    Full-snapshot commits materialize through :class:`SnapshotFold`
+    (parse and fold only what changed since the previous version, reuse
+    unchanged ``Table`` objects) unless the process-wide switch
+    (:func:`incremental_parse_disabled`, ``--no-incremental``) selects
+    the classic full re-parse; output is identical either way.
+
+    A history pickles without its parsed versions and the fold's tail
+    state: both derive from the commits, and whichever process needs
+    them folds them again.
 
     Raises:
         HistoryError: for empty commit lists or a project window that does
@@ -191,8 +193,7 @@ class SchemaHistory:
                  project_start: datetime | None = None,
                  project_end: datetime | None = None,
                  dialect: Dialect = Dialect.GENERIC,
-                 incremental: bool = False,
-                 incremental_parse: bool | None = None):
+                 incremental: bool = False):
         if not commits:
             raise HistoryError(f"project {project_name!r} has no commits")
         self.project_name = project_name
@@ -201,7 +202,6 @@ class SchemaHistory:
         self.project_end = project_end or self.commits[-1].timestamp
         self.dialect = dialect
         self.incremental = incremental
-        self.incremental_parse = incremental_parse
         #: (final segment-hash tuple, final Table pool) of the last
         #: memoized materialization — the tail state the delta layer
         #: checkpoints so a grown history can resume mid-stream; None
@@ -216,6 +216,11 @@ class SchemaHistory:
             raise HistoryError(
                 f"project {project_name!r}: project_end is before the "
                 f"last DDL commit")
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_versions"] = state["_delta_state"] = None
+        return state
 
     # ------------------------------------------------------------------
     # time frame
@@ -242,9 +247,7 @@ class SchemaHistory:
         if self._versions is None:
             if self.incremental:
                 self._versions = self._materialize_incremental()
-            elif (self.incremental_parse
-                  if self.incremental_parse is not None
-                  else incremental_parse_default()):
+            elif incremental_parse_default():
                 self._versions = self._materialize_memoized()
             else:
                 self._versions = [self._materialize(c)

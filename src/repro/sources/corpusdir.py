@@ -367,7 +367,7 @@ class CorpusDirSource:
             raise SourceError(
                 f"not a corpus directory (cannot read {path}): "
                 f"{exc}") from exc
-        return ["dir", CORPUS_DIR_FORMAT, CORPUS_DIR_VERSION, digest]
+        return ["dir", CORPUS_DIR_FORMAT, digest]
 
     def project_ids(self) -> tuple[str, ...]:
         return tuple(self._index())

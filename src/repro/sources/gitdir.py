@@ -30,11 +30,6 @@ from repro.sqlddl import ast_nodes as ast
 from repro.sqlddl.dialect import Dialect
 from repro.sqlddl.parser import parse_script
 
-#: Bump when the extraction logic changes observably (fingerprints key
-#: the cache off sha chains, which cannot see code changes).
-GIT_SOURCE_VERSION = "1"
-
-
 def _looks_like_ddl(text: str, dialect: Dialect) -> bool:
     """True when ``text`` parses to at least one CREATE TABLE."""
     try:
@@ -138,7 +133,7 @@ class GitDirSource:
         memoized discovery and fingerprints stay valid.
         """
         head = self._sync_tip()
-        return ["git", GIT_SOURCE_VERSION, self.root, head,
+        return ["git", self.root, head,
                 self.dialect.traits.name, self.glob, self.drop_noise]
 
     def project_ids(self) -> tuple[str, ...]:
@@ -178,8 +173,8 @@ class GitDirSource:
             return cached
         shas = self._git("log", "--format=%H", "--", pid).split()
         from repro.engine.cache import fingerprint
-        value = fingerprint("git-history", GIT_SOURCE_VERSION, pid,
-                            self.dialect.traits.name, shas)
+        value = fingerprint("git-history", pid, self.dialect.traits.name,
+                            shas)
         self._fingerprints[pid] = value
         return value
 

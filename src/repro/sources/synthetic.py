@@ -24,12 +24,6 @@ from repro.engine.cache import fingerprint
 from repro.errors import SourceError
 from repro.patterns.taxonomy import Pattern
 
-#: Bump when realization output changes for an unchanged spec (DDL
-#: scribe rewrites, sampler changes) — spec-derived fingerprints cannot
-#: see code changes, so this version is their stand-in.
-GENERATOR_VERSION = "1"
-
-
 class SyntheticSource:
     """Lazily realized synthetic corpus (one project per child seed).
 
@@ -41,7 +35,9 @@ class SyntheticSource:
 
     The project order and content are identical to
     :func:`repro.corpus.generator.generate_corpus` under the same
-    arguments — the golden-equivalence tests pin this.
+    arguments — the golden-equivalence tests pin this. A fingerprint
+    sees only the spec, not the generator's code; the result cache's
+    key adds the package's code digest for that.
     """
 
     mode = "corpus"
@@ -88,7 +84,7 @@ class SyntheticSource:
             population = sorted(
                 (pattern.value, count)
                 for pattern, count in self.population.items())
-        return ["synthetic", GENERATOR_VERSION, self.seed, population,
+        return ["synthetic", self.seed, population,
                 self.with_exceptions, self.with_noise]
 
     def project_ids(self) -> tuple[str, ...]:
@@ -96,9 +92,8 @@ class SyntheticSource:
 
     def fingerprint(self, pid: str) -> str:
         spec = self._spec(pid)
-        return fingerprint("synthetic-project", GENERATOR_VERSION,
-                           spec.seed, spec.pattern, spec.name,
-                           spec.bucket, spec.exception_kind,
+        return fingerprint("synthetic-project", spec.seed, spec.pattern,
+                           spec.name, spec.bucket, spec.exception_kind,
                            spec.with_noise)
 
     def load(self, pid: str) -> GeneratedProject:

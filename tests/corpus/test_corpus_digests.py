@@ -11,10 +11,10 @@ writes, independently of any study:
 * the joined commit texts of one incremental-style history, which
   renders each month's statements instead of whole-schema dumps.
 
-A synthetic project's fingerprint is derived from its spec and
-``GENERATOR_VERSION``, never from its bytes, so a generator change
-that moves a byte must bump that version, or a warm cache keeps
-serving records measured on the old bytes.
+A synthetic project's fingerprint is derived from its spec, never
+from its bytes; a warm cache still drops records measured on the old
+bytes after a generator change, because cache keys carry the digest
+of the package's code. These pins say whether the bytes moved.
 """
 
 import hashlib
@@ -33,10 +33,8 @@ DIGESTS = json.loads(
     (Path(__file__).resolve().parents[1] / "fixtures"
      / "corpus_digests.json").read_text())
 
-REPIN = ("the synthetic generator's output changed: bump "
-         "GENERATOR_VERSION in repro/sources/synthetic.py (synthetic "
-         "fingerprints and cache keys depend on it), then re-pin "
-         "tests/fixtures/corpus_digests.json deliberately")
+REPIN = ("the synthetic generator's output changed: if the change is "
+         "meant, re-pin tests/fixtures/corpus_digests.json deliberately")
 
 
 def manifest_digest(root: Path) -> str:

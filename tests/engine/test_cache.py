@@ -8,7 +8,6 @@ import pytest
 from repro.corpus.generator import generate_corpus
 from repro.engine import (
     MISS,
-    RECORDS_STAGE_VERSION,
     ResultCache,
     canonical,
     fingerprint,
@@ -31,13 +30,12 @@ from repro.sources.base import SourceHandle
 POPULATION = {Pattern.FLATLINER: 1, Pattern.SIESTA: 1}
 
 
-def record_key(item, scheme=DEFAULT_SCHEME, version=RECORDS_STAGE_VERSION,
-               mode="corpus"):
+def record_key(item, scheme=DEFAULT_SCHEME, mode="corpus"):
     """The records-stage cache key of one in-memory project or history."""
     source = InMemorySource([item], mode=mode)
     (pid,) = source.project_ids()
     handle = SourceHandle(pid=pid, fingerprint=source.fingerprint(pid))
-    return source_record_key(handle, (source, scheme), version)
+    return source_record_key(handle, (source, scheme))
 
 
 @pytest.fixture(scope="module")
@@ -104,9 +102,11 @@ class TestRecordCacheKey:
         shifted = LabelScheme(timing_bounds=(0.30, 0.75))
         assert record_key(project) != record_key(project, scheme=shifted)
 
-    def test_stage_version_bump_invalidates(self, project):
-        assert record_key(project, version="1") \
-            != record_key(project, version="2")
+    def test_code_digest_change_invalidates(self, project, monkeypatch):
+        from repro.engine import study_plan
+        key = record_key(project)
+        monkeypatch.setattr(study_plan, "code_digest", lambda: "0" * 64)
+        assert record_key(project) != key
 
     def test_history_key_tracks_window(self, project):
         history = project.history

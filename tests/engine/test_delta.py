@@ -12,8 +12,8 @@ incremental recompute:
   migration-style history whose checkpoint read its commits as
   snapshots — once, since that recompute drops the checkpoint;
 * a fault-injected append heals under the retry policy with the same
-  output; corrupt and older-format checkpoint files read as "no
-  checkpoint";
+  output; a corrupt checkpoint file reads as "no checkpoint", and one
+  written by other code is never read;
 * the run ledger round-trips the new delta and hot-cache counters.
 """
 
@@ -37,11 +37,9 @@ from repro.engine import (
     execute_study_from_source,
     read_ledger,
 )
-from repro.engine.delta import (
-    DELTA_FORMAT_VERSION,
-    DELTA_SUBDIR,
-    commit_chain,
-)
+from repro.engine import delta as delta_mod
+from repro.engine import study_plan
+from repro.engine.delta import DELTA_SUBDIR, commit_chain
 from repro.history.commit import Commit
 from repro.history.repository import SchemaHistory
 from repro.patterns.taxonomy import Pattern
@@ -158,18 +156,24 @@ class TestCheckpointLifecycle:
         assert store.load(pid, "corpus") is not None
         assert store.load(pid, "histories") is None
 
-    def test_older_format_reads_as_missing(self, corpus_root, tmp_path):
+    def test_other_code_digest_reads_as_missing(self, corpus_root,
+                                                tmp_path, monkeypatch):
+        """Checkpoints written by other code sit at other paths: this
+        code never reads them, and refreshes in full."""
         cache = tmp_path / "cache"
+        for module in (delta_mod, study_plan):
+            monkeypatch.setattr(module, "code_digest", lambda: "0" * 64)
         study(corpus_root, cache)
+        monkeypatch.undo()
         store = DeltaStore(cache / DELTA_SUBDIR)
-        pid = CorpusDirSource(corpus_root).project_ids()[0]
-        checkpoint = store.load(pid, "corpus")
-        assert store.save(dataclasses.replace(
-            checkpoint, format=DELTA_FORMAT_VERSION - 1))
-        assert store.load(pid, "corpus") is None
+        pids = CorpusDirSource(corpus_root).project_ids()
+        assert len(list((cache / DELTA_SUBDIR).rglob("*.ckpt"))) \
+            == len(pids)
+        assert all(store.load(pid, "corpus") is None for pid in pids)
         grow_corpus_dir(corpus_root, [0], 2)
         results, report = study(corpus_root, cache)
         assert report.delta_appended == 0
+        assert report.delta_reused == 0
         assert report.delta_rewritten == 0
         cold, _ = study(corpus_root, tmp_path / "cold")
         assert results.records == cold.records

@@ -105,12 +105,14 @@ class TestHandlesOnlyCrossTheBoundary:
                 # stage's broadcast inputs (source, scheme).
                 if len(args) == 2 and isinstance(args[1], list):
                     broadcasts.append(len(pickle.dumps(args[0])))
-                    shipped.extend(args[1])
+                    shipped.extend(pickle.loads(pickle.dumps(args[1])))
                 return super().submit(fn, *args, **kwargs)
 
         # The serial study behind legacy_report parsed these histories
-        # in place; what crosses to a worker must not carry that cache.
-        assert small_corpus.projects[0].history._versions is not None
+        # in place; what crosses to a worker must not carry that state.
+        history = small_corpus.projects[0].history
+        assert history._versions is not None
+        assert history._delta_state is not None
         monkeypatch.setattr(session_mod, "ProcessPoolExecutor", SpyPool)
         source = InMemorySource(small_corpus.projects, mode="corpus")
         results, _ = execute_study_from_source(source,
@@ -120,6 +122,7 @@ class TestHandlesOnlyCrossTheBoundary:
         assert [handle.pid for handle in shipped] == names
         assert [handle.item.name for handle in shipped] == names
         assert all(handle.item.history._versions is None
+                   and handle.item.history._delta_state is None
                    for handle in shipped)
         assert len(broadcasts) > 1
         assert max(broadcasts) <= 4096

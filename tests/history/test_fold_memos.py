@@ -31,7 +31,11 @@ from repro.engine.study_plan import history_record
 from repro.errors import CorpusError, LexError
 from repro.history import repository
 from repro.history.commit import Commit
-from repro.history.repository import SchemaHistory, _fold_classic
+from repro.history.repository import (
+    SchemaHistory,
+    _fold_classic,
+    incremental_parse_disabled,
+)
 from repro.labels.quantization import LabelScheme
 from repro.metrics.profile import ProjectProfile
 from repro.schema.builder import SchemaBuilder
@@ -99,11 +103,10 @@ def memo_outcome(entry, text, dialect):
 
 def assert_folds_like_classic(texts, dialect):
     history = history_of(texts, dialect)
-    history.incremental_parse = True
     memoized = history.versions()
     history._versions = None
-    history.incremental_parse = False
-    classic = history.versions()
+    with incremental_parse_disabled():
+        classic = history.versions()
     assert [(v.schema, v.parse_issues) for v in memoized] \
         == [(v.schema, v.parse_issues) for v in classic]
     memo = StatementMemo(dialect)
@@ -370,7 +373,6 @@ def classic_mismatches(histories, dialects):
     for dialect in dialects:
         for texts in histories:
             history = history_of(texts, dialect)
-            history.incremental_parse = True
             for version in history.versions():
                 text = version.commit.ddl_text
                 if (version.schema, version.parse_issues) \
@@ -496,7 +498,6 @@ def counting(monkeypatch, owner, name):
 
 def fold_versions(dialect):
     history = history_of(VERSIONS, dialect)
-    history.incremental_parse = True
     history.versions()
 
 
@@ -532,7 +533,6 @@ def test_each_distinct_create_table_folds_once(monkeypatch):
     entry = StatementMemo(Dialect.GENERIC).parse(segment)
     assert isinstance(entry.statement, CreateTable)
     history = history_of(texts, Dialect.GENERIC)
-    history.incremental_parse = True
     history.versions()
     assert len(folds) == len(DISTINCT_CREATES) == 5
     assert len(whole) == 1
@@ -571,7 +571,6 @@ def test_checkpoint_after_create_only_version_resumes(dialect):
     history."""
     grown = history_of(VERSIONS + [VERSIONS[1]], dialect)
     prefix = history_of(VERSIONS[:2], dialect)
-    prefix.incremental_parse = True
     scheme = LabelScheme()
     checkpoint = capture_checkpoint(
         "p", "histories", prefix, history_record(prefix, scheme),
@@ -580,7 +579,6 @@ def test_checkpoint_after_create_only_version_resumes(dialect):
     checkpoint = pickle.loads(pickle.dumps(checkpoint))
     series, advanced = extend_checkpoint(
         checkpoint, grown.commits[2:], grown.project_end, dialect)
-    grown.incremental_parse = True
     cold = grown.versions()
     assert advanced.schema == cold[-1].schema
     assert advanced.schema == _fold_classic(VERSIONS[1], dialect)[0]

@@ -13,6 +13,7 @@ from repro.history.repository import (
     NO_INCREMENTAL_ENV,
     SchemaHistory,
     incremental_parse_default,
+    incremental_parse_disabled,
     set_incremental_parse_default,
 )
 from repro.sqlddl.memo import parse_counters
@@ -22,13 +23,11 @@ from tests.conftest import make_history
 def both_modes(history):
     """(incremental, full) version lists of one history."""
     history._versions = None
-    history.incremental_parse = True
     incremental = history.versions()
     history._versions = None
-    history.incremental_parse = False
-    full = history.versions()
+    with incremental_parse_disabled():
+        full = history.versions()
     history._versions = None
-    history.incremental_parse = None
     return incremental, full
 
 
@@ -48,7 +47,6 @@ def test_simple_history_equivalent(simple_history):
 def test_unchanged_version_reuses_schema_object():
     ddl = "CREATE TABLE a (x INT);\nCREATE TABLE b (y INT);"
     history = make_history([ddl, ddl, ddl + "\nCREATE TABLE c (z INT);"])
-    history.incremental_parse = True
     versions = history.versions()
     # Identical snapshot: whole-version shortcut hands back the object.
     assert versions[1].schema is versions[0].schema
@@ -59,7 +57,6 @@ def test_unchanged_tables_are_identical_objects():
     v1 = "CREATE TABLE a (x INT);\nCREATE TABLE b (y INT);"
     v2 = v1 + "\nALTER TABLE b ADD COLUMN z INT;"
     history = make_history([v1, v2])
-    history.incremental_parse = True
     first, second = history.versions()
     # 'a' is untouched between versions: the exact same frozen Table.
     assert second.schema.table("a") is first.schema.table("a")
@@ -99,7 +96,6 @@ def test_lex_error_version_falls_back():
     bad = "CREATE TABLE a (x INT);\nSELECT \x00;"
     history = make_history([good, bad, good])
     assert_equivalent(history)
-    history.incremental_parse = True
     history._versions = None
     versions = history.versions()
     assert versions[1].parse_issues == 1
@@ -130,7 +126,6 @@ def test_create_table_like_tracks_source_trace():
 def test_memo_stats_recorded():
     ddl = "CREATE TABLE a (x INT);\nCREATE TABLE b (y INT);"
     history = make_history([ddl, ddl + "\nCREATE TABLE c (z INT);"])
-    history.incremental_parse = True
     before = obs.snapshot()
     history.versions()
     counts = obs.since(before)
@@ -142,7 +137,6 @@ def test_global_counters_observe_history_parsing():
     hits_before, misses_before = parse_counters()
     ddl = "CREATE TABLE a (x INT);"
     history = make_history([ddl, ddl + "\nCREATE TABLE b (y INT);"])
-    history.incremental_parse = True
     history.versions()
     hits, misses = parse_counters()
     assert hits - hits_before == 1 and misses - misses_before == 2
@@ -170,7 +164,7 @@ def test_migration_format_ignores_flag():
         "migrations",
         make_history(["CREATE TABLE a (x INT);",
                       "ALTER TABLE a ADD COLUMN y INT;"]).commits,
-        incremental=True, incremental_parse=True)
+        incremental=True)
     versions = history.versions()
     assert len(versions[1].schema.table("a").attributes) == 2
 
@@ -180,20 +174,19 @@ def test_golden_equivalence_full_study(small_corpus):
     incremental and full-parse paths are identical."""
     from repro.study.pipeline import records_from_corpus, run_study
 
-    def run(enabled):
+    def run():
         for project in small_corpus.projects:
             project.history._versions = None
-            project.history.incremental_parse = enabled
         try:
             records = records_from_corpus(small_corpus)
             return records, run_study(records)
         finally:
             for project in small_corpus.projects:
-                project.history.incremental_parse = None
                 project.history._versions = None
 
-    inc_records, inc_study = run(True)
-    full_records, full_study = run(False)
+    inc_records, inc_study = run()
+    with incremental_parse_disabled():
+        full_records, full_study = run()
     assert inc_records == full_records
     assert ([r.pattern for r in inc_records]
             == [r.pattern for r in full_records])
