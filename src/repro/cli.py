@@ -17,7 +17,8 @@ Subcommands:
   (directory of .sql files or a JSONL commit log).
 * ``chart`` — render a history's heartbeat as ASCII or SVG.
 * ``ledger`` — print the run ledger recorded under a ``--cache-dir``
-  (one row per past run: timings, cache totals, result digest).
+  (one row per past run: its id, wall time, the ``--timings`` TOTAL
+  counter cells and its result digest).
 * ``resume`` — list interrupted runs whose journal makes them
   resumable via ``study --resume RUN_ID``.
 
@@ -47,6 +48,7 @@ from repro.engine import (
     policy_from_name,
     read_ledger,
 )
+from repro.engine.executor import COLUMNS, total_cells
 from repro.errors import CliError, ReproError, RunInterrupted
 
 #: Exit status of a run that completed on survivors only: some
@@ -452,31 +454,21 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
         for run in runs:
             print(_json.dumps(run, sort_keys=True))
         return 0
-    headers = ("run", "started", "seconds", "items", "hits", "misses",
-               "hot", "packed", "delta", "retries", "fail", "degraded",
+    headers = ("run", "started", "seconds", "items",
+               *(header for header, _, _ in COLUMNS), "degraded",
                "digest")
     rows = []
     for run in runs:
-        digest = str(run.get("result_digest", ""))[:12]
-        appended = run.get("delta_appended", 0)
-        rewritten = run.get("delta_rewritten", 0)
-        parsed = run.get("delta_parsed", 0)
-        delta = f"{appended}a/{rewritten}r/{parsed}p" \
-            if appended or rewritten or parsed else "-"
+        # A row's failures are summaries; the faults cell counts them.
+        counters = {**run, "failures": len(run.get("failures", ()))}
         rows.append((
-            run.get("run_id", "-"),
+            run.get("run_uid") or run.get("run_id", "-"),
             str(run.get("started", ""))[:19],
             f"{run.get('seconds', 0.0):.3f}",
             run.get("items", 0),
-            run.get("cache_hits", 0),
-            run.get("cache_misses", 0),
-            f"{run.get('hot_hits', 0)}/{run.get('hot_misses', 0)}",
-            run.get("pack_rows", 0),
-            delta,
-            run.get("retries", 0),
-            len(run.get("failures", ())),
+            *total_cells(counters),
             "yes" if run.get("degraded") else "no",
-            digest or "-",
+            str(run.get("result_digest", ""))[:12] or "-",
         ))
     print(format_table(headers, rows,
                        title=f"run ledger — {args.cache_dir}"))

@@ -64,7 +64,6 @@ from repro.engine.lock import CacheLock, append_line
 from repro.engine.session import (
     EngineSession,
     HotResultCache,
-    RunRecord,
     read_ledger,
     read_ledger_report,
     source_session_key,
@@ -104,7 +103,6 @@ __all__ = [
     "JournalInfo",
     "JournalReplay",
     "RunJournal",
-    "RunRecord",
     "FaultPlan",
     "FaultSpec",
     "HandleStream",

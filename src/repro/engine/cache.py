@@ -33,6 +33,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any
 
+from repro import obs
 from repro.errors import EngineError
 
 #: Sentinel returned by :meth:`ResultCache.get` for absent/corrupt keys.
@@ -189,21 +190,17 @@ class ResultCache:
             oldest entries beyond it are pruned at quarantine time.
             ``None`` disables pruning.
 
-    Attributes:
-        quarantined: corrupt entries moved to ``<root>/corrupt/`` by
-            this instance (each one was served as a miss).
-        pruned: quarantine files removed by the cap, oldest first.
-        write_failures: stores refused by the filesystem (ENOSPC,
-            read-only cache) — the run continues memory-only.
+    It counts in :mod:`repro.obs`: ``quarantined`` (corrupt entries
+    moved to ``<root>/corrupt/``, each served as a miss), ``pruned``
+    (quarantine files the cap removed, oldest first) and
+    ``write_failures`` (stores the filesystem refused, ENOSPC or a
+    read-only cache: the run continues memory-only).
     """
 
     def __init__(self, root: str | Path,
                  quarantine_limit: int | None = QUARANTINE_LIMIT):
         self.root = Path(root)
         self.quarantine_limit = quarantine_limit
-        self.quarantined = 0
-        self.pruned = 0
-        self.write_failures = 0
         self._deny_writes = False
 
     def _path(self, key: str) -> Path:
@@ -224,10 +221,10 @@ class ResultCache:
                 path.unlink(missing_ok=True)
             except OSError:
                 return  # read-only filesystem: nothing else to do
-        self.quarantined += 1
+        obs.count("quarantined")
         if self.quarantine_limit is not None:
-            self.pruned += prune_oldest(self.corrupt_dir,
-                                        self.quarantine_limit)
+            obs.count("pruned", prune_oldest(self.corrupt_dir,
+                                             self.quarantine_limit))
 
     def get(self, key: str) -> Any:
         """The cached value for ``key``, or :data:`MISS`.
@@ -253,11 +250,6 @@ class ResultCache:
         """Fault hook: refuse all further stores, as a full disk would."""
         self._deny_writes = True
 
-    @property
-    def degraded_writes(self) -> bool:
-        """True once any store has been refused (ENOSPC / read-only)."""
-        return self.write_failures > 0
-
     def put(self, key: str, value: Any) -> str | None:
         """Store ``value`` under ``key``; best-effort, atomic.
 
@@ -268,7 +260,7 @@ class ResultCache:
             ``write_failures`` counts the refusals.
         """
         if self._deny_writes:
-            self.write_failures += 1
+            obs.count("write_failures")
             return None
         path = self._path(key)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -285,7 +277,7 @@ class ResultCache:
                 tmp.unlink(missing_ok=True)
             except OSError:
                 pass
-            self.write_failures += 1
+            obs.count("write_failures")
             return None
 
     def corrupt_entry(self, key: str) -> bool:

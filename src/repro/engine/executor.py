@@ -10,7 +10,8 @@ pickled chunks fanned out over a ``ProcessPoolExecutor``
 (``config.jobs``) under a bounded in-flight window (~2×jobs chunks
 outstanding; a full window stops the input iterator), so parent-side
 memory stays flat at any corpus size. Per-stage wall-clock timings and
-cache statistics are collected into an :class:`ExecutionReport`.
+:mod:`repro.obs` counters are collected into an :class:`ExecutionReport`,
+which is also the run's ledger row.
 
 Map stages are fault-tolerant: every item runs under the config's
 :class:`~repro.engine.faults.ErrorPolicy` (fail fast / skip / retry
@@ -61,7 +62,6 @@ from repro.engine.journal import JournalReplay, RunJournal, load_replay, \
 from repro.engine.session import (
     EngineSession,
     HotResultCache,
-    RunRecord,
     source_session_key,
 )
 from repro.engine.stage import MapStage, StudyPlan
@@ -80,17 +80,13 @@ COLUMNS = (
     ("faults", ("failures", "retries"), "{} fail / {} retry"),
 )
 
-#: Per-session stats a run reads off its session's cache object, as
-#: the change over the run, rather than off the registry: hot-layer
-#: hits, probes that fell through to disk, LRU evictions, corrupt
-#: entries quarantined and recomputed, stores the filesystem refused
-#: (ENOSPC / read-only) and quarantine entries pruned by the cap.
-CACHE_STATS = ("hot_hits", "hot_misses", "evictions", "quarantined",
-               "write_failures", "pruned")
+#: The hot layer's counters, which a run's cache cell appends.
+HOT_COUNTERS = ("hot_hits", "hot_misses", "evictions")
 
-#: Run counters a ledger row leaves out: its ``failures`` key holds the
-#: failure summaries, and the row format has no replayed-item count.
-UNLEDGERED = ("failures", "journal_replayed_items")
+#: Counters every run reports, zero or not, each one a ledger key.
+RUN_COUNTERS = (*(name for _, names, _ in COLUMNS for name in names),
+                *HOT_COUNTERS, "quarantined", "pruned", "write_failures",
+                "pool_spawns")
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,10 @@ class StageTiming:
 
 @dataclass
 class ExecutionReport:
-    """Per-stage timings, run counters and faults of one plan execution.
+    """One plan execution: what it ran on, what it did, how it went.
+
+    The report is the run's ledger row (:meth:`to_dict`), and
+    ``session.runs`` holds one per execution.
 
     Attributes:
         timings: one :class:`StageTiming` per executed stage.
@@ -128,21 +127,27 @@ class ExecutionReport:
             fail-fast policy, which raises instead).
         degraded: True when the process pool died or timed out and the
             run fell back to serial re-execution for part of the work.
-        counters: the run's totals, each present zero or not: every
-            :data:`COLUMNS` counter summed over the stages (with
-            ``failures`` as ``len(failures)``), any other counter a
-            stage moved, the :data:`CACHE_STATS` the run moved on its
-            session's cache, ``pool_spawns`` during the run, and the
-            journal's ``journal_chunks`` (chunks journaled as durable),
-            ``journal_replayed`` (prior-run chunks a ``--resume`` run
-            served entirely from the cache) and
-            ``journal_replayed_items`` (the items of those chunks).
-            Each also reads as an attribute: ``report.cache_hits``.
+        counters: every counter a stage moved, summed over the stages,
+            each of :data:`RUN_COUNTERS` present zero or not
+            (``failures`` counts :attr:`failures`, the feed's too), and
+            the journal's ``journal_chunks`` (chunks journaled as
+            durable), ``journal_replayed`` (prior-run chunks a
+            ``--resume`` run served from the cache) and
+            ``journal_replayed_items``. Each reads as an attribute too:
+            ``report.cache_hits``.
         run_uid: journal id of this execution (``""`` without a cache
-            dir — no journal is kept then).
+            dir — no journal is kept then); ``--resume`` takes this id.
         resumed_from: journal id the run resumed, or ``None``.
-        journal_degraded: the journal itself could not be written and
-            fell back to memory-only.
+        journal_degraded: the journal could not be written and fell
+            back to memory-only.
+        run_id: 1-based position in its session's ledger.
+        started: UTC ISO-8601 timestamp the execution began.
+        seconds: wall-clock duration of the whole execution.
+        source_fingerprint: content identity of what was studied.
+        config: the run's execution parameters (ledger summary).
+        result_digest: stable digest of the run's study records.
+        interrupted: the run was stopped by SIGINT/SIGTERM after a
+            graceful drain.
     """
 
     timings: list[StageTiming] = field(default_factory=list)
@@ -152,6 +157,13 @@ class ExecutionReport:
     run_uid: str = ""
     resumed_from: str | None = None
     journal_degraded: bool = False
+    run_id: int = 0
+    started: str = ""
+    seconds: float = 0.0
+    source_fingerprint: str = ""
+    config: dict = field(default_factory=dict)
+    result_digest: str = ""
+    interrupted: bool = False
 
     def __getattr__(self, name: str) -> int:
         # Only reached for names that are not real attributes.
@@ -166,6 +178,37 @@ class ExecutionReport:
     def total_seconds(self) -> float:
         """Wall-clock total over all stages."""
         return sum(t.seconds for t in self.timings)
+
+    @property
+    def cache_hit_rate(self) -> float:
+        """Fraction of mapped items served from the result cache."""
+        hits = self.counters.get("cache_hits", 0)
+        total = hits + self.counters.get("cache_misses", 0)
+        return hits / total if total else 0.0
+
+    def to_dict(self) -> dict:
+        """The report as its JSON-serializable ledger row: every counter
+        but ``journal_replayed_items`` is a key of its own, and
+        ``failures`` holds the failure summaries."""
+        counters = dict(self.counters)
+        counters.pop("journal_replayed_items", None)
+        return {
+            "run_id": self.run_id,
+            "started": self.started,
+            "seconds": round(self.seconds, 6),
+            "source_fingerprint": self.source_fingerprint,
+            "config": self.config,
+            "stages": [_timing_dict(t) for t in self.timings],
+            "items": sum(t.items or 0 for t in self.timings),
+            **counters,
+            "cache_hit_rate": round(self.cache_hit_rate, 4),
+            "failures": [f.summary() for f in self.failures],
+            "degraded": self.degraded,
+            "result_digest": self.result_digest,
+            "run_uid": self.run_uid,
+            "interrupted": self.interrupted,
+            "resumed_from": self.resumed_from,
+        }
 
     def format_delta_summary(self) -> str:
         """One line of delta accounting for a refresh run.
@@ -199,13 +242,8 @@ class ExecutionReport:
                  "-" if entry.items is None else entry.items,
                  entry.chunk_size or "-", *_cells(entry.counters)]
                 for entry in self.timings]
-        total = _cells(self.counters)
-        hot = [self.counters.get(name, 0)
-               for name in ("hot_hits", "hot_misses", "evictions")]
-        if any(hot):
-            total[0] += " [hot {}/{}, evict {}]".format(*hot)
         rows.append(["TOTAL", f"{self.total_seconds * 1000:.1f} ms",
-                     "-", "-", *total])
+                     "-", "-", *total_cells(self.counters)])
         title = "Execution report"
         if self.degraded:
             title += " (degraded: pool lost, partial serial fallback)"
@@ -215,11 +253,23 @@ class ExecutionReport:
 
 
 def _cells(counters: Mapping[str, int]) -> list[str]:
-    """The :data:`COLUMNS` cells of one ``--timings`` row."""
+    """The :data:`COLUMNS` cells of one ``--timings`` row; a counter
+    that is absent reads as 0."""
     cells = []
     for _, names, form in COLUMNS:
         values = [counters.get(name, 0) for name in names]
         cells.append(form.format(*values) if any(values) else "-")
+    return cells
+
+
+def total_cells(counters: Mapping[str, int]) -> list[str]:
+    """The :data:`COLUMNS` cells of a run's totals, the cache cell
+    followed by the hot layer's counts when any moved: the ``--timings``
+    TOTAL row and each ``repro-schema ledger`` row."""
+    cells = _cells(counters)
+    hot = [counters.get(name, 0) for name in HOT_COUNTERS]
+    if any(hot):
+        cells[0] += " [hot {}/{}, evict {}]".format(*hot)
     return cells
 
 
@@ -769,14 +819,11 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
             return execute_plan(plan, inputs, config, session=owned,
                                 feed_failures=feed_failures)
     cache = session.cache_for(config.cache_dir)
-    # Session state persists across runs; ledger numbers are deltas.
-    stats_before = {name: getattr(cache, name) if cache is not None
-                    else 0 for name in CACHE_STATS}
-    spawns_before = session.pool_spawns
-    started_at = datetime.now(timezone.utc)
     run_started = time.perf_counter()
     results: dict[str, Any] = dict(inputs)
-    report = ExecutionReport()
+    report = ExecutionReport(
+        started=datetime.now(timezone.utc).isoformat(),
+        config=_config_summary(config), resumed_from=config.resume_from)
     order = plan.execution_order(tuple(inputs))
     # Durability: runs with a cache dir journal every completed chunk
     # (so a killed run resumes instead of recomputing) and resumes
@@ -793,7 +840,7 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
             replay.verify_source(source_key)
         journal = RunJournal.begin(
             config.cache_dir, run_uid, source=source_key,
-            config=_config_summary(config),
+            config=report.config,
             resumed_from=config.resume_from)
     interrupted = False
     with interrupt_guard(run_uid if journal is not None
@@ -842,16 +889,13 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
         except RunInterrupted:
             interrupted = True
     report.failures[:0] = feed_failures
-    totals = Counter(dict.fromkeys(
-        (name for _, names, _ in COLUMNS for name in names), 0))
+    # Every counter of the run moved inside one of its stages, in this
+    # thread or in a worker that shipped it home.
+    totals = Counter(dict.fromkeys(RUN_COUNTERS, 0))
     for timing in report.timings:
         totals.update(timing.counters)
     # The TOTAL fault cell counts the feed's failures too.
     totals["failures"] = len(report.failures)
-    for name in CACHE_STATS:
-        totals[name] = getattr(cache, name) - stats_before[name] \
-            if cache is not None else 0
-    totals["pool_spawns"] = session.pool_spawns - spawns_before
     totals["journal_chunks"] = journal.chunks if journal is not None else 0
     totals["journal_replayed"] = \
         replay.chunks_replayed if replay is not None else 0
@@ -859,29 +903,17 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
         replay.items_replayed if replay is not None else 0
     report.counters = dict(totals)
     report.run_uid = run_uid if journal is not None else ""
-    report.resumed_from = config.resume_from
     if journal is not None:
         report.journal_degraded = journal.memory_only
         # Flush the run's fate before the ledger row: a crash between
         # the two leaves the journal resumable, never the other way.
         journal.mark("interrupted" if interrupted else "complete")
-    session.record_run(RunRecord(
-        run_id=session.next_run_id(),
-        started=started_at.isoformat(),
-        seconds=time.perf_counter() - run_started,
-        source_fingerprint=_source_fingerprint(inputs),
-        config=_config_summary(config),
-        stages=tuple(_timing_dict(t) for t in report.timings),
-        items=sum(t.items or 0 for t in report.timings),
-        counters={name: n for name, n in report.counters.items()
-                  if name not in UNLEDGERED},
-        failures=tuple(f.summary() for f in report.failures),
-        degraded=report.degraded,
-        result_digest=_result_digest(results),
-        run_uid=report.run_uid,
-        interrupted=interrupted,
-        resumed_from=config.resume_from,
-    ), config.cache_dir)
+    report.run_id = len(session.runs) + 1
+    report.seconds = time.perf_counter() - run_started
+    report.source_fingerprint = _source_fingerprint(inputs)
+    report.result_digest = _result_digest(results)
+    report.interrupted = interrupted
+    session.record_run(report, config.cache_dir)
     if interrupted:
         raise RunInterrupted(report.run_uid or None)
     return results, report

@@ -15,11 +15,13 @@ query service and watch mode sit on:
 * **warm caches** — each ``cache_dir`` opens once per session as a
   :class:`HotResultCache`: the on-disk content-addressed store fronted
   by a bounded in-memory LRU of *deserialized* values, so repeat hits
-  skip the disk read, the envelope checksum and the unpickle entirely;
-* a **run ledger** — ``session.runs`` records every plan execution
-  (source fingerprint, config, stage timings, cache hit rates,
-  parse-memo/kernel counters, failures, result digest) and appends the
-  same record as JSONL to ``<cache_dir>/ledger.jsonl``, giving
+  skip the disk read, the envelope checksum and the unpickle entirely
+  (opening a directory deletes what other code stored there);
+* a **run ledger** — ``session.runs`` holds the
+  :class:`~repro.engine.executor.ExecutionReport` of every plan
+  execution (source fingerprint, config, stage timings, run counters,
+  failures, result digest), and each report's ``to_dict()`` is
+  appended as one JSONL row to ``<cache_dir>/ledger.jsonl``, giving
   operated deployments their "what ran, on what data, how fast, what
   broke" story.
 
@@ -39,22 +41,28 @@ import warnings
 import weakref
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any
 
-from repro.engine.cache import MISS, ResultCache, fingerprint
+from repro import obs
+from repro.engine.cache import MISS, ResultCache, code_digest, fingerprint
 from repro.engine.config import StudyConfig
 from repro.engine.faults import mark_pool_worker
 from repro.engine.lock import CacheLock, append_line
 from repro.errors import EngineError
 from repro.pools import pool_context
 
+if TYPE_CHECKING:
+    from repro.engine.executor import ExecutionReport
+
 #: Default bound of a session cache's in-memory hot layer (entries).
 DEFAULT_HOT_ENTRIES = 4096
 
 #: File name of the persisted run ledger inside a cache directory.
 LEDGER_NAME = "ledger.jsonl"
+
+#: File naming the code digest a cache directory's stores hold results of.
+CODE_TAG_NAME = "code-digest"
 
 
 def source_session_key(source: Any) -> str | None:
@@ -85,15 +93,16 @@ class HotResultCache:
     Everything the executor calls on a plain :class:`ResultCache`
     works here unchanged.
 
+    It counts in :mod:`repro.obs`: ``hot_hits`` (gets served straight
+    from memory), ``hot_misses`` (gets that consulted the disk store)
+    and ``evictions`` (entries the LRU bound dropped).
+
     Args:
         root: cache directory (as for :class:`ResultCache`).
         hot_entries: LRU bound; 0 disables the hot layer entirely.
 
     Attributes:
         disk: the underlying on-disk cache.
-        hot_hits: gets served straight from memory.
-        hot_misses: gets that had to consult the disk store.
-        evictions: entries dropped by the LRU bound.
     """
 
     def __init__(self, root: str | Path,
@@ -101,34 +110,6 @@ class HotResultCache:
         self.disk = ResultCache(root)
         self.hot_entries = hot_entries
         self._hot: OrderedDict[str, Any] = OrderedDict()
-        self.hot_hits = 0
-        self.hot_misses = 0
-        self.evictions = 0
-
-    @property
-    def root(self) -> Path:
-        """The disk store's directory."""
-        return self.disk.root
-
-    @property
-    def quarantined(self) -> int:
-        """Corrupt disk entries quarantined (delegated)."""
-        return self.disk.quarantined
-
-    @property
-    def pruned(self) -> int:
-        """Quarantine entries removed by the cap (delegated)."""
-        return self.disk.pruned
-
-    @property
-    def write_failures(self) -> int:
-        """Disk stores the filesystem refused (delegated)."""
-        return self.disk.write_failures
-
-    @property
-    def degraded_writes(self) -> bool:
-        """True once the disk layer started refusing stores."""
-        return self.disk.degraded_writes
 
     def deny_writes(self) -> None:
         """Fault hook: the disk layer refuses all further stores.
@@ -145,7 +126,7 @@ class HotResultCache:
         self._hot.move_to_end(key)
         while len(self._hot) > self.hot_entries:
             self._hot.popitem(last=False)
-            self.evictions += 1
+            obs.count("evictions")
 
     def get(self, key: str) -> Any:
         """The cached value for ``key``, or :data:`~.cache.MISS`.
@@ -156,9 +137,9 @@ class HotResultCache:
         """
         if key in self._hot:
             self._hot.move_to_end(key)
-            self.hot_hits += 1
+            obs.count("hot_hits")
             return self._hot[key]
-        self.hot_misses += 1
+        obs.count("hot_misses")
         value = self.disk.get(key)
         if value is not MISS:
             self._remember(key, value)
@@ -186,90 +167,6 @@ class HotResultCache:
         """Drop the whole hot layer (tests; memory pressure)."""
         self._hot.clear()
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._hot or key in self.disk
-
-    def __len__(self) -> int:
-        return len(self.disk)
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One ledger entry: everything one plan execution was and did.
-
-    Attributes:
-        run_id: 1-based position in this session's ledger.
-        started: UTC ISO-8601 timestamp the execution began.
-        seconds: wall-clock duration of the whole execution.
-        source_fingerprint: content identity of what was studied (the
-            source's session key, or a digest of the handles/items).
-        config: the run's execution parameters (jobs, seed, source
-            spec, cache dir, error policy, ...).
-        stages: per-stage timing/cache/fault numbers, one dict per
-            executed stage.
-        items: mapped items over all map stages.
-        counters: the run's counter totals, one ledger key each, zero
-            or not: ``cache_hits``/``cache_misses``, the hot layer's
-            ``hot_hits``/``hot_misses``/``evictions``, ``parse_*``,
-            ``kernel_*``, ``pack_rows``, ``delta_*``, ``retries``,
-            ``quarantined``, ``pool_spawns`` (0 on a fully warm run —
-            the headline service-shape number), ``journal_chunks``/
-            ``journal_replayed``, ``write_failures`` and ``pruned``
-            (see :class:`~repro.engine.executor.ExecutionReport`).
-        failures: quarantined-project summaries, in failure order.
-        degraded: the run lost its pool or timed out a chunk.
-        result_digest: stable digest of the run's study records, for
-            byte-identical-across-runs assertions and lineage.
-        run_uid: the run's journal id (``""`` when no cache dir, hence
-            no journal); ``--resume`` takes this id.
-        interrupted: the run was stopped by SIGINT/SIGTERM after a
-            graceful drain (its journal lists what completed).
-        resumed_from: journal id of the interrupted/killed run this one
-            resumed, or ``None`` for a fresh run.
-    """
-
-    run_id: int
-    started: str
-    seconds: float
-    source_fingerprint: str
-    config: dict
-    stages: tuple[dict, ...]
-    items: int
-    counters: Mapping[str, int]
-    failures: tuple[str, ...]
-    degraded: bool
-    result_digest: str
-    run_uid: str = ""
-    interrupted: bool = False
-    resumed_from: str | None = None
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of mapped items served from the result cache."""
-        hits = self.counters.get("cache_hits", 0)
-        total = hits + self.counters.get("cache_misses", 0)
-        return hits / total if total else 0.0
-
-    def to_dict(self) -> dict:
-        """The record as one JSON-serializable dict (ledger line)."""
-        return {
-            "run_id": self.run_id,
-            "started": self.started,
-            "seconds": round(self.seconds, 6),
-            "source_fingerprint": self.source_fingerprint,
-            "config": self.config,
-            "stages": list(self.stages),
-            "items": self.items,
-            **self.counters,
-            "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "failures": list(self.failures),
-            "degraded": self.degraded,
-            "result_digest": self.result_digest,
-            "run_uid": self.run_uid,
-            "interrupted": self.interrupted,
-            "resumed_from": self.resumed_from,
-        }
-
 
 #: Sessions whose pools the atexit guard still has to reap.
 _live_sessions: "weakref.WeakSet[EngineSession]" = weakref.WeakSet()
@@ -296,15 +193,14 @@ class EngineSession:
             ``execute_plan`` calls may still pass their own config.
 
     Attributes:
-        runs: the in-memory run ledger, oldest first.
-        pool_spawns: worker pools spawned over the session's lifetime
-            (a warm re-run must not increase it).
+        runs: the in-memory run ledger, one
+            :class:`~repro.engine.executor.ExecutionReport` per
+            execution, oldest first.
     """
 
     def __init__(self, config: StudyConfig | None = None):
         self.config = config or StudyConfig()
-        self.runs: list[RunRecord] = []
-        self.pool_spawns = 0
+        self.runs: list[ExecutionReport] = []
         self._pool: ProcessPoolExecutor | None = None
         self._pool_jobs = 0
         self._caches: dict[Path, HotResultCache] = {}
@@ -344,8 +240,9 @@ class EngineSession:
         """The session's worker pool, (re)spawned on demand.
 
         The pool persists across stages and runs; asking for a
-        different worker count retires the old pool first. Spawns are
-        counted in :attr:`pool_spawns`.
+        different worker count retires the old pool first. Each spawn
+        counts ``pool_spawns`` in :mod:`repro.obs` (a warm re-run moves
+        it by 0).
 
         Raises:
             EngineError: on a closed session.
@@ -359,7 +256,7 @@ class EngineSession:
                 max_workers=jobs, mp_context=pool_context(),
                 initializer=mark_pool_worker)
             self._pool_jobs = jobs
-            self.pool_spawns += 1
+            obs.count("pool_spawns")
         return self._pool
 
     def discard_pool(self, wait: bool = False) -> None:
@@ -388,6 +285,9 @@ class EngineSession:
                   ) -> HotResultCache | None:
         """The session's warm cache over ``cache_dir`` (one per dir).
 
+        Opening a directory retires what other code stored there (see
+        :func:`retire_foreign_stores`).
+
         Raises:
             EngineError: on a closed session.
         """
@@ -399,6 +299,7 @@ class EngineSession:
         key = root.expanduser().resolve()
         cache = self._caches.get(key)
         if cache is None:
+            retire_foreign_stores(root)
             cache = HotResultCache(root)
             self._caches[key] = cache
         return cache
@@ -427,9 +328,10 @@ class EngineSession:
 
     # -- run ledger ----------------------------------------------------
 
-    def record_run(self, record: RunRecord,
+    def record_run(self, report: ExecutionReport,
                    cache_dir: str | Path | None = None) -> None:
-        """Append ``record`` to the ledger (and its JSONL, if durable).
+        """Append ``report`` to the ledger (and its JSONL row, if
+        durable).
 
         The JSONL file lives at ``<cache_dir>/ledger.jsonl`` and is
         append-only across sessions and processes. The append is one
@@ -441,11 +343,11 @@ class EngineSession:
         unterminated tail for the next read.
         Still best-effort — the ledger is an ops aid, never a crash.
         """
-        self.runs.append(record)
+        self.runs.append(report)
         if cache_dir is None:
             return
         root = Path(cache_dir)
-        line = (json.dumps(record.to_dict(), sort_keys=True)
+        line = (json.dumps(report.to_dict(), sort_keys=True)
                 + "\n").encode("utf-8")
         try:
             root.mkdir(parents=True, exist_ok=True)
@@ -454,14 +356,33 @@ class EngineSession:
         except (OSError, EngineError):
             pass
 
-    def next_run_id(self) -> int:
-        """The id the next recorded run will get (1-based)."""
-        return len(self.runs) + 1
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"
-        return (f"EngineSession({state}, runs={len(self.runs)}, "
-                f"pool_spawns={self.pool_spawns})")
+        return f"EngineSession({state}, runs={len(self.runs)})"
+
+
+def retire_foreign_stores(root: Path) -> None:
+    """Unless ``root``'s code tag names this code's digest, delete its
+    result-cache entries and delta checkpoints (and nothing else), then
+    write the tag. Keys mix in the digest, so other code's results are
+    never read; this keeps them from piling up. Best-effort."""
+    tag, digest = root / CODE_TAG_NAME, code_digest().encode("ascii")
+    try:
+        if tag.read_bytes() == digest:
+            return
+    except OSError:
+        pass
+    for pattern in ("objects/??/*.pkl", "delta/??/*.ckpt"):
+        for path in root.glob(pattern):
+            try:
+                path.unlink()
+            except OSError:
+                pass
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+        tag.write_bytes(digest)
+    except OSError:
+        pass
 
 
 def read_ledger_report(cache_dir: str | Path

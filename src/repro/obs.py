@@ -6,12 +6,12 @@ reader measures a stretch of work as a diff: :func:`snapshot` before,
 moved, so a worker process ships it home beside its result and the
 parent adds it to its own (see :mod:`repro.engine.executor`).
 
-The registry is global on purpose: producers deep in the parser or the
-heartbeat kernel need no handle threaded down to them. It is kept per
-thread, so plans executed concurrently in one process (one session per
-thread) each count only their own work. Stats that belong to one
-object, such as a session cache's hot-layer hits, stay on that object
-instead.
+The registry is global on purpose: producers deep in the parser, the
+heartbeat kernel, the result cache or the worker pool need no handle
+threaded down to them. It is kept per thread, and a run's counters are
+diffs of its own thread's registry around its own stages, so plans
+executed concurrently in one process (one session per thread) each
+count only their own work, even when they share a cache directory.
 
 This module imports nothing from :mod:`repro`, so every layer may use
 it.

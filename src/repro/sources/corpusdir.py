@@ -23,9 +23,12 @@ Two layouts share one manifest envelope:
 The manifest's per-project SHA-256 digests double as the source's
 fingerprints, so the engine's content-addressed cache can decide
 hit/miss without opening a single data file, and a v2 ``load`` is one
-seek + one line parse. Writing is streaming in both layouts — projects
-are consumed one at a time and the manifest is emitted **last**, so a
-crashed export never looks like a valid corpus. Export → import is a
+seek + one line parse. Every ``load`` checks what it read against that
+digest, so a project edited after export raises
+:class:`~repro.errors.SourceError` rather than being studied, or served
+from a cache, under its old fingerprint. Writing is streaming in both
+layouts — projects are consumed one at a time and the manifest is
+emitted **last**, so a crashed export never looks like a valid corpus. Export → import is a
 lossless round trip (the study report over an imported corpus is
 byte-identical to the original — pinned by tests).
 """
@@ -444,6 +447,11 @@ class CorpusDirSource:
         except OSError as exc:
             raise SourceError(
                 f"cannot read project {pid!r} ({path}): {exc}") from exc
+        if hashlib.sha256(text.encode("utf-8")).hexdigest() \
+                != entry["sha256"]:
+            raise SourceError(
+                f"{path}: project file of {pid!r} does not match its "
+                f"manifest sha256 (edited, corrupt or truncated)")
         return _parse_project_jsonl(text, str(path))
 
     def _load_sharded(self, pid: str, entry: dict) -> GeneratedProject:

@@ -5,6 +5,7 @@ from datetime import datetime
 
 import pytest
 
+from repro import obs
 from repro.corpus.generator import generate_corpus
 from repro.engine import (
     MISS,
@@ -142,11 +143,11 @@ class TestResultCache:
         blocker = tmp_path / "blocked"
         blocker.write_text("in the way")
         cache = ResultCache(blocker)
+        before = obs.snapshot()
         assert cache.put(fingerprint("x"), 1) is None
         assert cache.get(fingerprint("x")) is MISS
         assert len(cache) == 0
-        assert cache.write_failures == 1
-        assert cache.degraded_writes
+        assert obs.since(before) == {"write_failures": 1}
 
 
 class TestEnvelope:
@@ -219,28 +220,31 @@ class TestCacheSelfHealing:
             "wrong-version", "scribbled"])
     def test_corruption_is_miss_plus_quarantine(self, tmp_path, mangle):
         cache, key, path = self.corrupted(tmp_path, mangle)
+        before = obs.snapshot()
         assert cache.get(key) is MISS
-        assert cache.quarantined == 1
+        assert obs.since(before) == {"quarantined": 1}
         assert not path.exists()
         assert (cache.corrupt_dir / path.name).exists()
 
     def test_repopulation_after_quarantine(self, tmp_path):
         cache, key, _ = self.corrupted(
             tmp_path, lambda p: p.write_bytes(b""))
+        before = obs.snapshot()
         assert cache.get(key) is MISS
         # The warm re-run recomputes and rewrites the slot.
         assert cache.put(key, "recomputed")
         assert cache.get(key) == "recomputed"
-        assert cache.quarantined == 1
+        assert obs.since(before) == {"quarantined": 1}
 
     def test_corrupt_entry_helper(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = fingerprint("inject")
+        before = obs.snapshot()
         assert cache.corrupt_entry(key) is False  # nothing stored yet
         cache.put(key, 7)
         assert cache.corrupt_entry(key) is True
         assert cache.get(key) is MISS
-        assert cache.quarantined == 1
+        assert obs.since(before) == {"quarantined": 1}
 
 
 class TestQuarantineCap:
@@ -265,6 +269,7 @@ class TestQuarantineCap:
     def test_quarantine_respects_cap(self, tmp_path):
         import os
         cache = ResultCache(tmp_path, quarantine_limit=2)
+        before = obs.snapshot()
         for index in range(4):
             key = fingerprint("capped", index)
             cache.put(key, index)
@@ -273,6 +278,5 @@ class TestQuarantineCap:
             stamp = 1_000_000 + index
             os.utime(path, (stamp, stamp))
             assert cache.get(key) is MISS
-        assert cache.quarantined == 4
-        assert cache.pruned == 2
+        assert obs.since(before) == {"quarantined": 4, "pruned": 2}
         assert len(list(cache.corrupt_dir.iterdir())) == 2

@@ -7,6 +7,8 @@ over the checkout and over a copy of the package whose top band is
 80 % instead of 90 %, sharing one ``--cache-dir``: the copy must
 neither be served a record nor resume from a checkpoint that the
 checkout stored, and it must print what it prints without a cache.
+Opening the cache dir also deletes what the checkout stored, so the
+directory holds only entries the running code can read.
 """
 
 import os
@@ -20,6 +22,9 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.engine import EngineSession
+from repro.engine.cache import code_digest
+from repro.engine.session import CODE_TAG_NAME, LEDGER_NAME
 from tests.engine.test_delta import grow_corpus_dir
 
 CHECKOUT_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -48,6 +53,12 @@ def run_python(src: Path, *argv: str,
 
 def run_cli(src: Path, *argv: str, cwd: Path) -> subprocess.CompletedProcess:
     return run_python(src, "-m", "repro.cli", *argv, cwd=cwd)
+
+
+def stored(cache: Path) -> tuple[int, int]:
+    """``(entries, checkpoints)`` under a cache dir."""
+    return (len(list(cache.glob("objects/*/*.pkl"))),
+            len(list(cache.glob("delta/*/*.ckpt"))))
 
 
 def cache_cell(stderr: str) -> tuple[int, int]:
@@ -83,7 +94,6 @@ def corpus(tmp_path) -> Path:
 
 class TestCodeDigest:
     def test_equal_across_processes(self, tmp_path):
-        from repro.engine.cache import code_digest
         script = ("from repro.engine.cache import code_digest; "
                   "print(code_digest())")
         printed = {run_python(CHECKOUT_SRC, "-c", script,
@@ -93,7 +103,6 @@ class TestCodeDigest:
 
     def test_one_byte_edit_of_any_module_moves_it(self, tmp_path,
                                                   monkeypatch):
-        from repro.engine.cache import code_digest
         root = tmp_path / "repro"
         shutil.copytree(CHECKOUT_SRC / "repro", root,
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -146,15 +155,46 @@ class TestStoredResultsFollowTheCode:
     def test_edited_tree_resumes_no_checkpoint(self, edited_src, corpus,
                                                tmp_path):
         spec = f"dir:{corpus}"
-        cache = str(tmp_path / "cache")
+        cache = tmp_path / "cache"
         run_cli(CHECKOUT_SRC, "study", "--source", spec, "--cache-dir",
-                cache, cwd=tmp_path)
+                str(cache), cwd=tmp_path)
+        assert stored(cache) == (8, 8)
         grow_corpus_dir(corpus, [0, 1], 2)
         refreshed = run_cli(edited_src, "refresh", "--source", spec,
-                            "--cache-dir", cache, "--timings",
+                            "--cache-dir", str(cache), "--timings",
                             cwd=tmp_path)
         assert "delta: 0 unchanged / 0 appended / 0 rewritten; " \
                "versions: 0 reused / 0 parsed" in refreshed.stderr
+        # Only what the edited tree stored remains.
+        assert stored(cache) == (8, 8)
+        edited_digest = run_python(
+            edited_src, "-c", "from repro.engine.cache import "
+            "code_digest; print(code_digest())", cwd=tmp_path).stdout
+        assert (cache / CODE_TAG_NAME).read_text() \
+            == edited_digest.strip() != code_digest()
         cold = run_cli(edited_src, "study", "--source", spec,
                        cwd=tmp_path)
         assert refreshed.stdout == cold.stdout
+
+    def test_a_digest_change_deletes_only_store_files(self, tmp_path):
+        cache = tmp_path / "cache"
+        keep = [cache / LEDGER_NAME, cache / "objects" / "ab" / "notes.txt",
+                cache / "objects" / "README", cache / "corrupt" / "x.pkl",
+                cache / "journal" / "r1.jsonl"]
+        drop = [cache / "objects" / "ab" / f"{'ab' * 32}.pkl",
+                cache / "delta" / "cd" / f"{'cd' * 32}.ckpt"]
+        for path in keep + drop:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(b"stored by other code")
+        (cache / CODE_TAG_NAME).write_text("0" * 64)
+        with EngineSession() as session:
+            session.cache_for(cache)
+        assert [path.exists() for path in keep + drop] \
+            == [True] * len(keep) + [False] * len(drop)
+        assert (cache / CODE_TAG_NAME).read_text() == code_digest()
+        # The tag now matches: reopening keeps what the code stored.
+        for path in drop:
+            path.write_bytes(b"stored by this code")
+        with EngineSession() as session:
+            session.cache_for(cache)
+        assert all(path.exists() for path in keep + drop)

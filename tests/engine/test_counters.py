@@ -7,7 +7,8 @@
 * the ``--timings`` layout and the ledger's key set are pinned for one
   fixed small run with a cache dir and a refresh: ``perfbench`` parses
   the TOTAL row's cache cell and CI reads ledger keys such as
-  ``delta_rewritten``;
+  ``delta_rewritten``; the ``repro-schema ledger`` table shows each
+  run's TOTAL cells;
 * the statement memo and heartbeat kernel move exact counts on a small
   records map and on the default study, so a fast path that silently
   falls back to re-parsing or rebuilding fails here.
@@ -19,6 +20,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.corpus.generator import generate_corpus
 from repro.engine import (
     EngineSession,
@@ -184,10 +186,12 @@ RUN_KEYS = {
     *COLD_LEDGER,
 }
 RECORDS_STAGE = {"stage": "records", "items": 8, "cache_hits": 0,
-                 "cache_misses": 8, "parse_hits": 213, "parse_misses": 144,
-                 "kernel_series": 8, "kernel_reuse": 24}
+                 "cache_misses": 8, "hot_misses": 8, "parse_hits": 213,
+                 "parse_misses": 144, "kernel_series": 8,
+                 "kernel_reuse": 24}
 REFRESH_STAGE = {**RECORDS_STAGE, "cache_hits": 6, "cache_misses": 2,
-                 "parse_hits": 25, "parse_misses": 27, "kernel_series": 2,
+                 "hot_hits": 6, "hot_misses": 2, "parse_hits": 25,
+                 "parse_misses": 27, "kernel_series": 2,
                  "kernel_reuse": 6, "delta_appended": 2,
                  "delta_reused": 2, "delta_parsed": 4}
 
@@ -205,8 +209,8 @@ def table_cells(report) -> list[list[str]]:
 @pytest.fixture(scope="module")
 def pinned_run(tmp_path_factory):
     """A cold study then a refresh after two projects grew by two
-    commits, in one session over one cache dir: the two reports and
-    the two ledger records."""
+    commits, in one session over one cache dir: the two reports, the
+    session's two ledger records and the cache dir."""
     tmp = tmp_path_factory.mktemp("pinned")
     root = export_small_corpus(tmp / "corpus")
     config = StudyConfig(cache_dir=tmp / "cache")
@@ -215,7 +219,8 @@ def pinned_run(tmp_path_factory):
                                             config, session=session)
         grow_corpus_dir(root, [0, 1], 2)
         _, refresh = session.refresh(CorpusDirSource(root))
-    return {"reports": [cold, refresh], "records": session.runs}
+    return {"reports": [cold, refresh], "records": session.runs,
+            "cache": config.cache_dir}
 
 
 class TestPinnedLayout:
@@ -242,6 +247,20 @@ class TestPinnedLayout:
         assert {k: v for k, v in table.items() if k != "ms"} \
             == {"stage": "table", "pack_rows": 8}
         assert all(set(stage) == {"stage", "ms"} for stage in analyses)
+
+    @pytest.mark.parametrize("run", [0, 1])
+    def test_ledger_row_shows_the_total_cells(self, pinned_run, run,
+                                              capsys):
+        report = pinned_run["reports"][run]
+        assert pinned_run["records"][run] is report
+        total = table_cells(report)[-1]
+        assert main(["ledger", str(pinned_run["cache"])]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header, row = ([cell.strip() for cell in line.split(" | ")]
+                       for line in (lines[1], lines[3 + run]))
+        assert row[0] == report.run_uid
+        assert row[header.index("cache"):header.index("faults") + 1] \
+            == total[HEADER.index("cache"):]
 
 
 class TestExactCounts:

@@ -20,6 +20,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.corpus.generator import plan_corpus
 from repro.engine import (
     EngineSession,
@@ -92,8 +93,7 @@ class TestPoolPersistence:
         with EngineSession() as session:
             study(source, session, jobs=2)
             study(source, session, jobs=2)
-            assert session.pool_spawns == 1
-            assert session.runs[1].counters["pool_spawns"] == 0
+        assert [run.pool_spawns for run in session.runs] == [1, 0]
 
     def test_start_method_is_pinned(self, pinned_start_method):
         # fork on Linux: workers inherit the parent's imported modules
@@ -106,7 +106,7 @@ class TestPoolPersistence:
         with EngineSession() as session:
             study(source, session, jobs=2)
             study(source, session, jobs=3)
-            assert session.pool_spawns == 2
+        assert [run.pool_spawns for run in session.runs] == [1, 1]
 
     def test_broken_pool_respawns_transparently(self, source):
         crash = FaultPlan.parse("crash@flatliner-01")
@@ -115,25 +115,27 @@ class TestPoolPersistence:
                                  error_policy=ErrorPolicy.skip(),
                                  faults=crash)
             assert r1.degraded
-            assert session.pool_spawns == 1
+            assert r1.pool_spawns == 1
             clean, r2 = study(source, session, jobs=2)
             assert not r2.degraded
             # The dead pool was discarded and a fresh one spawned.
-            assert session.pool_spawns == 2
+            assert r2.pool_spawns == 1
         assert markdown_report(degraded) == markdown_report(clean)
 
 
 class TestHotLayer:
     def test_lru_eviction(self, tmp_path):
         cache = HotResultCache(tmp_path, hot_entries=2)
+        before = obs.snapshot()
         for key in ("a" * 64, "b" * 64, "c" * 64):
             cache.put(key, key[0])
-        assert cache.evictions == 1
+        assert obs.since(before) == {"evictions": 1}
         # The evicted entry still serves from disk, then re-warms.
+        before = obs.snapshot()
         assert cache.get("a" * 64) == "a"
-        assert cache.hot_misses == 1
+        assert obs.since(before)["hot_misses"] == 1
         assert cache.get("a" * 64) == "a"
-        assert cache.hot_hits == 1
+        assert obs.since(before)["hot_hits"] == 1
 
     def test_hot_hit_skips_disk(self, tmp_path):
         cache = HotResultCache(tmp_path)
@@ -141,8 +143,9 @@ class TestHotLayer:
         cache.put(key, {"value": 7})
         # Remove the disk entry: only the hot layer can answer now.
         cache.disk._path(key).unlink()
+        before = obs.snapshot()
         assert cache.get(key) == {"value": 7}
-        assert cache.hot_hits == 1
+        assert obs.since(before) == {"hot_hits": 1}
         cache.forget_hot()
         assert cache.get(key) is MISS
 
@@ -152,15 +155,17 @@ class TestHotLayer:
         cache.put(key, "precious")
         assert cache.corrupt_entry(key)
         # A stale hot copy must not hide the injected corruption.
+        before = obs.snapshot()
         assert cache.get(key) is MISS
-        assert cache.quarantined == 1
+        assert obs.since(before) == {"hot_misses": 1, "quarantined": 1}
 
     def test_zero_entries_disables_hot_layer(self, tmp_path):
         cache = HotResultCache(tmp_path, hot_entries=0)
         key = "f" * 64
         cache.put(key, 1)
+        before = obs.snapshot()
         assert cache.get(key) == 1
-        assert cache.hot_hits == 0
+        assert obs.since(before) == {"hot_misses": 1}
 
 
 class TestRunLedger:
@@ -186,9 +191,11 @@ class TestRunLedger:
                   faults=FaultPlan.parse("parse@flatliner-01"))
         record = session.runs[0]
         assert len(record.failures) == 1
-        assert "flatliner-01" in record.failures[0]
+        assert "flatliner-01" in record.failures[0].summary()
         assert record.counters["cache_hits"] \
             + record.counters["cache_misses"] > 0
+        assert read_ledger(tmp_path)[0]["failures"] \
+            == [record.failures[0].summary()]
 
     def test_ledger_survives_torn_lines(self, source, tmp_path):
         with EngineSession() as session:

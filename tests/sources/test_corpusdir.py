@@ -136,7 +136,22 @@ class TestValidation:
         source = CorpusDirSource(root)
         pid = source.project_ids()[0]
         (root / "projects" / f"{pid}.jsonl").write_text("{nope\n")
-        with pytest.raises(SourceError, match="invalid JSON"):
+        with pytest.raises(SourceError, match="does not match its "
+                                              "manifest sha256"):
+            source.load(pid)
+
+    def test_edited_project_file(self, small_corpus, tmp_path):
+        # Valid JSON that is not what the manifest indexed: studying it
+        # would attach the edited text to the exported fingerprint, so a
+        # cached study would serve the old report for it.
+        root = export_corpus_dir(small_corpus, tmp_path / "edited")
+        source = CorpusDirSource(root)
+        pid = source.project_ids()[0]
+        path = root / "projects" / f"{pid}.jsonl"
+        path.write_text(path.read_text().replace("CREATE TABLE",
+                                                 "CREATE  TABLE"))
+        with pytest.raises(SourceError, match="does not match its "
+                                              "manifest sha256"):
             source.load(pid)
 
 

@@ -4,10 +4,11 @@ Pins the incremental re-study contract at the outermost layer: refresh
 stdout after an append is byte-identical to a cold ``study`` of the
 grown source, the delta summary and ``--timings`` delta column land on
 stderr, ``--watch`` skips unchanged polls, and the ledger table shows
-the hot/delta columns.
+the hot/delta cells and names each run by its id.
 """
 
 import dataclasses
+import json
 import shutil
 from datetime import timedelta
 
@@ -136,11 +137,40 @@ class TestLedgerColumns:
         assert main(["ledger", str(cache)]) == 0
         out = capsys.readouterr().out
         assert "hot" in out and "delta" in out
-        assert "1a/0r/2p" in out
+        assert "1 app / 0 rew / 1 reuse / 2 parse" in out
+
+    def test_run_cells_are_the_run_uids(self, tmp_path, corpus_root,
+                                        capsys):
+        cache = tmp_path / "cache"
+        for _ in range(2):
+            main(["study", "--source", f"dir:{corpus_root}",
+                  "--cache-dir", str(cache)])
+        capsys.readouterr()
+        assert main(["ledger", str(cache), "--json"]) == 0
+        uids = [json.loads(line)["run_uid"]
+                for line in capsys.readouterr().out.splitlines()]
+        assert main(["ledger", str(cache)]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:]
+        cells = [row.split(" | ")[0].strip() for row in rows]
+        assert cells == uids
+        assert len(set(cells)) == 2
+
+    def test_row_without_newer_keys(self, tmp_path, capsys):
+        # A row an older version wrote: no run_uid and no counter but
+        # the cache split. Its missing cells read "-".
+        row = {"run_id": 4, "started": "2026-01-02T03:04:05+00:00",
+               "seconds": 0.5, "items": 8, "cache_hits": 8,
+               "cache_misses": 0, "failures": ["p [records] E: x"],
+               "degraded": False, "result_digest": "0123456789abcdef"}
+        (tmp_path / "ledger.jsonl").write_text(json.dumps(row) + "\n")
+        assert main(["ledger", str(tmp_path)]) == 0
+        line = capsys.readouterr().out.splitlines()[3]
+        assert [cell.strip() for cell in line.split(" | ")] == [
+            "4", "2026-01-02T03:04:05", "0.500", "8", "8 hit / 0 miss",
+            "-", "-", "-", "-", "1 fail / 0 retry", "no", "0123456789ab"]
 
     def test_json_ledger_carries_delta_fields(self, tmp_path,
                                               corpus_root, capsys):
-        import json
         cache = tmp_path / "cache"
         main(["study", "--source", f"dir:{corpus_root}",
               "--cache-dir", str(cache)])
