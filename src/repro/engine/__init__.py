@@ -60,10 +60,10 @@ from repro.engine.journal import (
     read_journal,
     resumable_runs,
 )
-from repro.engine.lock import CacheLock, append_line
 from repro.engine.session import (
     EngineSession,
     HotResultCache,
+    append_line,
     read_ledger,
     read_ledger_report,
     source_session_key,
@@ -93,7 +93,6 @@ from repro.engine.study_plan import (
 
 __all__ = [
     "MISS",
-    "CacheLock",
     "DeltaStore",
     "EngineSession",
     "ErrorPolicy",

@@ -78,10 +78,7 @@ from repro.history.repository import (
     month_index,
 )
 from repro.labels.quantization import LabelScheme, label_profile
-from repro.metrics.activity import compute_activity_totals
-from repro.metrics.landmarks import compute_landmarks
 from repro.metrics.profile import ProjectProfile
-from repro.metrics.timeseries import DEFAULT_POINTS, heartbeat_vector
 from repro.patterns.classifier import (
     ClassificationResult,
     classify,
@@ -396,21 +393,6 @@ def extend_checkpoint(cp: StudyCheckpoint, suffix: Sequence,
     return series, advanced
 
 
-def _profile_from_series(name: str, series: ActivitySeries,
-                         birth_month: int) -> ProjectProfile:
-    """Rebuild the profile exactly as ``ProjectProfile.from_history``
-    does, from an already-extended series."""
-    landmarks = compute_landmarks(series, birth_month=birth_month)
-    totals = compute_activity_totals(series, landmarks.birth_month)
-    return ProjectProfile(
-        name=name,
-        landmarks=landmarks,
-        totals=totals,
-        vector=heartbeat_vector(series, DEFAULT_POINTS),
-        heartbeat=series,
-    )
-
-
 # ----------------------------------------------------------------------
 # serving records from checkpoints (worker side)
 
@@ -423,7 +405,8 @@ def _serve_extended(store: DeltaStore, extended: tuple, parsed: int,
     of the grown ``chain``. ``name`` names the profile and checkpoint,
     ``record_name`` the record; ``judge`` is the path's classifier."""
     series, advanced = extended
-    profile = _profile_from_series(name, series, advanced.birth_month)
+    profile = ProjectProfile.from_series(name, series,
+                                         advanced.birth_month)
     labeled = label_profile(profile, scheme)
     result = judge(labeled)
     record = StudyRecord(name=record_name, pattern=result.pattern,

@@ -120,7 +120,9 @@ class ExecutionReport:
     ``session.runs`` holds one per execution.
 
     Attributes:
-        timings: one :class:`StageTiming` per executed stage.
+        timings: one :class:`StageTiming` per executed stage; an
+            interrupted run's last one covers the part of the map stage
+            it stopped in.
         failures: every project quarantined during the run: those the
             feed lost before the plan saw them (handle-stage failures)
             first, then stage then item order (empty under the default
@@ -388,7 +390,8 @@ def _count_hint(items: Any) -> int | None:
 
 @dataclass
 class _MapOutcome:
-    """Everything one map-stage execution produced."""
+    """Everything one map-stage execution produced; an ``interrupted``
+    one stopped early and hands downstream no values."""
 
     values: list
     count: int
@@ -396,6 +399,7 @@ class _MapOutcome:
     failures: list[ProjectFailure]
     degraded: bool
     chunk_size: int = 0
+    interrupted: bool = False
 
 
 def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
@@ -444,8 +448,8 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
     back on a ``--resume`` run. ``guard`` is the graceful-shutdown
     flag: it is checked before each new item is dispatched, so an
     interrupt stops new work, drains the chunks that already finished
-    (caching + journaling their results) and cancels the rest before
-    :class:`~repro.errors.RunInterrupted` propagates.
+    (caching + journaling their results) and cancels the rest, and the
+    stage returns an ``interrupted`` outcome of what it did so far.
     """
     policy = config.error_policy
     faults = config.faults
@@ -533,159 +537,169 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
         journal_chunk(positions, outbound)
 
     chosen_chunk = 0
-    if config.jobs > 1:
-        chunk = config.chunk_size \
-            or _auto_chunk(_count_hint(items), config.jobs)
-        chosen_chunk = chunk
-        window = WINDOW_PER_JOB * config.jobs
-        worker = partial(_invoke_map, stage.fn, broadcast, stage.name,
-                         policy, faults, 0)
-        pool = None
-        inflight: deque[tuple[list[int], list, Any]] = deque()
-        backlog: list[tuple[int, Any]] = []
-        buffer: list[tuple[int, Any]] = []
-        broken = False
-        abandoned = False
-        harvested = False
+    try:
+        if config.jobs > 1:
+            chunk = config.chunk_size \
+                or _auto_chunk(_count_hint(items), config.jobs)
+            chosen_chunk = chunk
+            window = WINDOW_PER_JOB * config.jobs
+            worker = partial(_invoke_map, stage.fn, broadcast, stage.name,
+                             policy, faults, 0)
+            pool = None
+            inflight: deque[tuple[list[int], list, Any]] = deque()
+            backlog: list[tuple[int, Any]] = []
+            buffer: list[tuple[int, Any]] = []
+            broken = False
+            abandoned = False
+            harvested = False
 
-        def submit_buffer() -> None:
-            """Ship the accumulated chunk, or backlog it (dead pool)."""
-            nonlocal pool, broken, degraded
-            if not buffer:
-                return
-            positions = [index for index, _ in buffer]
-            outbound = [item for _, item in buffer]
-            buffer.clear()
-            if broken or abandoned:
-                backlog.extend(zip(positions, outbound))
-                return
+            def submit_buffer() -> None:
+                """Ship the accumulated chunk, or backlog it (dead pool)."""
+                nonlocal pool, broken, degraded
+                if not buffer:
+                    return
+                positions = [index for index, _ in buffer]
+                outbound = [item for _, item in buffer]
+                buffer.clear()
+                if broken or abandoned:
+                    backlog.extend(zip(positions, outbound))
+                    return
+                try:
+                    if pool is None:
+                        pool = session.pool(config.jobs)
+                    future = pool.submit(_invoke_chunk, worker, outbound)
+                except BrokenProcessPool:
+                    # A reused pool can die while idle between stages;
+                    # backlog this chunk, then triage what was in flight.
+                    broken = True
+                    degraded = True
+                    backlog.extend(zip(positions, outbound))
+                    while inflight:
+                        harvest_oldest()
+                    return
+                inflight.append((positions, outbound, future))
+
+            def harvest_oldest() -> None:
+                """Absorb the oldest in-flight chunk (FIFO, as submitted)."""
+                nonlocal broken, abandoned, degraded
+                positions, outbound, future = inflight.popleft()
+                if broken:
+                    # The pool is dead; harvest chunks that finished
+                    # before the crash, re-run the rest serially.
+                    if future.done() and not future.cancelled() \
+                            and future.exception() is None:
+                        land(positions, outbound, future.result())
+                    else:
+                        backlog.extend(zip(positions, outbound))
+                    return
+                try:
+                    outcomes = future.result(timeout=config.stage_timeout)
+                except FuturesTimeout:
+                    degraded = True
+                    abandoned = True
+                    if not policy.captures:
+                        raise EngineError(
+                            f"stage {stage.name!r}: a work chunk of "
+                            f"{len(positions)} items did not finish "
+                            f"within {config.stage_timeout}s") from None
+                    for index, item in zip(positions, outbound):
+                        failure = ProjectFailure(
+                            project=item_id(item),
+                            stage=stage.name,
+                            error_type="TimeoutError",
+                            message=f"work chunk exceeded the "
+                                    f"{config.stage_timeout}s "
+                                    f"stage timeout")
+                        results[index] = failure
+                        failures.append(failure)
+                    return
+                except BrokenProcessPool:
+                    broken = True
+                    degraded = True
+                    backlog.extend(zip(positions, outbound))
+                    return
+                land(positions, outbound, outcomes)
+
             try:
-                if pool is None:
-                    pool = session.pool(config.jobs)
-                future = pool.submit(_invoke_chunk, worker, outbound)
-            except BrokenProcessPool:
-                # A reused pool can die while idle between stages;
-                # backlog this chunk, then triage what was in flight.
-                broken = True
-                degraded = True
-                backlog.extend(zip(positions, outbound))
+                for item in items:
+                    if guard is not None:
+                        guard.check()
+                    index = total
+                    total += 1
+                    if not probe(index, item):
+                        continue
+                    buffer.append((index, item))
+                    if len(buffer) >= chunk:
+                        submit_buffer()
+                        # Backpressure: a full window stops the iterator
+                        # until the oldest chunk comes home.
+                        while len(inflight) >= window:
+                            harvest_oldest()
+                if guard is not None:
+                    guard.check()
+                submit_buffer()
                 while inflight:
                     harvest_oldest()
-                return
-            inflight.append((positions, outbound, future))
-
-        def harvest_oldest() -> None:
-            """Absorb the oldest in-flight chunk (FIFO, as submitted)."""
-            nonlocal broken, abandoned, degraded
-            positions, outbound, future = inflight.popleft()
-            if broken:
-                # The pool is dead; harvest chunks that finished
-                # before the crash, re-run the rest serially.
-                if future.done() and not future.cancelled() \
-                        and future.exception() is None:
-                    land(positions, outbound, future.result())
-                else:
-                    backlog.extend(zip(positions, outbound))
-                return
-            try:
-                outcomes = future.result(timeout=config.stage_timeout)
-            except FuturesTimeout:
-                degraded = True
-                abandoned = True
-                if not policy.captures:
-                    raise EngineError(
-                        f"stage {stage.name!r}: a work chunk of "
-                        f"{len(positions)} items did not finish "
-                        f"within {config.stage_timeout}s") from None
-                for index, item in zip(positions, outbound):
-                    failure = ProjectFailure(
-                        project=item_id(item),
-                        stage=stage.name,
-                        error_type="TimeoutError",
-                        message=f"work chunk exceeded the "
-                                f"{config.stage_timeout}s "
-                                f"stage timeout")
-                    results[index] = failure
-                    failures.append(failure)
-                return
-            except BrokenProcessPool:
-                broken = True
-                degraded = True
-                backlog.extend(zip(positions, outbound))
-                return
-            land(positions, outbound, outcomes)
-
-        try:
+                harvested = True
+            except RunInterrupted:
+                # Graceful shutdown: stop dispatching, drain the chunks
+                # that already finished — their results are real work, so
+                # cache and journal them — and cancel everything else.
+                while inflight:
+                    positions, outbound, future = inflight.popleft()
+                    if future.done() and not future.cancelled() \
+                            and future.exception() is None:
+                        land(positions, outbound, future.result())
+                    else:
+                        future.cancel()
+                raise
+            finally:
+                if broken or abandoned:
+                    # Dead or stuck pools cannot be reused: discard so
+                    # the session respawns a fresh one on next use. A
+                    # timed-out chunk's worker cannot be interrupted —
+                    # abandon it rather than blocking on it.
+                    session.discard_pool(wait=False)
+                elif not harvested:
+                    # A propagating exception (fail-fast item error):
+                    # the pool itself is healthy — cancel what has not
+                    # started and keep it for the next run.
+                    for _, _, future in inflight:
+                        future.cancel()
+            if backlog:
+                # Pool-crash / abandon recovery: finish in-process, one
+                # attempt later than the pool pass so one-shot injected
+                # crashes do not re-fire.
+                recover = partial(_invoke_map, stage.fn, broadcast,
+                                  stage.name, policy, faults, 1)
+                for index, item in backlog:
+                    if guard is not None:
+                        guard.check()
+                    absorb(index, recover(item), False)
+                journal_chunk([index for index, _ in backlog],
+                              [item for _, item in backlog])
+        else:
+            invoke = partial(_invoke_map, stage.fn, broadcast, stage.name,
+                             policy, faults, 0)
             for item in items:
                 if guard is not None:
                     guard.check()
                 index = total
                 total += 1
-                if not probe(index, item):
-                    continue
-                buffer.append((index, item))
-                if len(buffer) >= chunk:
-                    submit_buffer()
-                    # Backpressure: a full window stops the iterator
-                    # until the oldest chunk comes home.
-                    while len(inflight) >= window:
-                        harvest_oldest()
-            if guard is not None:
-                guard.check()
-            submit_buffer()
-            while inflight:
-                harvest_oldest()
-            harvested = True
-        except RunInterrupted:
-            # Graceful shutdown: stop dispatching, drain the chunks
-            # that already finished — their results are real work, so
-            # cache and journal them — and cancel everything else.
-            while inflight:
-                positions, outbound, future = inflight.popleft()
-                if future.done() and not future.cancelled() \
-                        and future.exception() is None:
-                    land(positions, outbound, future.result())
-                else:
-                    future.cancel()
-            raise
-        finally:
-            if broken or abandoned:
-                # Dead or stuck pools cannot be reused: discard so
-                # the session respawns a fresh one on next use. A
-                # timed-out chunk's worker cannot be interrupted —
-                # abandon it rather than blocking on it.
-                session.discard_pool(wait=False)
-            elif not harvested:
-                # A propagating exception (fail-fast item error):
-                # the pool itself is healthy — cancel what has not
-                # started and keep it for the next run.
-                for _, _, future in inflight:
-                    future.cancel()
-        if backlog:
-            # Pool-crash / abandon recovery: finish in-process, one
-            # attempt later than the pool pass so one-shot injected
-            # crashes do not re-fire.
-            recover = partial(_invoke_map, stage.fn, broadcast,
-                              stage.name, policy, faults, 1)
-            for index, item in backlog:
-                if guard is not None:
-                    guard.check()
-                absorb(index, recover(item), False)
-            journal_chunk([index for index, _ in backlog],
-                          [item for _, item in backlog])
-    else:
-        invoke = partial(_invoke_map, stage.fn, broadcast, stage.name,
-                         policy, faults, 0)
-        for item in items:
-            if guard is not None:
-                guard.check()
-            index = total
-            total += 1
-            if probe(index, item):
-                absorb(index, invoke(item), False)
-                # Serial chunks are single items: each computed item
-                # becomes durable (and resumable) as soon as it lands.
-                journal_chunk([index], [item])
+                if probe(index, item):
+                    absorb(index, invoke(item), False)
+                    # Serial chunks are single items: each computed item
+                    # becomes durable (and resumable) as soon as it lands.
+                    journal_chunk([index], [item])
+    except RunInterrupted:
+        # The stop landed in this stage: report what it did so far —
+        # the items taken from the feed (each one hit or one miss),
+        # the counters its drained chunks shipped home and the
+        # failures it quarantined.
+        obs.count("failures", len(failures))
+        return _MapOutcome(values=[], count=total, shipped=shipped,
+                           failures=failures, degraded=degraded,
+                           chunk_size=chosen_chunk, interrupted=True)
 
     obs.count("failures", len(failures))
     if failures and len(failures) == total:
@@ -845,49 +859,46 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
     interrupted = False
     with interrupt_guard(run_uid if journal is not None
                          else None) as guard:
-        try:
-            for stage in order:
-                guard.check()
-                started = time.perf_counter()
-                before = obs.snapshot()
-                shipped: Mapping[str, int] = {}
-                items: int | None = None
-                chunk_size = 0
-                if isinstance(stage, MapStage):
-                    # The first input may be a lazily enumerated
-                    # stream — it is handed to the map stage as-is and
-                    # consumed exactly once, never materialized here.
-                    feed = results[stage.inputs[0]]
-                    extras = tuple(results[name]
-                                   for name in stage.inputs[1:])
-                    outcome = _run_map_stage(stage, feed, extras,
-                                             config, cache, session,
-                                             journal=journal,
-                                             replay=replay,
-                                             guard=guard)
-                    value = outcome.values
-                    shipped = outcome.shipped
-                    report.failures.extend(outcome.failures)
-                    report.degraded = report.degraded \
-                        or outcome.degraded
-                    items = outcome.count
-                    chunk_size = outcome.chunk_size
-                else:
-                    value = stage.fn(*(results[name]
-                                       for name in stage.inputs))
-                elapsed = time.perf_counter() - started
-                # The stage's counters: what moved in this process
-                # (serial maps, ordinary stages, the map's own
-                # accounting) plus what the workers shipped home.
-                counters = Counter(obs.since(before))
-                counters.update(shipped)
-                timing = StageTiming(
-                    stage=stage.name, seconds=elapsed, items=items,
-                    chunk_size=chunk_size, counters=dict(counters))
-                results[stage.name] = value
-                report.timings.append(timing)
-        except RunInterrupted:
-            interrupted = True
+        for stage in order:
+            if guard.requested:
+                interrupted = True
+                break
+            started = time.perf_counter()
+            before = obs.snapshot()
+            shipped: Mapping[str, int] = {}
+            items: int | None = None
+            chunk_size = 0
+            if isinstance(stage, MapStage):
+                # The first input may be a lazily enumerated stream —
+                # it is handed to the map stage as-is and consumed
+                # exactly once, never materialized here.
+                feed = results[stage.inputs[0]]
+                extras = tuple(results[name] for name in stage.inputs[1:])
+                outcome = _run_map_stage(stage, feed, extras, config,
+                                         cache, session, journal=journal,
+                                         replay=replay, guard=guard)
+                value = outcome.values
+                shipped = outcome.shipped
+                report.failures.extend(outcome.failures)
+                report.degraded = report.degraded or outcome.degraded
+                items = outcome.count
+                chunk_size = outcome.chunk_size
+                interrupted = outcome.interrupted
+            else:
+                value = stage.fn(*(results[name]
+                                   for name in stage.inputs))
+            elapsed = time.perf_counter() - started
+            # The stage's counters: what moved in this process (serial
+            # maps, ordinary stages, the map's own accounting) plus what
+            # the workers shipped home.
+            counters = Counter(obs.since(before))
+            counters.update(shipped)
+            report.timings.append(StageTiming(
+                stage=stage.name, seconds=elapsed, items=items,
+                chunk_size=chunk_size, counters=dict(counters)))
+            if interrupted:
+                break
+            results[stage.name] = value
     report.failures[:0] = feed_failures
     # Every counter of the run moved inside one of its stages, in this
     # thread or in a worker that shipped it home.

@@ -15,9 +15,9 @@ Records and durability:
   16-hex-char BLAKE2b of the payload bytes; a torn or corrupted line is
   detected, reported and skipped rather than trusted.
 - Lines are appended with a single ``write`` on an ``O_APPEND``
-  descriptor (see :func:`repro.engine.lock.append_line` for why that is
-  atomic). The journal has exactly one writer — the run that owns it —
-  so no lock is needed.
+  descriptor (see :func:`repro.engine.session.append_line` for why that
+  is atomic). The journal has exactly one writer — the run that owns
+  it.
 - ``begin`` and ``end`` records are fsynced; ``chunk`` records are not
   (they sit in the page cache, which survives process death — the
   kill-mid-run tests rely on exactly this), keeping journal overhead
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.engine.lock import append_line
+from repro.engine.session import append_line
 from repro.errors import EngineError
 
 #: Subdirectory of the cache dir holding per-run journals.

@@ -21,9 +21,9 @@ query service and watch mode sit on:
   :class:`~repro.engine.executor.ExecutionReport` of every plan
   execution (source fingerprint, config, stage timings, run counters,
   failures, result digest), and each report's ``to_dict()`` is
-  appended as one JSONL row to ``<cache_dir>/ledger.jsonl``, giving
-  operated deployments their "what ran, on what data, how fast, what
-  broke" story.
+  appended as one JSONL row to ``<cache_dir>/ledger.jsonl`` by
+  :func:`append_line`, giving operated deployments their "what ran, on
+  what data, how fast, what broke" story.
 
 Source enumeration is not session state: every run enumerates its
 source afresh, and sources memoize their own enumeration per instance.
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import atexit
 import json
+import os
 import warnings
 import weakref
 from collections import OrderedDict
@@ -48,7 +49,6 @@ from repro import obs
 from repro.engine.cache import MISS, ResultCache, code_digest, fingerprint
 from repro.engine.config import StudyConfig
 from repro.engine.faults import mark_pool_worker
-from repro.engine.lock import CacheLock, append_line
 from repro.errors import EngineError
 from repro.pools import pool_context
 
@@ -335,12 +335,12 @@ class EngineSession:
 
         The JSONL file lives at ``<cache_dir>/ledger.jsonl`` and is
         append-only across sessions and processes. The append is one
-        locked, fsynced ``write`` of the whole line (see
-        :mod:`repro.engine.lock`): concurrent sessions sharing a cache
-        dir serialize through the lock, and a power cut cannot lose an
-        acknowledged run. A concurrent reader may see the line's first
-        bytes before the rest; :func:`read_ledger_report` leaves such an
-        unterminated tail for the next read.
+        fsynced ``write`` of the whole line (:func:`append_line`):
+        concurrent sessions sharing a cache dir never interleave their
+        rows, and a power cut cannot lose an acknowledged run. A
+        concurrent reader may see the line's first bytes before the
+        rest; :func:`read_ledger_report` leaves such an unterminated
+        tail for the next read.
         Still best-effort — the ledger is an ops aid, never a crash.
         """
         self.runs.append(report)
@@ -351,9 +351,8 @@ class EngineSession:
                 + "\n").encode("utf-8")
         try:
             root.mkdir(parents=True, exist_ok=True)
-            with CacheLock(root):
-                append_line(root / LEDGER_NAME, line, fsync=True)
-        except (OSError, EngineError):
+            append_line(root / LEDGER_NAME, line, fsync=True)
+        except OSError:
             pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -385,19 +384,43 @@ def retire_foreign_stores(root: Path) -> None:
         pass
 
 
+def append_line(path: Path, data: bytes, fsync: bool = False) -> None:
+    """Append ``data`` (a complete ``...\\n`` line) atomically to ``path``.
+
+    The whole line goes down in a single ``write`` on an ``O_APPEND``
+    descriptor. On a local Linux filesystem the kernel holds the file's
+    inode lock for the whole write, so concurrent appenders — threads
+    or processes, rows of several KB included — never interleave bytes,
+    and no lock of ours is needed. A concurrent reader can still
+    observe a prefix of the line — the kernel may expose a write that
+    crosses a page boundary one page at a time — so readers treat a
+    last line without its ``\\n`` as still being written. ``fsync=True``
+    additionally forces the line to stable storage before returning.
+    Raises ``OSError`` when the filesystem refuses (full disk,
+    read-only).
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    try:
+        os.write(fd, data)
+        if fsync:
+            os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def read_ledger_report(cache_dir: str | Path
                        ) -> tuple[list[dict], list[int]]:
     """Ledger records plus the 1-based line numbers of torn lines.
 
-    A torn line — a partial record left by a crashed or pre-lock
-    writer — is skipped but *reported*, never silently absorbed: the
+    A torn line — a partial record left by a writer that died
+    mid-write — is skipped but *reported*, never silently absorbed: the
     caller can surface it once instead of the ledger under-counting
     forever. Valid records after a torn line are still returned (the
     file stays append-only; one bad line does not poison the tail).
 
     A final fragment without its ``\\n`` is an append still in flight
-    (the reader holds no lock, and a row that crosses a page boundary
-    can show its first part early): it is neither a record nor torn.
+    (a row that crosses a page boundary can show its first part
+    early): it is neither a record nor torn.
     """
     path = Path(cache_dir) / LEDGER_NAME
     try:
@@ -432,6 +455,5 @@ def read_ledger(cache_dir: str | Path) -> list[dict]:
         warnings.warn(
             f"ledger.jsonl under {cache_dir}: skipped "
             f"{len(torn)} torn record(s) at line(s) {lines} — likely "
-            f"a writer killed mid-append before this version's locked "
-            f"single-write appends", RuntimeWarning, stacklevel=2)
+            f"a writer that died mid-write", RuntimeWarning, stacklevel=2)
     return records

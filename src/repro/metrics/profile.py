@@ -68,12 +68,26 @@ class ProjectProfile:
             diff_options: options for the logical diff engine.
             vector_points: grid size of the cumulative-progress vector.
         """
-        series = schema_heartbeat(history, diff_options)
-        birth_month = history.commit_month(history.commits[0])
+        return cls.from_series(
+            history.project_name, schema_heartbeat(history, diff_options),
+            history.commit_month(history.commits[0]), vector_points)
+
+    @classmethod
+    def from_series(cls, name: str, series: ActivitySeries,
+                    birth_month: int, vector_points: int = DEFAULT_POINTS
+                    ) -> "ProjectProfile":
+        """Measure a project's monthly heartbeat into a profile.
+
+        Args:
+            name: project identifier.
+            series: the project's monthly activity series.
+            birth_month: month index of the project's first commit.
+            vector_points: grid size of the cumulative-progress vector.
+        """
         landmarks = compute_landmarks(series, birth_month=birth_month)
         totals = compute_activity_totals(series, landmarks.birth_month)
         return cls(
-            name=history.project_name,
+            name=name,
             landmarks=landmarks,
             totals=totals,
             vector=heartbeat_vector(series, vector_points),

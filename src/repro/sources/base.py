@@ -111,16 +111,18 @@ class HistorySource(Protocol):
       sampling; ``None``/absent groups by pid prefix instead.
 
     Optional **delta surface** (enables append-only incremental
-    re-study; sources without it always recompute in full):
+    re-study; sources without it always recompute in full and keep no
+    checkpoints — synthetic corpora among them, whose histories are
+    generated whole from a spec and never grow by append):
 
     * ``version_chain(pid) -> tuple[str, ...]`` — one stable hash per
       version of the project, oldest first, such that append-only
       growth *extends* the chain and any rewrite of an existing
       version changes a prefix element (git: the file's commit shas;
-      corpora: per-commit content hashes). This is the delta layer's
-      prefix proof: "old chain is a prefix of new chain" means the
-      checkpointed study state can be extended by parsing only the
-      suffix.
+      corpus directories: per-commit content hashes). This is the
+      delta layer's prefix proof: "old chain is a prefix of new chain"
+      means the checkpointed study state can be extended by parsing
+      only the suffix.
     * ``load_delta(pid, start) -> list[Commit]`` — the project's
       commits from chain position ``start`` onward, without reading
       earlier payloads (``"histories"`` sources only; ``"corpus"``

@@ -99,18 +99,6 @@ class SyntheticSource:
     def load(self, pid: str) -> GeneratedProject:
         return realize_spec(self._spec(pid))
 
-    def version_chain(self, pid: str) -> tuple[str, ...]:
-        """A one-element chain: the spec fingerprint.
-
-        Synthetic histories are generated whole from their spec — they
-        never grow by append, so a project is either unchanged (same
-        fingerprint, served by the result cache before the chain is
-        ever consulted) or rewritten (different fingerprint, full
-        recompute). Speaking the protocol keeps delta bookkeeping on
-        for mixed pipelines without pretending specs have suffixes.
-        """
-        return (self.fingerprint(pid),)
-
     def iter_handles(self):
         """One handle per planned project, without an id list.
 

@@ -40,6 +40,7 @@ from repro.engine import (
 from repro.engine import delta as delta_mod
 from repro.engine import study_plan
 from repro.engine.delta import DELTA_SUBDIR, commit_chain
+from repro.engine.executor import COLUMNS, total_cells
 from repro.history.commit import Commit
 from repro.history.repository import SchemaHistory
 from repro.patterns.taxonomy import Pattern
@@ -122,6 +123,28 @@ class TestDeltaStoreGating:
         store = delta_store_for(CorpusDirSource(corpus_root), config)
         assert isinstance(store, DeltaStore)
         assert store.root == tmp_path / "cache" / DELTA_SUBDIR
+
+    def test_synthetic_study_keeps_no_checkpoints(self, tmp_path):
+        # A generated history never grows by append, so no checkpoint
+        # of one could ever serve a refresh.
+        cache = tmp_path / "cache"
+        execute_study_from_source(
+            SyntheticSource(seed=99, population=POPULATION),
+            StudyConfig(cache_dir=cache))
+        assert list(cache.glob("objects/*/*.pkl"))
+        assert not list(cache.glob(f"{DELTA_SUBDIR}/*/*"))
+
+    def test_another_seed_is_no_rewrite(self, tmp_path):
+        # Seeds share project ids: another seed's projects are new
+        # projects, not rewritten histories.
+        cache = tmp_path / "cache"
+        for seed in (7, 99):
+            _, report = execute_study_from_source(
+                SyntheticSource(seed=seed, population=POPULATION),
+                StudyConfig(cache_dir=cache))
+        cells = dict(zip((header for header, _, _ in COLUMNS),
+                         total_cells(report.counters)))
+        assert cells["delta"] == "-"
 
 
 class TestCheckpointLifecycle:

@@ -1,19 +1,34 @@
-"""Unit tests for the shared-cache-dir lock and atomic line appends."""
+"""Atomic line appends: the one coordination shared cache dirs need.
+
+A cache dir's only file with several writers is the run ledger, and
+each of its rows is one :func:`append_line` — one ``write`` on an
+``O_APPEND`` descriptor — so concurrent sessions need no lock.
+"""
 
 import json
-import os
-import subprocess
-import sys
+import random
 import threading
-import time
+from pathlib import Path
 
 import pytest
 
-from repro.engine.lock import CacheLock, append_line
-from repro.errors import EngineError
+from repro.engine.session import append_line
+from repro.pools import pool_context
 
-MODES = pytest.mark.parametrize("use_fcntl", [True, False],
-                                ids=["flock", "lockfile"])
+#: The multi-process test's writers and rows per writer.
+WRITERS, ROWS = 4, 300
+
+
+def _append_rows(path: str, writer: int, start) -> None:
+    """One writer process: ``ROWS`` JSON rows of 2–8 KB, one append
+    each, every 10th fsynced (as ledger rows are)."""
+    start.wait(timeout=30)
+    rng = random.Random(writer)
+    for index in range(ROWS):
+        row = {"writer": writer, "index": index,
+               "pad": "x" * rng.randint(2000, 8000)}
+        append_line(Path(path), (json.dumps(row) + "\n").encode(),
+                    fsync=index % 10 == 0)
 
 
 class TestAppendLine:
@@ -43,115 +58,36 @@ class TestAppendLine:
         assert all(line.count(b":") == 1 and len(line) == 6
                    for line in lines)
 
+    def test_concurrent_processes_leave_whole_rows(self, tmp_path):
+        # Rows of several KB cross page boundaries, as ledger rows that
+        # carry failure summaries do.
+        path = tmp_path / "ledger.jsonl"
+        context = pool_context()
+        start = context.Event()
+        writers = [context.Process(target=_append_rows,
+                                   args=(str(path), writer, start))
+                   for writer in range(WRITERS)]
+        try:
+            for process in writers:
+                process.start()
+            start.set()
+            for process in writers:
+                process.join(timeout=120)
+            assert [process.exitcode for process in writers] \
+                == [0] * WRITERS
+        finally:
+            for process in writers:
+                if process.is_alive():
+                    process.kill()
+                    process.join()
+        lines = path.read_bytes().split(b"\n")
+        assert lines.pop() == b""
+        rows = [json.loads(line) for line in lines]
+        assert len(rows) == WRITERS * ROWS
+        assert sorted((row["writer"], row["index"]) for row in rows) \
+            == [(writer, index) for writer in range(WRITERS)
+                for index in range(ROWS)]
+
     def test_missing_parent_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             append_line(tmp_path / "nowhere" / "log.jsonl", b"x\n")
-
-
-class TestAcquisition:
-    @MODES
-    def test_acquire_release_cycle(self, tmp_path, use_fcntl):
-        lock = CacheLock(tmp_path, use_fcntl=use_fcntl)
-        assert not lock.held
-        with lock:
-            assert lock.held
-            holder = CacheLock.read_holder(lock.path)
-            assert holder["pid"] == os.getpid()
-            assert holder["heartbeat"] <= time.time()
-        assert not lock.held
-
-    @MODES
-    def test_reacquirable_after_release(self, tmp_path, use_fcntl):
-        lock = CacheLock(tmp_path, use_fcntl=use_fcntl)
-        with lock:
-            pass
-        with lock:
-            assert lock.held
-
-    @MODES
-    def test_double_acquire_refused(self, tmp_path, use_fcntl):
-        with CacheLock(tmp_path, use_fcntl=use_fcntl) as lock:
-            with pytest.raises(EngineError, match="already held"):
-                lock.acquire()
-
-    @MODES
-    def test_contention_times_out_naming_holder(self, tmp_path,
-                                                use_fcntl):
-        with CacheLock(tmp_path, use_fcntl=use_fcntl):
-            waiter = CacheLock(tmp_path, timeout=0.1,
-                               use_fcntl=use_fcntl)
-            with pytest.raises(EngineError) as err:
-                waiter.acquire()
-            assert str(os.getpid()) in str(err.value)
-
-    @MODES
-    def test_serializes_threads(self, tmp_path, use_fcntl):
-        counter = tmp_path / "counter.txt"
-        counter.write_text("0")
-        rounds, workers = 25, 4
-
-        def bump():
-            for _ in range(rounds):
-                with CacheLock(tmp_path, use_fcntl=use_fcntl):
-                    value = int(counter.read_text())
-                    counter.write_text(str(value + 1))
-
-        threads = [threading.Thread(target=bump) for _ in range(workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert int(counter.read_text()) == rounds * workers
-
-    def test_heartbeat_requires_held_lock(self, tmp_path):
-        lock = CacheLock(tmp_path)
-        with pytest.raises(EngineError, match="not held"):
-            lock.heartbeat()
-
-
-class TestStaleTakeover:
-    """Fallback-lockfile mode: provably dead holders are evicted."""
-
-    def test_dead_pid_is_broken(self, tmp_path):
-        # A real pid that is guaranteed dead: a finished subprocess.
-        child = subprocess.run(
-            [sys.executable, "-c", "import os; print(os.getpid())"],
-            capture_output=True, text=True, check=True)
-        dead_pid = int(child.stdout)
-        lock = CacheLock(tmp_path, use_fcntl=False, timeout=2.0)
-        lock.path.write_text(json.dumps(
-            {"pid": dead_pid, "heartbeat": time.time()}))
-        with lock:
-            assert CacheLock.read_holder(lock.path)["pid"] == os.getpid()
-
-    def test_stale_heartbeat_is_broken(self, tmp_path):
-        lock = CacheLock(tmp_path, use_fcntl=False, timeout=2.0,
-                         stale_after=0.05)
-        # Live pid (our own), but a heartbeat far past stale_after.
-        lock.path.write_text(json.dumps(
-            {"pid": os.getpid(), "heartbeat": time.time() - 60.0}))
-        with lock:
-            assert lock.held
-
-    def test_fresh_live_lock_is_respected(self, tmp_path):
-        lock = CacheLock(tmp_path, use_fcntl=False, timeout=0.1,
-                         stale_after=30.0)
-        lock.path.write_text(json.dumps(
-            {"pid": os.getpid(), "heartbeat": time.time()}))
-        with pytest.raises(EngineError, match="could not lock"):
-            lock.acquire()
-
-    def test_unreadable_metadata_needs_old_mtime(self, tmp_path):
-        lock = CacheLock(tmp_path, use_fcntl=False, timeout=0.1,
-                         stale_after=30.0)
-        lock.path.write_bytes(b"\x00garbage\x00")
-        # Fresh mtime: age cannot prove staleness, so acquisition fails.
-        with pytest.raises(EngineError):
-            lock.acquire()
-        # Backdated mtime past stale_after: broken and re-acquired.
-        stamp = time.time() - 120.0
-        os.utime(lock.path, (stamp, stamp))
-        retry = CacheLock(tmp_path, use_fcntl=False, timeout=2.0,
-                          stale_after=30.0)
-        with retry:
-            assert retry.held

@@ -13,7 +13,8 @@ The acceptance bar of the crash-safety layer:
   run completes memory-only with identical output and the failure
   surfaced in counters, never an abort;
 * shared cache dirs — two concurrent sessions pointing at one
-  ``--cache-dir`` interleave safely: every ledger row lands whole.
+  ``--cache-dir`` interleave safely without a lock: every ledger row
+  lands whole.
 """
 
 import dataclasses
@@ -30,7 +31,6 @@ from pathlib import Path
 import pytest
 
 from repro.engine import (
-    CacheLock,
     EngineSession,
     FaultPlan,
     StudyConfig,
@@ -113,6 +113,31 @@ class TestGracefulInterrupt:
         info = read_journal(cache_dir, err.value.run_id)
         assert info.status == "interrupted"
         assert info.items > 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupted_row_lists_the_stage_it_stopped_in(
+            self, source, tmp_path, jobs):
+        cache_dir = tmp_path / "cache"
+        config = StudyConfig(
+            cache_dir=cache_dir, jobs=jobs,
+            faults=FaultPlan.parse(f"interrupt@{MID_SYNTHETIC}"))
+        with pytest.raises(RunInterrupted) as err:
+            execute_study_from_source(source, config)
+        info = read_journal(cache_dir, err.value.run_id)
+        row = read_ledger(cache_dir)[-1]
+        assert row["interrupted"] is True
+        assert [stage["stage"] for stage in row["stages"]] == ["records"]
+        # The fault fires as its item is taken; the stop is noticed
+        # before the next one. Each item taken is one miss of the cold
+        # cache, and every harvested one was journaled.
+        taken = list(source.project_ids()).index(MID_SYNTHETIC) + 1
+        assert row["stages"][0]["items"] == row["items"] == taken
+        assert row["cache_misses"] == row["hot_misses"] == taken
+        assert 1 <= info.items <= taken
+        assert row["journal_chunks"] == len(info.chunks)
+        if jobs == 1:
+            # Serially, the item the stop landed on still completes.
+            assert info.items == taken
 
     def test_resume_against_changed_source_refused(self, source,
                                                    tmp_path):
@@ -304,11 +329,9 @@ class TestSharedCacheDir:
 
         def write():
             while not stop.is_set():
-                with CacheLock(tmp_path):
-                    append_line(ledger, row.encode("utf-8"))
+                append_line(ledger, row.encode("utf-8"))
 
-        with CacheLock(tmp_path):
-            append_line(ledger, row.encode("utf-8"))
+        append_line(ledger, row.encode("utf-8"))
         writer = threading.Thread(target=write)
         writer.start()
         try:
