@@ -2,12 +2,11 @@
 
 Subcommands:
 
-* ``generate`` — build the synthetic 151-project corpus and save it.
 * ``study`` — run the full study and print every paper table/figure;
   ``--source synthetic:|dir:PATH|git:PATH`` picks where the histories
-  come from (or ``--corpus`` replays a saved JSON corpus).
-* ``corpus export`` / ``corpus import`` — round-trip a corpus through
-  the versioned JSONL directory format that ``--source dir:`` reads.
+  come from.
+* ``corpus export`` — write the synthetic corpus as the versioned JSONL
+  directory that ``--source dir:`` reads, the one on-disk corpus format.
 * ``refresh`` — re-derive the study of a growing source incrementally:
   unchanged projects come from the result cache, append-only history
   growth runs through the O(K) delta suffix kernel, and ``--watch``
@@ -38,8 +37,7 @@ import sys
 from pathlib import Path
 
 from repro import report
-from repro.corpus.dataset import load_corpus, save_corpus
-from repro.corpus.generator import DEFAULT_SEED, generate_corpus
+from repro.corpus.generator import DEFAULT_SEED
 from repro.engine import (
     EngineSession,
     FaultPlan,
@@ -67,11 +65,7 @@ from repro.history.repository import (
     load_history_from_jsonl,
 )
 from repro.labels.quantization import DEFAULT_SCHEME
-from repro.sources import (
-    InMemorySource,
-    import_corpus_dir,
-    source_from_spec,
-)
+from repro.sources import source_from_spec
 from repro.study.pipeline import run_full_study_from_source
 from repro.viz.ascii_chart import ascii_chart
 from repro.viz.svg_chart import svg_chart
@@ -105,37 +99,22 @@ def _load_history(path: str):
 
 def _study_config(args: argparse.Namespace) -> StudyConfig:
     """Build the run's :class:`StudyConfig` from CLI arguments."""
-    fault_spec = getattr(args, "fault_plan", None)
-    faults = FaultPlan.parse(fault_spec) if fault_spec \
+    faults = FaultPlan.parse(args.fault_plan) if args.fault_plan \
         else FaultPlan.from_env()
     return StudyConfig(
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        jobs=getattr(args, "jobs", 1),
-        chunk_size=getattr(args, "chunk_size", None),
-        cache_dir=Path(args.cache_dir)
-        if getattr(args, "cache_dir", None) else None,
-        source=getattr(args, "source", "synthetic:"),
-        error_policy=policy_from_name(
-            getattr(args, "on_error", "fail"),
-            max_retries=getattr(args, "max_retries", 2)),
-        stage_timeout=getattr(args, "stage_timeout", None),
+        seed=args.seed,
+        jobs=args.jobs,
+        chunk_size=args.chunk_size,
+        cache_dir=Path(args.cache_dir) if args.cache_dir else None,
+        source=args.source,
+        error_policy=policy_from_name(args.on_error,
+                                      max_retries=args.max_retries),
+        stage_timeout=args.stage_timeout,
         faults=faults if faults else None,
-        sample=getattr(args, "sample", None),
-        stratified=getattr(args, "stratified", False),
+        sample=args.sample,
+        stratified=args.stratified,
         resume_from=getattr(args, "resume", None),
     )
-
-
-def _resolve_source(args: argparse.Namespace, config: StudyConfig):
-    """The history source a study-like command should run over.
-
-    ``--corpus FILE`` (the pre-sources replay path) wins and wraps the
-    loaded corpus in-memory; otherwise ``--source`` is parsed.
-    """
-    if getattr(args, "corpus", None):
-        corpus = load_corpus(args.corpus)
-        return InMemorySource(corpus.projects, mode="corpus")
-    return source_from_spec(config.source, config)
 
 
 def _write_text(path: str | Path, text: str, what: str) -> None:
@@ -163,7 +142,7 @@ def _run_study_like(args: argparse.Namespace):
     """
     config = _study_config(args)
     results, timing = run_full_study_from_source(
-        _resolve_source(args, config), config,
+        source_from_spec(config.source, config), config,
         session=_process_session())
     if getattr(args, "timings", False):
         _print_timings(timing)
@@ -200,14 +179,6 @@ def _fault_exit(report_obj) -> int:
     for failure in report_obj.failures:
         print(f"  {failure.summary()}", file=sys.stderr)
     return EXIT_PARTIAL
-
-
-def _cmd_generate(args: argparse.Namespace) -> int:
-    corpus = generate_corpus(config=_study_config(args))
-    save_corpus(corpus, args.output)
-    print(f"wrote {len(corpus)} projects to {args.output} "
-          f"(seed {corpus.seed})")
-    return 0
 
 
 def _print_study_report(results) -> None:
@@ -249,16 +220,20 @@ def _cmd_refresh(args: argparse.Namespace) -> int:
 
     from repro.engine import source_session_key
 
+    watch = args.watch
+    max_polls = args.max_polls
+    if watch is not None and watch <= 0:
+        raise CliError(f"--watch must be > 0 seconds, got {watch}")
+    if max_polls is not None and max_polls < 1:
+        raise CliError(f"--max-polls must be >= 1, got {max_polls}")
     config = _study_config(args)
     session = _process_session()
-    watch = getattr(args, "watch", None)
-    max_polls = getattr(args, "max_polls", None)
     polls = 0
     last_key: str | None = None
     status = 0
     while True:
         polls += 1
-        source = _resolve_source(args, config)
+        source = source_from_spec(config.source, config)
         key = source_session_key(source)
         if watch and key is not None and key == last_key:
             print(f"refresh: source unchanged, skipping poll {polls}",
@@ -357,7 +332,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from repro.report.export import export_dataset
     config = _study_config(args)
     records, timing = compute_records_from_source(
-        _resolve_source(args, config), config,
+        source_from_spec(config.source, config), config,
         session=_process_session())
     paths = export_dataset(records, args.output)
     for path in paths:
@@ -368,40 +343,23 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_corpus_export(args: argparse.Namespace) -> int:
     from repro.sources import write_corpus_dir
     from repro.sources.base import round_robin
-    from repro.sources.corpusdir import stratified
     from repro.sources.synthetic import SyntheticSource
-    config = _study_config(args)
-    if args.corpus:
-        # Replaying a saved JSON corpus: it is already in memory, so
-        # stream straight from its project list.
-        corpus = load_corpus(args.corpus)
-        seed = corpus.seed
-        projects = corpus.projects if args.limit is None \
-            else stratified(corpus.projects, args.limit)
-    else:
-        # Regenerating: realize projects one at a time off the lazy
-        # synthetic plan so export memory stays O(shard), not
-        # O(corpus); --limit draws ids, so nothing else is realized.
-        source = SyntheticSource(seed=config.seed)
-        pids = source.project_ids() if args.limit is None \
-            else round_robin(source.project_ids(), source.stratum,
-                             args.limit)
-        seed = source.seed
-        projects = (source.load(pid) for pid in pids)
-    written = write_corpus_dir(projects, args.output, seed=seed,
+    if args.limit is not None and args.limit < 1:
+        raise CliError(f"--limit must be >= 1, got {args.limit}")
+    # Realize projects one at a time off the lazy synthetic plan so
+    # export memory stays O(shard), not O(corpus); --limit draws ids,
+    # so nothing else is realized.
+    source = SyntheticSource(seed=args.seed)
+    pids = source.project_ids() if args.limit is None \
+        else round_robin(source.project_ids(), source.stratum,
+                         args.limit)
+    written = write_corpus_dir((source.load(pid) for pid in pids),
+                               args.output, seed=source.seed,
                                shard_size=args.shard_size)
     layout = f"{written.shards} shards" if written.shards \
         else "per-project files"
     print(f"wrote {written.projects} projects to {written.root} "
-          f"({layout}, seed {seed})")
-    return 0
-
-
-def _cmd_corpus_import(args: argparse.Namespace) -> int:
-    corpus = import_corpus_dir(args.directory)
-    save_corpus(corpus, args.output)
-    print(f"wrote {len(corpus)} projects to {args.output} "
-          f"(seed {corpus.seed})")
+          f"({layout}, seed {source.seed})")
     return 0
 
 
@@ -525,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "(EDBT 2025 reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_execution_flags(p, cache: bool = True,
-                            faults: bool = True):
+    def add_execution_flags(p):
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for per-project work "
                             "(default: 1, serial)")
@@ -539,38 +496,31 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable incremental statement-level "
                             "parsing; re-parse every snapshot in full "
                             "(output is identical, just slower)")
-        if cache:
-            p.add_argument("--cache-dir", metavar="DIR",
-                           help="content-addressed result cache; "
-                                "re-runs recompute only changed "
-                                "projects (default: no cache)")
-        if faults:
-            p.add_argument("--on-error",
-                           choices=["fail", "skip", "retry"],
-                           default="fail",
-                           help="per-project failure policy: 'fail' "
-                                "aborts on the first bad project "
-                                "(default), 'skip' quarantines it and "
-                                "computes over the survivors (exit "
-                                f"code {EXIT_PARTIAL}), 'retry' also "
-                                "re-attempts transient source "
-                                "failures with backoff first")
-            p.add_argument("--max-retries", type=int, default=2,
-                           metavar="N",
-                           help="extra attempts for transient source "
-                                "failures under --on-error retry "
-                                "(default: 2)")
-            p.add_argument("--stage-timeout", type=float,
-                           metavar="SECONDS",
-                           help="wall-clock budget per in-flight "
-                                "parallel work chunk; overrunning "
-                                "chunks count as failures (default: "
-                                "no timeout)")
-            p.add_argument("--fault-plan", metavar="SPEC",
-                           help="inject deterministic faults for "
-                                "chaos testing, e.g. 'parse@proj-01;"
-                                "source@proj-02*2;cache@~10' "
-                                "(overrides $REPRO_FAULT_PLAN)")
+        p.add_argument("--cache-dir", metavar="DIR",
+                       help="content-addressed result cache; re-runs "
+                            "recompute only changed projects (default: "
+                            "no cache)")
+        p.add_argument("--on-error", choices=["fail", "skip", "retry"],
+                       default="fail",
+                       help="per-project failure policy: 'fail' aborts "
+                            "on the first bad project (default), 'skip' "
+                            "quarantines it and computes over the "
+                            f"survivors (exit code {EXIT_PARTIAL}), "
+                            "'retry' also re-attempts transient source "
+                            "failures with backoff first")
+        p.add_argument("--max-retries", type=int, default=2, metavar="N",
+                       help="extra attempts for transient source "
+                            "failures under --on-error retry "
+                            "(default: 2)")
+        p.add_argument("--stage-timeout", type=float, metavar="SECONDS",
+                       help="wall-clock budget per in-flight parallel "
+                            "work chunk; overrunning chunks count as "
+                            "failures (default: no timeout)")
+        p.add_argument("--fault-plan", metavar="SPEC",
+                       help="inject deterministic faults for chaos "
+                            "testing, e.g. 'parse@proj-01;"
+                            "source@proj-02*2;cache@~10' (overrides "
+                            "$REPRO_FAULT_PLAN)")
 
     def add_source_flag(p):
         p.add_argument("--source", default="synthetic:", metavar="SPEC",
@@ -588,16 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "patterns/shards so small samples stay "
                             "pattern-diverse")
 
-    p_generate = sub.add_parser("generate",
-                                help="generate the synthetic corpus")
-    p_generate.add_argument("output", help="output corpus JSON path")
-    p_generate.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_execution_flags(p_generate, cache=False, faults=False)
-    p_generate.set_defaults(func=_cmd_generate)
-
     p_study = sub.add_parser("study", help="run the full study")
-    p_study.add_argument("--corpus", help="saved corpus JSON "
-                                          "(overrides --source)")
     p_study.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_source_flag(p_study)
     add_execution_flags(p_study)
@@ -618,8 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
         "refresh", help="incrementally re-derive the study of a "
                         "growing source (append-only histories run "
                         "through the O(K) delta kernel)")
-    p_refresh.add_argument("--corpus", help="saved corpus JSON "
-                                            "(overrides --source)")
     p_refresh.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_source_flag(p_refresh)
     add_execution_flags(p_refresh)
@@ -637,15 +576,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_refresh.set_defaults(func=_cmd_refresh)
 
     p_corpus = sub.add_parser(
-        "corpus", help="corpus-directory import/export")
+        "corpus", help="corpus-directory export")
     corpus_sub = p_corpus.add_subparsers(dest="corpus_command",
                                          required=True)
     p_cx = corpus_sub.add_parser(
-        "export", help="write a corpus as a JSONL directory "
-                       "(readable via --source dir:PATH)")
+        "export", help="write the synthetic corpus of --seed as a "
+                       "JSONL directory (readable via --source "
+                       "dir:PATH)")
     p_cx.add_argument("output", help="target directory")
-    p_cx.add_argument("--corpus", help="saved corpus JSON "
-                                       "(default: regenerate)")
     p_cx.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_cx.add_argument("--limit", type=int, metavar="N",
                       help="export only N projects, sampled "
@@ -655,11 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "projects per shards/NNNN.jsonl file "
                            "(default: one file per project)")
     p_cx.set_defaults(func=_cmd_corpus_export)
-    p_ci = corpus_sub.add_parser(
-        "import", help="load a corpus directory back into one JSON file")
-    p_ci.add_argument("directory", help="corpus directory")
-    p_ci.add_argument("output", help="output corpus JSON path")
-    p_ci.set_defaults(func=_cmd_corpus_import)
 
     p_profile = sub.add_parser("profile",
                                help="profile one schema history")
@@ -679,8 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report",
                               help="write the full study as Markdown")
     p_report.add_argument("output", help="output .md path")
-    p_report.add_argument("--corpus", help="saved corpus JSON "
-                                           "(overrides --source)")
     p_report.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_source_flag(p_report)
     add_execution_flags(p_report)
@@ -689,8 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser("export",
                               help="export the study dataset as CSV")
     p_export.add_argument("output", help="output directory")
-    p_export.add_argument("--corpus", help="saved corpus JSON "
-                                           "(overrides --source)")
     p_export.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_source_flag(p_export)
     add_execution_flags(p_export)

@@ -15,6 +15,10 @@ Entry point::
     corpus = generate_corpus(seed=7)
     corpus.projects[0].history          # a real SchemaHistory
     corpus.projects[0].intended_pattern # ground truth
+
+A corpus is stored on disk one way: as the versioned corpus directory
+of :mod:`repro.sources.corpusdir` (``repro-schema corpus export``,
+studied through ``--source dir:``).
 """
 
 from repro.corpus.planner import LandmarkPlan, plan_schedule
@@ -26,7 +30,6 @@ from repro.corpus.profiles import (
     sampler_for,
 )
 from repro.corpus.generator import Corpus, GeneratedProject, generate_corpus
-from repro.corpus.dataset import load_corpus, save_corpus
 
 __all__ = [
     "BIRTH_BUCKETS",
@@ -38,9 +41,7 @@ __all__ = [
     "PatternSampler",
     "fresh_column_type",
     "generate_corpus",
-    "load_corpus",
     "plan_schedule",
     "realize_history",
     "sampler_for",
-    "save_corpus",
 ]

@@ -5,17 +5,18 @@ projects distributed over the 8 patterns per Table 2, with per-pattern
 birth-month buckets from Fig. 7 and the documented exception projects
 injected. Everything is deterministic under one seed.
 
-Generation is two-phase so it parallelizes without losing determinism:
-a serial planning pass derives one child seed per project from the
-master stream, then each project is realized from its own
-``random.Random(child_seed)`` — serially or on ``jobs`` worker
-processes, with identical output either way.
+Generation is two-phase: a planning pass derives one child seed per
+project from the master stream (:func:`plan_corpus`), then each project
+is realized from its own ``random.Random(child_seed)``
+(:func:`realize_spec`). So one project can be realized without the
+rest: :class:`repro.sources.SyntheticSource` realizes each spec in the
+engine worker that studies it, while :func:`generate_corpus` realizes
+the whole plan serially, in this process.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -34,7 +35,6 @@ from repro.history.heartbeat import ActivitySeries
 from repro.history.repository import SchemaHistory
 from repro.history.sourcecode import synthetic_source_series
 from repro.patterns.taxonomy import PAPER_POPULATION, Pattern
-from repro.pools import pool_context
 from repro.sqlddl.dialect import Dialect
 
 #: Default corpus seed (arbitrary but fixed: every table/figure in
@@ -201,14 +201,12 @@ def generate_corpus(seed: int | None = None,
                     population: dict[Pattern, int] | None = None,
                     with_exceptions: bool = True,
                     with_noise: bool = False,
-                    jobs: int | None = None,
                     config: "StudyConfig | None" = None) -> Corpus:
-    """Generate the full synthetic corpus.
+    """Generate the full synthetic corpus, serially.
 
     Args:
-        seed: master seed; the same seed always yields the same corpus,
-            whatever ``jobs`` is. Defaults to the config's seed, or
-            :data:`DEFAULT_SEED`.
+        seed: master seed; the same seed always yields the same corpus.
+            Defaults to the config's seed, or :data:`DEFAULT_SEED`.
         population: per-pattern project counts; defaults to the paper's
             Table-2 population (151 projects).
         with_exceptions: inject the paper's documented exception projects
@@ -216,25 +214,14 @@ def generate_corpus(seed: int | None = None,
         with_noise: decorate every commit with realistic non-DDL dump
             noise; measurements are unaffected (the robust parser skips
             it), only ``parse_issues`` counters rise.
-        jobs: worker processes realizing projects; defaults to the
-            config's jobs, or 1 (serial).
         config: a :class:`~repro.engine.config.StudyConfig` supplying
-            defaults for ``seed`` and ``jobs``.
+            the default ``seed``.
 
     Returns:
         The generated :class:`Corpus`.
     """
     if seed is None:
         seed = config.seed if config is not None else DEFAULT_SEED
-    if jobs is None:
-        jobs = config.jobs if config is not None else 1
     specs = plan_corpus(seed, population, with_exceptions, with_noise)
-    if jobs > 1 and len(specs) > 1:
-        chunk = max(1, len(specs) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 mp_context=pool_context()) as pool:
-            projects = tuple(pool.map(realize_spec, specs,
-                                      chunksize=chunk))
-    else:
-        projects = tuple(realize_spec(spec) for spec in specs)
-    return Corpus(projects=projects, seed=seed)
+    return Corpus(projects=tuple(realize_spec(spec) for spec in specs),
+                  seed=seed)

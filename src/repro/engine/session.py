@@ -50,6 +50,7 @@ from repro.engine.cache import MISS, ResultCache, code_digest, fingerprint
 from repro.engine.config import StudyConfig
 from repro.engine.faults import mark_pool_worker
 from repro.errors import EngineError
+from repro.history.repository import incremental_parse_default
 from repro.pools import pool_context
 
 if TYPE_CHECKING:
@@ -202,7 +203,7 @@ class EngineSession:
         self.config = config or StudyConfig()
         self.runs: list[ExecutionReport] = []
         self._pool: ProcessPoolExecutor | None = None
-        self._pool_jobs = 0
+        self._pool_key: tuple[int, bool] | None = None
         self._caches: dict[Path, HotResultCache] = {}
         self._closed = False
         _live_sessions.add(self)
@@ -239,8 +240,10 @@ class EngineSession:
     def pool(self, jobs: int) -> ProcessPoolExecutor:
         """The session's worker pool, (re)spawned on demand.
 
-        The pool persists across stages and runs; asking for a
-        different worker count retires the old pool first. Each spawn
+        The pool persists across stages and runs. Asking for a
+        different worker count retires the old pool first, and so does
+        a flipped :func:`~repro.history.repository.incremental_parse_default`:
+        forked workers keep the value they saw at spawn. Each spawn
         counts ``pool_spawns`` in :mod:`repro.obs` (a warm re-run moves
         it by 0).
 
@@ -249,13 +252,14 @@ class EngineSession:
         """
         if self._closed:
             raise EngineError("cannot use a closed engine session")
-        if self._pool is not None and self._pool_jobs != jobs:
+        key = (jobs, incremental_parse_default())
+        if self._pool is not None and self._pool_key != key:
             self._shutdown_pool(wait=True)
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=jobs, mp_context=pool_context(),
                 initializer=mark_pool_worker)
-            self._pool_jobs = jobs
+            self._pool_key = key
             obs.count("pool_spawns")
         return self._pool
 
@@ -271,7 +275,7 @@ class EngineSession:
 
     def _shutdown_pool(self, wait: bool, cancel: bool = False) -> None:
         pool, self._pool = self._pool, None
-        self._pool_jobs = 0
+        self._pool_key = None
         if pool is None:
             return
         try:

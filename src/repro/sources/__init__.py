@@ -14,13 +14,14 @@ Shipped sources:
 
 * :class:`SyntheticSource` — the paper's 151-project corpus, realized
   lazily from per-project child seeds;
-* :class:`CorpusDirSource` — the versioned JSONL-on-disk corpus format
-  (see :func:`export_corpus_dir` / :func:`import_corpus_dir`);
+* :class:`CorpusDirSource` — the versioned JSONL-on-disk corpus
+  format, the one way a corpus is stored (see :func:`write_corpus_dir`
+  / :func:`export_corpus_dir` / :func:`import_corpus_dir`);
 * :class:`GitDirSource` — Hecate-style extraction of DDL-file
   histories from a checked-out git repository;
-* :class:`InMemorySource` — adapter over objects already in memory
-  (what keeps ``records_from_corpus`` / ``records_from_histories``
-  working unchanged).
+* :class:`InMemorySource` — the library's adapter over objects
+  already in memory (``records_from_corpus``, ``run_full_study``,
+  ``records_from_histories``); no CLI spec names it.
 
 The CLI's ``--source`` flag maps onto :func:`source_from_spec`::
 

@@ -148,14 +148,16 @@ class HistorySource(Protocol):
 class InMemorySource:
     """A source over objects that already live in this process.
 
-    The adapter behind :func:`repro.study.pipeline.records_from_corpus`,
-    :func:`~repro.study.pipeline.records_from_histories` and
-    ``--corpus FILE``: it wraps generated projects (``mode="corpus"``)
-    or schema histories (``mode="histories"``) that the caller
-    constructed eagerly. Project ids are the project names; only a
-    repeated name gets a suffix (``name#2``, ``name#3``, …). It is not
-    lightweight: the engine attaches each project to its handle, and a
-    pickled copy of the source travels empty.
+    The library's adapter behind
+    :func:`repro.study.pipeline.records_from_corpus`,
+    :func:`~repro.study.pipeline.run_full_study` and
+    :func:`~repro.study.pipeline.records_from_histories` (the CLI
+    always reads a source spec): it wraps generated projects
+    (``mode="corpus"``) or schema histories (``mode="histories"``)
+    that the caller constructed eagerly. Project ids are the project
+    names; only a repeated name gets a suffix (``name#2``, ``name#3``,
+    …). It is not lightweight: the engine attaches each project to its
+    handle, and a pickled copy of the source travels empty.
 
     Args:
         items: generated projects or histories, in study order.

@@ -1,6 +1,10 @@
 """The versioned JSONL-on-disk corpus format and its source.
 
-Two layouts share one manifest envelope:
+This is the one way a corpus is stored: ``corpus export`` writes it and
+``--source dir:`` studies it. Both layouts hold each project as the
+record :func:`project_to_dict` builds and :func:`project_from_dict`
+reads back. Two layouts share one manifest envelope, whose ``mode`` is
+always ``"corpus"``:
 
 * **v1 (one file per project)**::
 
@@ -28,9 +32,10 @@ digest, so a project edited after export raises
 :class:`~repro.errors.SourceError` rather than being studied, or served
 from a cache, under its old fingerprint. Writing is streaming in both
 layouts — projects are consumed one at a time and the manifest is
-emitted **last**, so a crashed export never looks like a valid corpus. Export → import is a
-lossless round trip (the study report over an imported corpus is
-byte-identical to the original — pinned by tests).
+emitted **last**, so a crashed export never looks like a valid corpus.
+Export → :func:`import_corpus_dir` is a lossless round trip (the study
+report over an imported corpus is byte-identical to the original —
+pinned by tests).
 """
 
 from __future__ import annotations
@@ -38,13 +43,19 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.corpus.dataset import project_from_dict, project_to_dict
 from repro.corpus.generator import Corpus, GeneratedProject
-from repro.errors import SourceError
+from repro.corpus.planner import LandmarkPlan
+from repro.errors import CorpusError, SourceError
+from repro.history.commit import Commit
+from repro.history.heartbeat import ActivitySeries
+from repro.history.repository import SchemaHistory
+from repro.patterns.taxonomy import Pattern
 from repro.sources.base import SourceHandle, round_robin
+from repro.sqlddl.dialect import Dialect
 
 #: On-disk format tag; anything else in the manifest is rejected.
 CORPUS_DIR_FORMAT = "repro-corpus-dir"
@@ -62,6 +73,82 @@ SUPPORTED_CORPUS_VERSIONS = (CORPUS_DIR_VERSION,
 MANIFEST_NAME = "manifest.json"
 _PROJECTS_SUBDIR = "projects"
 _SHARDS_SUBDIR = "shards"
+
+
+def project_to_dict(project: GeneratedProject) -> dict:
+    """One project as a JSON-serializable dict (the on-disk record).
+
+    ``"incremental": true`` is written only for incremental-style
+    histories, so snapshot-style records keep their historical bytes.
+    """
+    history = project.history
+    record = {
+        "name": project.name,
+        "pattern": project.intended_pattern.value,
+        "is_exception": project.is_exception,
+        "exception_kind": project.exception_kind,
+        "dialect": history.dialect.traits.name,
+        "project_start": history.project_start.isoformat(),
+        "project_end": history.project_end.isoformat(),
+        "commits": [
+            {"sha": c.sha, "timestamp": c.timestamp.isoformat(),
+             "ddl": c.ddl_text, "message": c.message}
+            for c in history.commits
+        ],
+        "source_monthly": list(project.source.monthly),
+        "plan": {
+            "pup_months": project.plan.pup_months,
+            "birth_month": project.plan.birth_month,
+            "top_month": project.plan.top_month,
+            "schedule": {str(k): v
+                         for k, v in sorted(project.plan.schedule.items())},
+            "maintenance_bias": project.plan.maintenance_bias,
+        },
+    }
+    if history.incremental:
+        record["incremental"] = True
+    return record
+
+
+def project_from_dict(record: dict) -> GeneratedProject:
+    """Rebuild a project from its on-disk record.
+
+    Raises:
+        CorpusError: for missing keys or malformed values.
+    """
+    try:
+        commits = [
+            Commit(sha=c["sha"],
+                   timestamp=datetime.fromisoformat(c["timestamp"]),
+                   ddl_text=c["ddl"], message=c.get("message", ""))
+            for c in record["commits"]
+        ]
+        history = SchemaHistory(
+            record["name"], commits,
+            project_start=datetime.fromisoformat(record["project_start"]),
+            project_end=datetime.fromisoformat(record["project_end"]),
+            dialect=Dialect.from_name(record["dialect"]),
+            incremental=record.get("incremental", False),
+        )
+        plan_rec = record["plan"]
+        plan = LandmarkPlan(
+            pup_months=plan_rec["pup_months"],
+            birth_month=plan_rec["birth_month"],
+            top_month=plan_rec["top_month"],
+            schedule={int(k): v for k, v in plan_rec["schedule"].items()},
+            maintenance_bias=plan_rec["maintenance_bias"],
+        )
+        return GeneratedProject(
+            name=record["name"],
+            intended_pattern=Pattern(record["pattern"]),
+            is_exception=record["is_exception"],
+            exception_kind=record.get("exception_kind"),
+            history=history,
+            source=ActivitySeries(tuple(record["source_monthly"])),
+            plan=plan,
+        )
+    except (KeyError, ValueError, TypeError) as exc:
+        raise CorpusError(f"malformed corpus record: {exc}") from exc
 
 
 def _project_jsonl(project: GeneratedProject) -> str:
@@ -122,7 +209,6 @@ class CorpusWriteReport:
 def write_corpus_dir(projects: Iterable[GeneratedProject],
                      root: str | Path, *,
                      seed: int = 0,
-                     mode: str = "corpus",
                      shard_size: int | None = None) -> CorpusWriteReport:
     """Stream ``projects`` to disk as a JSONL corpus directory.
 
@@ -136,7 +222,6 @@ def write_corpus_dir(projects: Iterable[GeneratedProject],
             fine; it is consumed exactly once).
         root: target directory (created if missing).
         seed: recorded in the manifest (0 for foreign corpora).
-        mode: recorded source mode (``"corpus"``).
         shard_size: ``None`` writes the v1 one-file-per-project layout;
             a positive int packs that many projects per v2 shard file.
 
@@ -153,8 +238,8 @@ def write_corpus_dir(projects: Iterable[GeneratedProject],
             f"shard_size must be >= 1, got {shard_size}")
     try:
         if shard_size is None:
-            return _write_v1(projects, root, seed, mode)
-        return _write_v2(projects, root, seed, mode, shard_size)
+            return _write_v1(projects, root, seed)
+        return _write_v2(projects, root, seed, shard_size)
     except OSError as exc:
         raise SourceError(
             f"cannot write corpus directory {root}: {exc}") from exc
@@ -166,7 +251,7 @@ def _write_manifest(root: Path, manifest: dict) -> None:
 
 
 def _write_v1(projects: Iterable[GeneratedProject], root: Path,
-              seed: int, mode: str) -> CorpusWriteReport:
+              seed: int) -> CorpusWriteReport:
     entries = []
     (root / _PROJECTS_SUBDIR).mkdir(parents=True, exist_ok=True)
     for project in projects:
@@ -183,15 +268,14 @@ def _write_v1(projects: Iterable[GeneratedProject], root: Path,
         "format": CORPUS_DIR_FORMAT,
         "version": CORPUS_DIR_VERSION,
         "seed": seed,
-        "mode": mode,
+        "mode": "corpus",
         "projects": entries,
     })
     return CorpusWriteReport(root=root, projects=len(entries), shards=0)
 
 
 def _write_v2(projects: Iterable[GeneratedProject], root: Path,
-              seed: int, mode: str,
-              shard_size: int) -> CorpusWriteReport:
+              seed: int, shard_size: int) -> CorpusWriteReport:
     shards: list[dict] = []
     total = 0
     (root / _SHARDS_SUBDIR).mkdir(parents=True, exist_ok=True)
@@ -239,7 +323,7 @@ def _write_v2(projects: Iterable[GeneratedProject], root: Path,
         "format": CORPUS_DIR_FORMAT,
         "version": CORPUS_DIR_VERSION_SHARDED,
         "seed": seed,
-        "mode": mode,
+        "mode": "corpus",
         "shard_size": shard_size,
         "count": total,
         "shards": shards,
@@ -291,15 +375,12 @@ class CorpusDirSource:
     """
 
     lightweight = True
+    #: Every load is a generated project; the manifest must agree.
+    mode = "corpus"
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self._manifest: dict | None = None
-
-    @property
-    def mode(self) -> str:
-        self._index()
-        return self._manifest.get("mode", "corpus")
 
     @property
     def version(self) -> int:
@@ -327,6 +408,10 @@ class CorpusDirSource:
                     f"{path}: unsupported corpus-dir version "
                     f"{manifest.get('version')!r} (expected one of "
                     f"{SUPPORTED_CORPUS_VERSIONS})")
+            if manifest.get("mode", self.mode) != self.mode:
+                raise SourceError(
+                    f"{path}: unsupported corpus-dir mode "
+                    f"{manifest['mode']!r} (expected {self.mode!r})")
             if manifest["version"] == CORPUS_DIR_VERSION_SHARDED:
                 by_id = {}
                 for shard in manifest["shards"]:

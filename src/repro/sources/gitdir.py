@@ -192,9 +192,9 @@ class GitDirSource:
     def load_delta(self, pid: str, start: int) -> list[Commit]:
         """The file's commits from chain position ``start`` onward.
 
-        The suffix counterpart of :meth:`load`: only the new blobs are
-        read. Commits that deleted the file are skipped exactly as in
-        :meth:`load` (they occupy chain slots but carry no version).
+        Only the new blobs are read; :meth:`load` is the whole chain
+        (``start=0``). Commits that deleted the file are skipped (they
+        occupy chain slots but carry no version).
         """
         log = self._git("log", "--reverse", "--format=%H%x09%cI",
                         "--", pid)
@@ -232,20 +232,7 @@ class GitDirSource:
         return len(self._discover())
 
     def load(self, pid: str) -> SchemaHistory:
-        log = self._git("log", "--reverse", "--format=%H%x09%cI",
-                        "--", pid)
-        commits: list[Commit] = []
-        for line in log.splitlines():
-            sha, _, stamp = line.partition("\t")
-            if not sha or not stamp:
-                continue
-            try:
-                ddl_text = self._git("show", f"{sha}:{pid}")
-            except SourceError:
-                continue  # commit deleted the file: no version to parse
-            commits.append(Commit(sha=sha,
-                                  timestamp=_naive_utc(stamp),
-                                  ddl_text=ddl_text))
+        commits = self.load_delta(pid, 0)
         if not commits:
             raise SourceError(
                 f"no committed versions of {pid!r} in {self.root}")

@@ -35,10 +35,10 @@ class TestMarkdownReport:
 
     def test_cli_report_command(self, small_corpus, tmp_path, capsys):
         from repro.cli import main
-        from repro.corpus.dataset import save_corpus
-        corpus_path = tmp_path / "c.json"
-        save_corpus(small_corpus, corpus_path)
+        from repro.sources import export_corpus_dir
+        corpus_path = export_corpus_dir(small_corpus, tmp_path / "c")
         out = tmp_path / "study.md"
-        code = main(["report", str(out), "--corpus", str(corpus_path)])
+        code = main(["report", str(out),
+                     "--source", f"dir:{corpus_path}"])
         assert code == 0
         assert out.read_text().startswith("# Schema-evolution")

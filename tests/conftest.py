@@ -58,11 +58,11 @@ def full_corpus():
 
 
 @pytest.fixture(scope="session")
-def default_corpus_json(tmp_path_factory):
-    """``repro-schema generate FILE`` at the default seed (the file)."""
+def default_corpus_dir(tmp_path_factory):
+    """``repro-schema corpus export DIR`` at the default seed (the dir)."""
     from repro.cli import main
-    path = tmp_path_factory.mktemp("generated") / "corpus.json"
-    assert main(["generate", str(path)]) == 0
+    path = tmp_path_factory.mktemp("exported") / "corpus"
+    assert main(["corpus", "export", str(path)]) == 0
     return path
 
 

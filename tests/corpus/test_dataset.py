@@ -1,22 +1,28 @@
-"""Unit tests for corpus persistence."""
+"""Unit tests for the corpus record codec.
+
+:func:`~repro.sources.corpusdir.project_to_dict` and
+:func:`~repro.sources.corpusdir.project_from_dict` are the per-project
+record both corpus-directory layouts store.
+"""
 
 import json
 
 import pytest
 
-from repro.corpus.dataset import load_corpus, save_corpus
 from repro.errors import CorpusError
 from repro.history.heartbeat import schema_heartbeat
+from repro.sources.corpusdir import project_from_dict, project_to_dict
+
+
+def round_trip(project):
+    """A project through its record, as JSON text and back."""
+    return project_from_dict(json.loads(json.dumps(project_to_dict(project))))
 
 
 class TestRoundTrip:
-    def test_save_load_identity(self, small_corpus, tmp_path):
-        path = tmp_path / "corpus.json"
-        save_corpus(small_corpus, path)
-        loaded = load_corpus(path)
-        assert len(loaded) == len(small_corpus)
-        assert loaded.seed == small_corpus.seed
-        for original, restored in zip(small_corpus, loaded):
+    def test_save_load_identity(self, small_corpus):
+        for original in small_corpus:
+            restored = round_trip(original)
             assert restored.name == original.name
             assert restored.intended_pattern is original.intended_pattern
             assert restored.is_exception == original.is_exception
@@ -25,34 +31,13 @@ class TestRoundTrip:
             assert [c.ddl_text for c in restored.history.commits] \
                 == [c.ddl_text for c in original.history.commits]
 
-    def test_loaded_history_measures_identically(self, small_corpus,
-                                                 tmp_path):
-        path = tmp_path / "corpus.json"
-        save_corpus(small_corpus, path)
-        loaded = load_corpus(path)
-        for original, restored in zip(small_corpus, loaded):
-            assert schema_heartbeat(restored.history).monthly \
+    def test_loaded_history_measures_identically(self, small_corpus):
+        for original in small_corpus:
+            assert schema_heartbeat(round_trip(original).history).monthly \
                 == schema_heartbeat(original.history).monthly
 
 
 class TestErrors:
-    def test_invalid_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{oops")
+    def test_malformed_record(self):
         with pytest.raises(CorpusError):
-            load_corpus(path)
-
-    def test_wrong_version(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps({"format_version": 99,
-                                    "projects": []}))
-        with pytest.raises(CorpusError):
-            load_corpus(path)
-
-    def test_malformed_record(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text(json.dumps({
-            "format_version": 1, "seed": 0,
-            "projects": [{"name": "x"}]}))
-        with pytest.raises(CorpusError):
-            load_corpus(path)
+            project_from_dict({"name": "x"})

@@ -35,6 +35,7 @@ from repro.engine import (
 )
 from repro.engine.session import LEDGER_NAME
 from repro.errors import EngineError
+from repro.history.repository import incremental_parse_disabled
 from repro.report.markdown import markdown_report
 from repro.sources import (
     CorpusDirSource,
@@ -107,6 +108,15 @@ class TestPoolPersistence:
             study(source, session, jobs=2)
             study(source, session, jobs=3)
         assert [run.pool_spawns for run in session.runs] == [1, 1]
+
+    def test_incremental_flip_retires_the_pool(self, source):
+        # Forked workers keep the parse default they saw at spawn.
+        with EngineSession() as session:
+            study(source, session, jobs=2)
+            with incremental_parse_disabled():
+                study(source, session, jobs=2)
+            study(source, session, jobs=2)
+        assert [run.pool_spawns for run in session.runs] == [1, 1, 1]
 
     def test_broken_pool_respawns_transparently(self, source):
         crash = FaultPlan.parse("crash@flatliner-01")

@@ -2,15 +2,17 @@
 
 ``tests/fixtures/study_digests.json`` pins the whole rendered study,
 parser to Shapiro–Wilk kernel to report, for the default seed (also
-replayed from a ``generate`` corpus file, serially and in parallel),
-another synthetic seed, a corpus directory written by ``corpus
-export --limit 24`` and a git repository committing those 24 projects
-version by version. It also pins the record list, as the three CSVs
-``export`` writes for that directory, studied both as ``dir:`` and as
-an in-memory ``--corpus`` file, the ``classify`` and ``profile``
-stdout over those 24 projects saved as JSONL history logs, and the
-study of a 40-project dump-shaped corpus (``dump_corpus.py``: noise
-between statements, ``DROP TABLE IF EXISTS`` before each create). Every
+studied from its ``corpus export`` directory through ``dir:`` and,
+loaded into memory, through the library's ``run_full_study``, each
+serially and in parallel), another synthetic seed, a corpus directory
+written by ``corpus export --limit 24`` and a git repository
+committing those 24 projects version by version. It also pins the
+record list, as the three CSVs ``export`` writes for that directory,
+studied both as ``dir:`` and in memory through ``records_from_corpus``,
+the ``classify`` and ``profile`` stdout over those 24 projects saved
+as JSONL history logs, and the study of a 40-project dump-shaped
+corpus (``dump_corpus.py``: noise between statements, ``DROP TABLE IF
+EXISTS`` before each create). Every
 other golden check compares two execution paths of the same checkout,
 so a numerical drift shared by both paths shows only here. A change
 meant to move the report updates the digests deliberately. CI's
@@ -23,9 +25,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _print_study_report, main
+from repro.engine import StudyConfig
 from repro.history.repository import save_history_to_jsonl
+from repro.report.export import export_dataset
 from repro.sources import import_corpus_dir
+from repro.study.pipeline import records_from_corpus, run_full_study
 from tests.engine.test_delta import _git as git, needs_git
 from tests.integration.dump_corpus import write_dump_corpus
 
@@ -40,9 +45,12 @@ def cli_stdout(capsys, *argv):
     return capsys.readouterr().out
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def study_digest(capsys, *argv):
-    return hashlib.sha256(
-        cli_stdout(capsys, "study", *argv).encode()).hexdigest()
+    return sha256(cli_stdout(capsys, "study", *argv))
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -61,9 +69,18 @@ def test_exported_corpus_dir_study(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_corpus_file_study(capsys, default_corpus_json, jobs):
-    assert study_digest(capsys, "--corpus", str(default_corpus_json),
+def test_default_export_study(capsys, default_corpus_dir, jobs):
+    assert study_digest(capsys, "--source", f"dir:{default_corpus_dir}",
                         "--jobs", jobs) == DIGESTS["default-seed"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_in_memory_default_study(capsys, default_corpus_dir, jobs):
+    results, _ = run_full_study(import_corpus_dir(default_corpus_dir),
+                                StudyConfig(jobs=jobs))
+    capsys.readouterr()
+    _print_study_report(results)
+    assert sha256(capsys.readouterr().out) == DIGESTS["default-seed"]
 
 
 def test_dump_shaped_corpus_study(capsys, tmp_path):
@@ -79,24 +96,23 @@ def export_24(tmp_path_factory):
     return target
 
 
-def export_digests(*argv, output):
-    assert main(["export", str(output), *argv]) == 0
+def csv_digests(output):
     return {name: hashlib.sha256((output / name).read_bytes()).hexdigest()
             for name in DIGESTS["export-24-csv"]}
 
 
 def test_exported_corpus_dir_records(export_24, tmp_path):
-    assert export_digests("--source", f"dir:{export_24}",
-                          output=tmp_path / "out") \
-        == DIGESTS["export-24-csv"]
+    output = tmp_path / "out"
+    assert main(["export", str(output),
+                 "--source", f"dir:{export_24}"]) == 0
+    assert csv_digests(output) == DIGESTS["export-24-csv"]
 
 
-def test_imported_corpus_file_records(export_24, tmp_path):
-    corpus_file = tmp_path / "corpus.json"
-    assert main(["corpus", "import", str(export_24), str(corpus_file)]) == 0
-    assert export_digests("--corpus", str(corpus_file),
-                          output=tmp_path / "out") \
-        == DIGESTS["export-24-csv"]
+def test_in_memory_corpus_records(export_24, tmp_path):
+    output = tmp_path / "out"
+    export_dataset(records_from_corpus(import_corpus_dir(export_24)),
+                   output)
+    assert csv_digests(output) == DIGESTS["export-24-csv"]
 
 
 @pytest.fixture(scope="module")

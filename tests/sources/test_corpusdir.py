@@ -6,9 +6,7 @@ import random
 
 import pytest
 
-from repro.corpus.dataset import load_corpus, project_to_dict, save_corpus
 from repro.corpus.ddlgen import realize_history
-from repro.corpus.generator import Corpus
 from repro.errors import SourceError
 from repro.history.heartbeat import schema_heartbeat
 from repro.patterns.taxonomy import Pattern
@@ -20,7 +18,11 @@ from repro.sources import (
     import_corpus_dir,
     write_corpus_dir,
 )
-from repro.sources.corpusdir import stratified
+from repro.sources.corpusdir import (
+    project_from_dict,
+    project_to_dict,
+    stratified,
+)
 from repro.study.pipeline import records_from_corpus, run_study
 
 
@@ -67,9 +69,9 @@ def _incremental_project():
 
 def _round_trip(project, layout, tmp_path):
     if layout == "json":
-        save_corpus(Corpus(projects=(project,), seed=3),
-                    tmp_path / "corpus.json")
-        return load_corpus(tmp_path / "corpus.json").projects[0]
+        # The bare record both layouts store, through JSON text.
+        return project_from_dict(
+            json.loads(json.dumps(project_to_dict(project))))
     write_corpus_dir([project], tmp_path,
                      shard_size=4 if layout == "v2" else None)
     return CorpusDirSource(tmp_path).load(project.name)
@@ -130,6 +132,26 @@ class TestValidation:
              "projects": []}))
         with pytest.raises(SourceError, match="unsupported"):
             CorpusDirSource(tmp_path).project_ids()
+
+    @pytest.mark.parametrize("shard_size", [None, 4])
+    def test_other_mode_fails_before_any_work(self, small_corpus,
+                                              tmp_path, capsys,
+                                              shard_size):
+        # Every load is a generated project, so a manifest naming
+        # another mode is refused up front, not mid-study.
+        from repro.cli import main
+        root = export_corpus_dir(small_corpus, tmp_path / "other",
+                                 limit=8, shard_size=shard_size)
+        path = root / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["mode"] == "corpus"
+        path.write_text(json.dumps(dict(manifest, mode="histories")))
+        with pytest.raises(SourceError, match="mode 'histories'"):
+            CorpusDirSource(root).project_ids()
+        assert main(["study", "--source", f"dir:{root}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_corrupt_project_file(self, small_corpus, tmp_path):
         root = export_corpus_dir(small_corpus, tmp_path / "corrupt")

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.corpus.dataset import project_to_dict
 from repro.errors import SourceError
 from repro.report.markdown import markdown_report
 from repro.sources import (
@@ -14,7 +13,10 @@ from repro.sources import (
     import_corpus_dir,
     write_corpus_dir,
 )
-from repro.sources.corpusdir import CORPUS_DIR_VERSION_SHARDED
+from repro.sources.corpusdir import (
+    CORPUS_DIR_VERSION_SHARDED,
+    project_to_dict,
+)
 from repro.study.pipeline import records_from_corpus, run_study
 
 

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.corpus.dataset import project_to_dict
 from repro.corpus.generator import generate_corpus
 from repro.errors import SourceError
 from repro.sources import SyntheticSource
+from repro.sources.corpusdir import project_to_dict
 from tests.conftest import SMALL_POPULATION
 
 

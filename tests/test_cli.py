@@ -1,6 +1,5 @@
 """Integration tests for the command-line interface."""
 
-import json
 import os
 import subprocess
 import sys
@@ -10,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.corpus.dataset import save_corpus
 from repro.history.repository import save_history_to_jsonl
+from repro.sources import export_corpus_dir
 from tests.conftest import make_history
 
 
@@ -28,23 +27,25 @@ def history_jsonl(tmp_path):
     return path
 
 
-class TestGenerate:
-    def test_generate_writes_corpus(self, tmp_path, capsys):
-        out = tmp_path / "corpus.json"
-        # A tiny corpus via the default population takes ~seconds; use
-        # the real command but a fixed seed.
-        code = main(["generate", str(out), "--seed", "3"])
-        assert code == 0
-        document = json.loads(out.read_text())
-        assert len(document["projects"]) == 151
-        assert "wrote 151 projects" in capsys.readouterr().out
+@pytest.fixture
+def small_export(tmp_path, small_corpus):
+    return export_corpus_dir(small_corpus, tmp_path / "corpus")
+
+
+def parse_memo_total(err):
+    """The TOTAL row's ``parse memo`` cell of a ``--timings`` table."""
+    lines = err.splitlines()
+    start = lines.index("Execution report")
+    header = [cell.strip() for cell in lines[start + 1].split(" | ")]
+    total = next(line for line in lines[start:]
+                 if line.startswith("TOTAL "))
+    cells = [cell.strip() for cell in total.split(" | ")]
+    return cells[header.index("parse memo")]
 
 
 class TestStudy:
-    def test_study_on_saved_corpus(self, tmp_path, capsys, small_corpus):
-        path = tmp_path / "c.json"
-        save_corpus(small_corpus, path)
-        code = main(["study", "--corpus", str(path)])
+    def test_study_on_saved_corpus(self, small_export, capsys):
+        code = main(["study", "--source", f"dir:{small_export}"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
@@ -147,3 +148,65 @@ class TestNoIncrementalScope:
         assert main(["study", "--no-incremental"]) == 0
         assert seen == [False]
         assert os.environ[NO_INCREMENTAL_ENV] == "yes"
+
+    @pytest.fixture
+    def fresh_session(self, monkeypatch):
+        """The CLI's process session, new for this test and closed
+        after it, so no earlier test's warm pool is reused."""
+        import repro.cli as cli
+        monkeypatch.setattr(cli, "_SESSION", None)
+        yield
+        if cli._SESSION is not None:
+            cli._SESSION.close()
+
+    @staticmethod
+    def memo_cell(capsys, corpus, jobs, *flags):
+        capsys.readouterr()
+        assert main(["study", "--source", f"dir:{corpus}",
+                     "--jobs", jobs, "--timings", *flags]) == 0
+        return parse_memo_total(capsys.readouterr().err)
+
+    def test_warm_pool_takes_the_flag(self, small_export,
+                                      fresh_session, capsys):
+        assert "hit" in self.memo_cell(capsys, small_export, "2")
+        assert self.memo_cell(capsys, small_export, "2",
+                              "--no-incremental") == "-"
+
+    def test_warm_pool_drops_the_flag(self, small_export,
+                                      fresh_session, capsys):
+        serial = self.memo_cell(capsys, small_export, "1")
+        assert "hit" in serial
+        assert self.memo_cell(capsys, small_export, "2",
+                              "--no-incremental") == "-"
+        assert self.memo_cell(capsys, small_export, "2") == serial
+
+
+class TestCountFlags:
+    """Out-of-range counts fail before anything is written or studied."""
+
+    def assert_usage_error(self, capsys, argv, flag):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_export_limit(self, tmp_path, capsys, limit):
+        self.assert_usage_error(
+            capsys, ["corpus", "export", str(tmp_path / "out"),
+                     "--limit", limit], "--limit")
+        assert not (tmp_path / "out").exists()
+
+    def test_refresh_watch(self, small_export, tmp_path, capsys):
+        self.assert_usage_error(
+            capsys, ["refresh", "--source", f"dir:{small_export}",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--watch", "-1"], "--watch")
+        assert not (tmp_path / "cache").exists()
+
+    def test_refresh_max_polls(self, small_export, tmp_path, capsys):
+        self.assert_usage_error(
+            capsys, ["refresh", "--source", f"dir:{small_export}",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--watch", "1", "--max-polls", "0"], "--max-polls")
+        assert not (tmp_path / "cache").exists()

@@ -5,7 +5,7 @@ import csv
 import pytest
 
 from repro.cli import main
-from repro.corpus.dataset import save_corpus
+from repro.sources import export_corpus_dir
 
 
 class TestDiffCommand:
@@ -49,11 +49,10 @@ class TestDiffCommand:
 class TestExportCommand:
     def test_export_from_saved_corpus(self, tmp_path, capsys,
                                       small_corpus):
-        corpus_path = tmp_path / "c.json"
-        save_corpus(small_corpus, corpus_path)
+        corpus_path = export_corpus_dir(small_corpus, tmp_path / "c")
         out_dir = tmp_path / "dataset"
         code = main(["export", str(out_dir),
-                     "--corpus", str(corpus_path)])
+                     "--source", f"dir:{corpus_path}"])
         assert code == 0
         for name in ("measurements.csv", "heartbeats.csv",
                      "vectors.csv"):

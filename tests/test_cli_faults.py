@@ -3,18 +3,16 @@
 import pytest
 
 from repro.cli import EXIT_PARTIAL, main
-from repro.corpus.dataset import save_corpus
+from repro.sources import export_corpus_dir
 
 
 @pytest.fixture
 def corpus_path(tmp_path, small_corpus):
-    path = tmp_path / "corpus.json"
-    save_corpus(small_corpus, path)
-    return path
+    return export_corpus_dir(small_corpus, tmp_path / "corpus")
 
 
 def run_study(corpus_path, *extra):
-    return main(["study", "--corpus", str(corpus_path), *extra])
+    return main(["study", "--source", f"dir:{corpus_path}", *extra])
 
 
 class TestExitCodes:

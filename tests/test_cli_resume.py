@@ -5,8 +5,8 @@ import re
 import pytest
 
 from repro.cli import EXIT_INTERRUPTED, main
-from repro.corpus.dataset import save_corpus
 from repro.engine import read_journal
+from repro.sources import export_corpus_dir
 
 #: Mid-corpus project (10th of 16 in the small corpus): interrupting at
 #: its dispatch point leaves earlier work journaled, later work undone.
@@ -19,13 +19,11 @@ RESUME_HINT = re.compile(
 
 @pytest.fixture
 def corpus_path(tmp_path, small_corpus):
-    path = tmp_path / "corpus.json"
-    save_corpus(small_corpus, path)
-    return path
+    return export_corpus_dir(small_corpus, tmp_path / "corpus")
 
 
 def run_study(corpus_path, *extra):
-    return main(["study", "--corpus", str(corpus_path), *extra])
+    return main(["study", "--source", f"dir:{corpus_path}", *extra])
 
 
 def interrupt_run(corpus_path, cache_dir, capsys):
@@ -55,7 +53,7 @@ class TestInterruptedExit:
 
     def test_refresh_interrupts_too(self, corpus_path, tmp_path,
                                     capsys):
-        code = main(["refresh", "--corpus", str(corpus_path),
+        code = main(["refresh", "--source", f"dir:{corpus_path}",
                      "--cache-dir", str(tmp_path / "cache"),
                      "--fault-plan", f"interrupt@{MID_PROJECT}"])
         assert code == EXIT_INTERRUPTED

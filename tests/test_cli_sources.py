@@ -1,60 +1,61 @@
-"""CLI coverage for --source and the corpus export/import commands."""
+"""CLI coverage for --source and the corpus export command."""
 
 import json
 
 import pytest
 
-from repro.cli import main
-from repro.corpus.dataset import save_corpus
+from repro.cli import _print_study_report, main
+from repro.sources import (
+    SyntheticSource,
+    export_corpus_dir,
+    import_corpus_dir,
+)
+from repro.sources.corpusdir import project_to_dict
+from repro.study.pipeline import run_full_study
 
 
 @pytest.fixture
-def corpus_json(tmp_path, small_corpus):
-    path = tmp_path / "corpus.json"
-    save_corpus(small_corpus, path)
-    return path
+def cdir(tmp_path, small_corpus):
+    """The small corpus exported as a corpus directory."""
+    return export_corpus_dir(small_corpus, tmp_path / "cdir")
 
 
 class TestCorpusExportImport:
-    def test_round_trip(self, tmp_path, corpus_json, capsys):
+    def test_round_trip(self, tmp_path, capsys):
         cdir = tmp_path / "cdir"
-        assert main(["corpus", "export", str(cdir),
-                     "--corpus", str(corpus_json)]) == 0
+        assert main(["corpus", "export", str(cdir), "--limit", "16"]) == 0
         assert "wrote 16 projects" in capsys.readouterr().out
         manifest = json.loads((cdir / "manifest.json").read_text())
         assert manifest["format"] == "repro-corpus-dir"
 
-        back = tmp_path / "back.json"
-        assert main(["corpus", "import", str(cdir), str(back)]) == 0
-        assert json.loads(back.read_text()) \
-            == json.loads(corpus_json.read_text())
+        # Every exported project loads back as the one it was written
+        # from.
+        source = SyntheticSource()
+        back = import_corpus_dir(cdir)
+        assert back.seed == source.seed
+        assert [project_to_dict(p) for p in back.projects] \
+            == [project_to_dict(source.load(p.name))
+                for p in back.projects]
 
-    def test_limited_export(self, tmp_path, corpus_json, capsys):
+    def test_limited_export(self, tmp_path, capsys):
         cdir = tmp_path / "five"
-        assert main(["corpus", "export", str(cdir), "--limit", "5",
-                     "--corpus", str(corpus_json)]) == 0
+        assert main(["corpus", "export", str(cdir), "--limit", "5"]) == 0
         assert "wrote 5 projects" in capsys.readouterr().out
         manifest = json.loads((cdir / "manifest.json").read_text())
         assert len(manifest["projects"]) == 5
 
 
 class TestStudySources:
-    def test_dir_source_matches_saved_corpus(self, tmp_path,
-                                             corpus_json, capsys):
-        assert main(["study", "--corpus", str(corpus_json)]) == 0
-        reference = capsys.readouterr().out
-        cdir = tmp_path / "cdir"
-        main(["corpus", "export", str(cdir),
-              "--corpus", str(corpus_json)])
+    def test_dir_source_matches_saved_corpus(self, cdir, small_corpus,
+                                             capsys):
+        results, _ = run_full_study(small_corpus)
         capsys.readouterr()
+        _print_study_report(results)
+        reference = capsys.readouterr().out
         assert main(["study", "--source", f"dir:{cdir}"]) == 0
         assert capsys.readouterr().out == reference
 
-    def test_timings_report_cache_counts(self, tmp_path, corpus_json,
-                                         capsys):
-        cdir = tmp_path / "cdir"
-        main(["corpus", "export", str(cdir),
-              "--corpus", str(corpus_json)])
+    def test_timings_report_cache_counts(self, tmp_path, cdir, capsys):
         cache = tmp_path / "cache"
         for expected in ("16 miss", "16 hit"):
             capsys.readouterr()
@@ -75,21 +76,13 @@ class TestStudySources:
 
 
 class TestReportAndExportSources:
-    def test_report_from_dir_source(self, tmp_path, corpus_json,
-                                    capsys):
-        cdir = tmp_path / "cdir"
-        main(["corpus", "export", str(cdir),
-              "--corpus", str(corpus_json)])
+    def test_report_from_dir_source(self, tmp_path, cdir, capsys):
         out = tmp_path / "report.md"
         assert main(["report", str(out),
                      "--source", f"dir:{cdir}"]) == 0
         assert out.read_text().startswith("#")
 
-    def test_export_from_dir_source(self, tmp_path, corpus_json,
-                                    capsys):
-        cdir = tmp_path / "cdir"
-        main(["corpus", "export", str(cdir),
-              "--corpus", str(corpus_json)])
+    def test_export_from_dir_source(self, tmp_path, cdir, capsys):
         out = tmp_path / "csv"
         assert main(["export", str(out),
                      "--source", f"dir:{cdir}"]) == 0
@@ -104,16 +97,13 @@ class TestSingleErrorPath:
 
 
 class TestProcessSession:
-    def test_two_invocations_share_one_session(self, tmp_path,
-                                               corpus_json, capsys):
+    def test_two_invocations_share_one_session(self, tmp_path, cdir,
+                                               capsys):
         """Back-to-back CLI studies reuse the process engine session."""
         import repro.cli as cli
         from repro.engine import read_ledger
 
         cli._SESSION = None  # isolate from earlier in-process runs
-        cdir = tmp_path / "cdir"
-        main(["corpus", "export", str(cdir),
-              "--corpus", str(corpus_json)])
         cache = tmp_path / "cache"
         for _ in range(2):
             assert main(["study", "--source", f"dir:{cdir}",
@@ -132,14 +122,15 @@ class TestProcessSession:
 
 class TestShardedExportCli:
     def test_shard_size_export_runs_identical_study(self, tmp_path,
-                                                    corpus_json,
                                                     capsys):
-        assert main(["study", "--corpus", str(corpus_json)]) == 0
+        flat = tmp_path / "flat"
+        assert main(["corpus", "export", str(flat), "--limit", "16"]) == 0
+        capsys.readouterr()
+        assert main(["study", "--source", f"dir:{flat}"]) == 0
         reference = capsys.readouterr().out
         cdir = tmp_path / "sharded"
-        assert main(["corpus", "export", str(cdir),
-                     "--shard-size", "4",
-                     "--corpus", str(corpus_json)]) == 0
+        assert main(["corpus", "export", str(cdir), "--limit", "16",
+                     "--shard-size", "4"]) == 0
         out = capsys.readouterr().out
         assert "wrote 16 projects" in out
         assert "4 shards" in out
@@ -148,34 +139,22 @@ class TestShardedExportCli:
         assert main(["study", "--source", f"dir:{cdir}"]) == 0
         assert capsys.readouterr().out == reference
 
-    def test_limited_sharded_export(self, tmp_path, corpus_json,
-                                    capsys):
+    def test_limited_sharded_export(self, tmp_path, capsys):
         cdir = tmp_path / "limited"
         assert main(["corpus", "export", str(cdir), "--limit", "5",
-                     "--shard-size", "2",
-                     "--corpus", str(corpus_json)]) == 0
+                     "--shard-size", "2"]) == 0
         out = capsys.readouterr().out
         assert "wrote 5 projects" in out
         assert "3 shards" in out
 
 
 class TestSampledStudyCli:
-    def test_stratified_sample_completes(self, tmp_path, corpus_json,
-                                         capsys):
-        cdir = tmp_path / "cdir"
-        main(["corpus", "export", str(cdir),
-              "--corpus", str(corpus_json)])
-        capsys.readouterr()
+    def test_stratified_sample_completes(self, cdir, capsys):
         assert main(["study", "--source", f"dir:{cdir}",
                      "--sample", "8", "--stratified"]) == 0
         assert "Sec. 6.3" in capsys.readouterr().out
 
-    def test_sample_is_deterministic(self, tmp_path, corpus_json,
-                                     capsys):
-        cdir = tmp_path / "cdir"
-        main(["corpus", "export", str(cdir),
-              "--corpus", str(corpus_json)])
-        capsys.readouterr()
+    def test_sample_is_deterministic(self, cdir, capsys):
         assert main(["study", "--source", f"dir:{cdir}",
                      "--sample", "6"]) == 0
         first = capsys.readouterr().out
@@ -185,31 +164,33 @@ class TestSampledStudyCli:
 
 
 class TestCorpusFileSampling:
-    """``--corpus FILE`` samples exactly like the source it was saved from."""
+    """A corpus exported to files samples exactly like the source it
+    was exported from."""
 
     def study_stdout(self, capsys, *argv):
         capsys.readouterr()
         assert main(["study", *argv]) == 0
         return capsys.readouterr().out
 
-    def test_sample_matches_synthetic(self, default_corpus_json, capsys):
-        assert self.study_stdout(capsys, "--corpus",
-                                 str(default_corpus_json),
+    def test_sample_matches_synthetic(self, default_corpus_dir, capsys):
+        assert self.study_stdout(capsys,
+                                 "--source", f"dir:{default_corpus_dir}",
                                  "--sample", "20") \
             == self.study_stdout(capsys, "--sample", "20")
 
-    def test_stratified_sample_matches_synthetic(self, default_corpus_json,
+    def test_stratified_sample_matches_synthetic(self, default_corpus_dir,
                                                  capsys):
-        assert self.study_stdout(capsys, "--corpus",
-                                 str(default_corpus_json),
+        assert self.study_stdout(capsys,
+                                 "--source", f"dir:{default_corpus_dir}",
                                  "--sample", "20", "--stratified") \
             == self.study_stdout(capsys, "--sample", "20",
                                  "--stratified")
 
-    def test_export_writes_the_sample(self, default_corpus_json,
+    def test_export_writes_the_sample(self, default_corpus_dir,
                                       tmp_path, capsys):
         out = tmp_path / "export"
-        assert main(["export", str(out), "--corpus",
-                     str(default_corpus_json), "--sample", "20"]) == 0
+        assert main(["export", str(out),
+                     "--source", f"dir:{default_corpus_dir}",
+                     "--sample", "20"]) == 0
         rows = (out / "measurements.csv").read_text().splitlines()
         assert len(rows) == 1 + 20
