@@ -40,13 +40,14 @@ from repro import report
 from repro.corpus.generator import DEFAULT_SEED
 from repro.engine import (
     EngineSession,
+    ErrorPolicy,
     FaultPlan,
     StudyConfig,
     history_record,
-    policy_from_name,
     read_ledger,
 )
 from repro.engine.executor import COLUMNS, total_cells
+from repro.engine.faults import POLICY_MODES
 from repro.errors import CliError, ReproError, RunInterrupted
 
 #: Exit status of a run that completed on survivors only: some
@@ -99,18 +100,16 @@ def _load_history(path: str):
 
 def _study_config(args: argparse.Namespace) -> StudyConfig:
     """Build the run's :class:`StudyConfig` from CLI arguments."""
-    faults = FaultPlan.parse(args.fault_plan) if args.fault_plan \
-        else FaultPlan.from_env()
     return StudyConfig(
         seed=args.seed,
         jobs=args.jobs,
         chunk_size=args.chunk_size,
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
         source=args.source,
-        error_policy=policy_from_name(args.on_error,
-                                      max_retries=args.max_retries),
+        error_policy=ErrorPolicy(args.on_error,
+                                 max_retries=args.max_retries),
         stage_timeout=args.stage_timeout,
-        faults=faults if faults else None,
+        faults=FaultPlan.parse(args.fault_plan or "") or None,
         sample=args.sample,
         stratified=args.stratified,
         resume_from=getattr(args, "resume", None),
@@ -500,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="content-addressed result cache; re-runs "
                             "recompute only changed projects (default: "
                             "no cache)")
-        p.add_argument("--on-error", choices=["fail", "skip", "retry"],
+        p.add_argument("--on-error", choices=POLICY_MODES,
                        default="fail",
                        help="per-project failure policy: 'fail' aborts "
                             "on the first bad project (default), 'skip' "
@@ -519,8 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fault-plan", metavar="SPEC",
                        help="inject deterministic faults for chaos "
                             "testing, e.g. 'parse@proj-01;"
-                            "source@proj-02*2;cache@~10' (overrides "
-                            "$REPRO_FAULT_PLAN)")
+                            "source@proj-02*2;cache@~10'")
 
     def add_source_flag(p):
         p.add_argument("--source", default="synthetic:", metavar="SPEC",

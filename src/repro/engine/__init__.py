@@ -24,7 +24,7 @@ Typical use::
 
     config = StudyConfig(jobs=4, cache_dir="~/.cache/repro")
     source = InMemorySource(generate_corpus(config=config).projects)
-    with EngineSession(config) as session:
+    with EngineSession() as session:
         results, report = execute_study_from_source(source, config,
                                                     session=session)
         # ... re-run later: warm pool + hot cache, pure hit latency
@@ -48,7 +48,6 @@ from repro.engine.faults import (
     FaultPlan,
     FaultSpec,
     ProjectFailure,
-    policy_from_name,
 )
 from repro.engine.interrupt import InterruptGuard, interrupt_guard
 from repro.engine.journal import (
@@ -128,7 +127,6 @@ __all__ = [
     "interrupt_guard",
     "list_journals",
     "load_replay",
-    "policy_from_name",
     "read_journal",
     "read_ledger",
     "read_ledger_report",

@@ -45,8 +45,8 @@ ENVELOPE_MAGIC = b"%repro-cache%"
 #: Envelope layout version; a mismatch quarantines the entry.
 ENVELOPE_VERSION = 1
 
-#: Default cap on ``<cache_dir>/corrupt/`` entries (oldest pruned first),
-#: so a flaky disk cannot grow the quarantine without bound.
+#: Cap on ``<cache_dir>/corrupt/`` entries (oldest pruned first), so a
+#: flaky disk cannot grow the quarantine without bound.
 QUARANTINE_LIMIT = 256
 
 
@@ -186,21 +186,17 @@ class ResultCache:
 
     Args:
         root: cache directory; created lazily on first write.
-        quarantine_limit: cap on files kept in ``<root>/corrupt/``;
-            oldest entries beyond it are pruned at quarantine time.
-            ``None`` disables pruning.
 
     It counts in :mod:`repro.obs`: ``quarantined`` (corrupt entries
     moved to ``<root>/corrupt/``, each served as a miss), ``pruned``
-    (quarantine files the cap removed, oldest first) and
+    (quarantine files beyond :data:`QUARANTINE_LIMIT` removed, oldest
+    first) and
     ``write_failures`` (stores the filesystem refused, ENOSPC or a
     read-only cache: the run continues memory-only).
     """
 
-    def __init__(self, root: str | Path,
-                 quarantine_limit: int | None = QUARANTINE_LIMIT):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.quarantine_limit = quarantine_limit
         self._deny_writes = False
 
     def _path(self, key: str) -> Path:
@@ -222,9 +218,8 @@ class ResultCache:
             except OSError:
                 return  # read-only filesystem: nothing else to do
         obs.count("quarantined")
-        if self.quarantine_limit is not None:
-            obs.count("pruned", prune_oldest(self.corrupt_dir,
-                                             self.quarantine_limit))
+        obs.count("pruned", prune_oldest(self.corrupt_dir,
+                                         QUARANTINE_LIMIT))
 
     def get(self, key: str) -> Any:
         """The cached value for ``key``, or :data:`MISS`.

@@ -311,42 +311,27 @@ def _invoke_map(fn: Callable, extras: _Broadcast, stage_name: str,
                 ) -> tuple[Any, dict[str, int]]:
     """Apply a map stage to one item (module-level: must pickle).
 
-    Runs the item under the error policy: a capturing policy (skip /
-    retry) turns exceptions into :class:`ProjectFailure` payloads —
-    retrying transient source errors with backoff first, each retry
-    counted as ``retries`` — while the fail-fast policy lets them
-    propagate exactly as before the fault layer existed.
-    ``attempt_base`` offsets the attempt number the fault plan sees, so
-    a pool-crash serial re-run counts as a later attempt and injected
-    one-shot faults do not re-fire.
+    Runs the item under :meth:`ErrorPolicy.run`: a capturing policy
+    (skip / retry) turns exceptions into :class:`ProjectFailure`
+    payloads, retrying transient source errors first, while the
+    fail-fast policy lets them propagate. ``attempt_base`` offsets the
+    attempt number the fault plan sees, so a pool-crash serial re-run
+    counts as a later attempt and injected one-shot faults do not
+    re-fire.
 
     Returns the result or failure record and the :mod:`repro.obs`
     counters the call moved (how worker processes ship their counters
     home).
     """
     before = obs.snapshot()
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            if faults is not None:
-                faults.check(item_id(item), stage_name,
-                             attempt_base + attempt)
-            payload = fn(item, *extras.get())
-            break
-        except Exception as exc:
-            if not policy.captures:
-                raise
-            if attempt < policy.attempts_for(exc):
-                obs.count("retries")
-                delay = policy.backoff_seconds(item_id(item), attempt)
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            payload = ProjectFailure.from_exception(
-                item_id(item), stage_name, exc, attempts=attempt)
-            break
-    return payload, obs.since(before)
+    pid = item_id(item)
+
+    def attempt(number: int) -> Any:
+        if faults is not None:
+            faults.check(pid, attempt_base + number)
+        return fn(item, *extras.get())
+
+    return policy.run(pid, stage_name, attempt), obs.since(before)
 
 
 def _invoke_chunk(invoke: Callable, items: list) -> list:
@@ -466,7 +451,7 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
 
     def parent_fault(item: Any) -> None:
         """Fire run-level injected faults at this item's dispatch."""
-        kind = faults.parent_kind(item_id(item), stage.name)
+        kind = faults.parent_kind(item_id(item))
         if kind is None:
             return
         if kind == "kill":
@@ -490,8 +475,8 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
             obs.count("cache_misses")
             return True
         key = stage.cache_key_fn(item, extras)
-        if faults is not None and faults.wants_cache_corruption(
-                item_id(item), stage.name):
+        if faults is not None \
+                and faults.wants_cache_corruption(item_id(item)):
             cache.corrupt_entry(key)
         value = cache.get(key)
         if value is MISS:
@@ -657,9 +642,8 @@ def _run_map_stage(stage: MapStage, items: Any, extras: tuple,
                 if broken or abandoned:
                     # Dead or stuck pools cannot be reused: discard so
                     # the session respawns a fresh one on next use. A
-                    # timed-out chunk's worker cannot be interrupted —
-                    # abandon it rather than blocking on it.
-                    session.discard_pool(wait=False)
+                    # timed-out chunk's worker is killed, not waited on.
+                    session.discard_pool()
                 elif not harvested:
                     # A propagating exception (fail-fast item error):
                     # the pool itself is healthy — cancel what has not
@@ -829,7 +813,7 @@ def execute_plan(plan: StudyPlan, inputs: Mapping[str, Any],
     """
     config = config or StudyConfig()
     if session is None:
-        with EngineSession(config) as owned:
+        with EngineSession() as owned:
             return execute_plan(plan, inputs, config, session=owned,
                                 feed_failures=feed_failures)
     cache = session.cache_for(config.cache_dir)

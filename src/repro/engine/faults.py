@@ -8,12 +8,13 @@ uses to do that:
 
 * :class:`ProjectFailure` — the structured record of one project that
   could not be computed (who, where, why, how many attempts);
-* :class:`ErrorPolicy` — what the executor does when a mapped item
-  raises: ``fail`` (propagate, today's behaviour and the default),
-  ``skip`` (quarantine the project and continue with the survivors) or
+* :class:`ErrorPolicy` — what the engine does when an attempt at one
+  project raises: ``fail`` (propagate, the default), ``skip``
+  (quarantine the project and continue with the survivors) or
   ``retry`` (N extra attempts with exponential backoff and
   deterministic jitter, for :class:`~repro.errors.TransientSourceError`
-  only — permanent failures never burn the retry budget);
+  only — permanent failures never burn the retry budget), run by
+  :meth:`ErrorPolicy.run` for map items and fingerprints alike;
 * :class:`FaultPlan` / :class:`FaultSpec` — a deterministic, seeded
   fault-injection harness that makes chosen projects raise parse
   errors, transient source errors, corrupt their cache entries or
@@ -21,9 +22,10 @@ uses to do that:
   end-to-end (engine, CLI, CI) instead of only unit-mocked.
 
 Everything here is a small frozen dataclass: policies and plans pickle
-to worker processes for free and compare by value, and a plan can
-round-trip through a compact spec string (``REPRO_FAULT_PLAN``) so the
-CLI and CI can inject faults without touching code.
+to worker processes for free and compare by value, and
+:meth:`FaultPlan.parse` reads a plan from the compact spec string of
+``--fault-plan``, so the CLI and CI can inject faults without touching
+code.
 """
 
 from __future__ import annotations
@@ -31,9 +33,12 @@ from __future__ import annotations
 import hashlib
 import os
 import signal
+import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any, Callable
 
+from repro import obs
 from repro.errors import (
     EngineError,
     ParseError,
@@ -51,8 +56,11 @@ FAULT_KINDS = ("parse", "source", "cache", "crash",
 #: :meth:`FaultPlan.parent_kind`) rather than inside the mapped call.
 PARENT_FAULT_KINDS = ("kill", "enospc", "interrupt")
 
-#: Environment variable holding a fault-plan spec string.
-FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
+#: First retry delay in seconds; retry *k* waits twice as long as *k-1*.
+BACKOFF_BASE = 0.05
+
+#: Upper bound of any single backoff sleep, in seconds.
+BACKOFF_CAP = 2.0
 
 #: Exit status an injected worker crash dies with (recognizable in
 #: CI logs; any abnormal exit breaks the pool identically).
@@ -148,26 +156,19 @@ class ProjectFailure:
 
 @dataclass(frozen=True)
 class ErrorPolicy:
-    """What the executor does when computing one project raises.
+    """What the engine does when an attempt at one project raises.
 
     Attributes:
-        mode: ``"fail"`` (propagate — today's behaviour and the
-            default), ``"skip"`` (record a :class:`ProjectFailure`,
-            drop the project, continue) or ``"retry"`` (like skip, but
-            transient source errors get ``max_retries`` extra attempts
-            first).
+        mode: ``"fail"`` (propagate — the default), ``"skip"`` (record
+            a :class:`ProjectFailure`, drop the project, continue) or
+            ``"retry"`` (like skip, but transient source errors get
+            ``max_retries`` extra attempts first).
         max_retries: extra attempts after the first, ``retry`` mode
             only.
-        backoff_base: first retry delay in seconds; attempt *k* waits
-            ``backoff_base * 2**(k-1)``, jittered ±25 %, capped at
-            ``backoff_cap``. Zero disables sleeping (tests).
-        backoff_cap: upper bound of any single backoff sleep.
     """
 
     mode: str = "fail"
     max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
 
     def __post_init__(self):
         if self.mode not in POLICY_MODES:
@@ -177,25 +178,6 @@ class ErrorPolicy:
         if self.max_retries < 0:
             raise EngineError(
                 f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise EngineError("backoff durations must be >= 0")
-
-    @classmethod
-    def fail_fast(cls) -> "ErrorPolicy":
-        """Propagate the first failure — the default policy."""
-        return cls(mode="fail")
-
-    @classmethod
-    def skip(cls) -> "ErrorPolicy":
-        """Quarantine failing projects, compute over the survivors."""
-        return cls(mode="skip")
-
-    @classmethod
-    def retry(cls, max_retries: int = 2,
-              backoff_base: float = 0.05) -> "ErrorPolicy":
-        """Retry transient source failures, then skip like ``skip``."""
-        return cls(mode="retry", max_retries=max_retries,
-                   backoff_base=backoff_base)
 
     @property
     def captures(self) -> bool:
@@ -212,32 +194,40 @@ class ErrorPolicy:
     def backoff_seconds(self, project: str, attempt: int) -> float:
         """Delay before retry number ``attempt`` of ``project``.
 
-        Exponential with a ±25 % jitter derived from a content hash of
-        ``(project, attempt)`` — deterministic across runs and
-        processes, no global RNG touched — capped at ``backoff_cap``.
+        Exponential from :data:`BACKOFF_BASE` with a ±25 % jitter
+        derived from a content hash of ``(project, attempt)`` —
+        deterministic across runs and processes, no global RNG touched
+        — capped at :data:`BACKOFF_CAP`.
         """
-        base = self.backoff_base * (2 ** max(0, attempt - 1))
+        base = BACKOFF_BASE * (2 ** max(0, attempt - 1))
         digest = hashlib.blake2b(f"{project}:{attempt}".encode("utf-8"),
                                  digest_size=8).digest()
         fraction = int.from_bytes(digest, "big") / 2 ** 64
-        return min(self.backoff_cap, base * (0.75 + 0.5 * fraction))
+        return min(BACKOFF_CAP, base * (0.75 + 0.5 * fraction))
 
+    def run(self, project: str, stage: str,
+            call: Callable[[int], Any]) -> Any:
+        """``call(attempt)`` (1-based) for ``project`` under this policy.
 
-def policy_from_name(name: str, max_retries: int = 2) -> ErrorPolicy:
-    """The policy behind a CLI ``--on-error`` value.
-
-    Raises:
-        EngineError: for an unknown name.
-    """
-    if name == "fail":
-        return ErrorPolicy.fail_fast()
-    if name == "skip":
-        return ErrorPolicy.skip()
-    if name == "retry":
-        return ErrorPolicy.retry(max_retries=max_retries)
-    raise EngineError(
-        f"unknown error policy {name!r}; expected one of "
-        f"{', '.join(POLICY_MODES)}")
+        Under ``fail`` an exception propagates. A capturing policy
+        retries what :meth:`attempts_for` allows, sleeping
+        :meth:`backoff_seconds` and counting ``retries`` in
+        :mod:`repro.obs` first, then returns a :class:`ProjectFailure`
+        for ``stage``.
+        """
+        attempt = 1
+        while True:
+            try:
+                return call(attempt)
+            except Exception as exc:
+                if not self.captures:
+                    raise
+                if attempt >= self.attempts_for(exc):
+                    return ProjectFailure.from_exception(
+                        project, stage, exc, attempts=attempt)
+            obs.count("retries")
+            time.sleep(self.backoff_seconds(project, attempt))
+            attempt += 1
 
 
 @dataclass(frozen=True)
@@ -262,14 +252,13 @@ class FaultSpec:
         target: which projects the fault hits — an exact project id, a
             ``prefix*`` glob, or ``~N`` selecting a deterministic
             pseudo-random 1-in-N sample keyed on the plan seed.
-        stage: the stage the fault fires in (default ``"records"``).
-        times: fire on attempts ``1..times`` only, so a ``retry``
-            policy with budget >= ``times`` heals the project.
+        times: fire on attempts ``1..times`` of the project's map
+            item only, so a ``retry`` policy with budget >= ``times``
+            heals the project.
     """
 
     kind: str
     target: str
-    stage: str = "records"
     times: int = 1
 
     def __post_init__(self):
@@ -282,10 +271,8 @@ class FaultSpec:
         if self.times < 1:
             raise EngineError(f"times must be >= 1, got {self.times}")
 
-    def matches(self, pid: str, stage: str, seed: int) -> bool:
-        """True when this fault applies to ``pid`` in ``stage``."""
-        if stage != self.stage:
-            return False
+    def matches(self, pid: str, seed: int) -> bool:
+        """True when this fault applies to ``pid``."""
         if self.target.startswith("~"):
             try:
                 modulus = int(self.target[1:])
@@ -303,33 +290,24 @@ class FaultSpec:
             return pid.startswith(self.target[:-1])
         return pid == self.target
 
-    def to_token(self) -> str:
-        """This spec as one token of a plan spec string."""
-        token = f"{self.kind}@{self.target}"
-        if self.times != 1:
-            token += f"*{self.times}"
-        if self.stage != "records":
-            token += f"#{self.stage}"
-        return token
-
 
 @dataclass(frozen=True)
 class FaultPlan:
     """A deterministic set of injected faults.
 
     The plan travels inside :class:`~repro.engine.config.StudyConfig`
-    (and pickles to workers with the map closure), or as a compact
-    spec string via the ``REPRO_FAULT_PLAN`` environment variable::
+    (and pickles to workers with the map closure); :meth:`parse` reads
+    it from the compact spec string ``--fault-plan`` takes::
 
         seed=7;parse@flatliner-01;source@siesta-01*2;cache@~10
 
-    i.e. ``;``-separated :meth:`FaultSpec.to_token` tokens plus an
+    i.e. ``;``-separated ``KIND@TARGET[*TIMES]`` tokens plus an
     optional ``seed=N`` entry (the seed keys ``~N`` sampling targets).
 
     Attributes:
         seed: seed for deterministic ``~N`` sampling targets.
         faults: the injected fault specs, checked in order — the first
-            matching spec wins for a given (project, stage).
+            matching spec wins for a given project.
     """
 
     seed: int = 0
@@ -340,25 +318,24 @@ class FaultPlan:
         if not isinstance(self.faults, tuple):
             object.__setattr__(self, "faults", tuple(self.faults))
 
-    def spec_for(self, pid: str, stage: str) -> FaultSpec | None:
-        """The first fault spec matching ``(pid, stage)``, if any."""
+    def spec_for(self, pid: str) -> FaultSpec | None:
+        """The first fault spec matching ``pid``, if any."""
         for spec in self.faults:
-            if spec.matches(pid, stage, self.seed):
+            if spec.matches(pid, self.seed):
                 return spec
         return None
 
-    def check(self, pid: str, stage: str, attempt: int) -> None:
+    def check(self, pid: str, attempt: int) -> None:
         """Raise (or crash) when a non-cache fault fires here.
 
         Args:
             pid: project being computed.
-            stage: stage it is computed in.
             attempt: 1-based attempt number — a spec fires on attempts
                 ``1..times`` only, which is what lets retry policies
                 (and the pool-crash serial re-run, which counts as a
                 later attempt) heal injected transient faults.
         """
-        spec = self.spec_for(pid, stage)
+        spec = self.spec_for(pid)
         if spec is None or spec.kind not in ("parse", "source", "crash") \
                 or attempt > spec.times:
             return
@@ -377,12 +354,12 @@ class FaultPlan:
             f"injected worker crash for {pid} (no pool worker to "
             f"kill; attempt {attempt})")
 
-    def wants_cache_corruption(self, pid: str, stage: str) -> bool:
+    def wants_cache_corruption(self, pid: str) -> bool:
         """True when this project's cache entry should be scribbled."""
-        spec = self.spec_for(pid, stage)
+        spec = self.spec_for(pid)
         return spec is not None and spec.kind == "cache"
 
-    def parent_kind(self, pid: str, stage: str) -> str | None:
+    def parent_kind(self, pid: str) -> str | None:
         """The parent-side fault to fire when ``pid`` is dispatched.
 
         ``kill``/``enospc``/``interrupt`` faults act on the *run*, not
@@ -391,21 +368,14 @@ class FaultPlan:
         only reaches each dispatch point once). Returns the kind, or
         ``None``.
         """
-        spec = self.spec_for(pid, stage)
+        spec = self.spec_for(pid)
         if spec is not None and spec.kind in PARENT_FAULT_KINDS:
             return spec.kind
         return None
 
-    def to_spec(self) -> str:
-        """The plan as a spec-string (``REPRO_FAULT_PLAN`` format)."""
-        tokens = [spec.to_token() for spec in self.faults]
-        if self.seed:
-            tokens.insert(0, f"seed={self.seed}")
-        return ";".join(tokens)
-
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
-        """Parse a spec string back into a plan.
+        """Parse a spec string into a plan.
 
         Raises:
             EngineError: for malformed tokens.
@@ -424,13 +394,10 @@ class FaultPlan:
                         f"bad fault-plan seed {token!r}") from None
                 continue
             kind, sep, rest = token.partition("@")
-            if not sep or not rest:
+            if not sep or not rest or "#" in rest:
                 raise EngineError(
                     f"bad fault token {token!r}: expected "
-                    f"KIND@TARGET[*TIMES][#STAGE]")
-            stage = "records"
-            if "#" in rest:
-                rest, _, stage = rest.partition("#")
+                    f"KIND@TARGET[*TIMES]")
             times = 1
             if "*" in rest and not rest.endswith("*"):
                 rest, _, times_text = rest.rpartition("*")
@@ -440,16 +407,8 @@ class FaultPlan:
                     raise EngineError(
                         f"bad fault repeat count in {token!r}") \
                         from None
-            specs.append(FaultSpec(kind=kind, target=rest,
-                                   stage=stage, times=times))
+            specs.append(FaultSpec(kind=kind, target=rest, times=times))
         return cls(seed=seed, faults=tuple(specs))
-
-    @classmethod
-    def from_env(cls, environ=None) -> "FaultPlan | None":
-        """The plan named by ``REPRO_FAULT_PLAN``, or ``None``."""
-        environ = os.environ if environ is None else environ
-        text = environ.get(FAULT_PLAN_ENV, "").strip()
-        return cls.parse(text) if text else None
 
     def __bool__(self) -> bool:
         return bool(self.faults)

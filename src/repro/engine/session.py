@@ -56,7 +56,7 @@ from repro.pools import pool_context
 if TYPE_CHECKING:
     from repro.engine.executor import ExecutionReport
 
-#: Default bound of a session cache's in-memory hot layer (entries).
+#: Bound of a session cache's in-memory hot layer (entries).
 DEFAULT_HOT_ENTRIES = 4096
 
 #: File name of the persisted run ledger inside a cache directory.
@@ -96,20 +96,18 @@ class HotResultCache:
 
     It counts in :mod:`repro.obs`: ``hot_hits`` (gets served straight
     from memory), ``hot_misses`` (gets that consulted the disk store)
-    and ``evictions`` (entries the LRU bound dropped).
+    and ``evictions`` (entries the LRU bound,
+    :data:`DEFAULT_HOT_ENTRIES`, dropped).
 
     Args:
         root: cache directory (as for :class:`ResultCache`).
-        hot_entries: LRU bound; 0 disables the hot layer entirely.
 
     Attributes:
         disk: the underlying on-disk cache.
     """
 
-    def __init__(self, root: str | Path,
-                 hot_entries: int = DEFAULT_HOT_ENTRIES):
+    def __init__(self, root: str | Path):
         self.disk = ResultCache(root)
-        self.hot_entries = hot_entries
         self._hot: OrderedDict[str, Any] = OrderedDict()
 
     def deny_writes(self) -> None:
@@ -121,11 +119,9 @@ class HotResultCache:
         self.disk.deny_writes()
 
     def _remember(self, key: str, value: Any) -> None:
-        if self.hot_entries <= 0:
-            return
         self._hot[key] = value
         self._hot.move_to_end(key)
-        while len(self._hot) > self.hot_entries:
+        while len(self._hot) > DEFAULT_HOT_ENTRIES:
             self._hot.popitem(last=False)
             obs.count("evictions")
 
@@ -188,10 +184,8 @@ def _reap_live_sessions() -> None:
 class EngineSession:
     """The long-lived runtime state shared across study executions.
 
-    Args:
-        config: default execution configuration for runs driven through
-            this session's convenience entry points; individual
-            ``execute_plan`` calls may still pass their own config.
+    A session holds no configuration: each run brings its own
+    :class:`~repro.engine.config.StudyConfig`.
 
     Attributes:
         runs: the in-memory run ledger, one
@@ -199,8 +193,7 @@ class EngineSession:
             execution, oldest first.
     """
 
-    def __init__(self, config: StudyConfig | None = None):
-        self.config = config or StudyConfig()
+    def __init__(self):
         self.runs: list[ExecutionReport] = []
         self._pool: ProcessPoolExecutor | None = None
         self._pool_key: tuple[int, bool] | None = None
@@ -263,15 +256,24 @@ class EngineSession:
             obs.count("pool_spawns")
         return self._pool
 
-    def discard_pool(self, wait: bool = False) -> None:
-        """Drop the current pool so the next use respawns a fresh one.
+    def discard_pool(self) -> None:
+        """Drop the current pool and kill its workers, so the next use
+        respawns a fresh one.
 
-        The executor calls this after ``BrokenProcessPool`` (dead
-        workers) and after a stage-timeout abandon (a stuck worker
-        cannot be interrupted, only orphaned) — either way the pool is
-        unusable and reuse would wedge the session.
+        The executor calls this after ``BrokenProcessPool`` (the workers
+        are dead already) and after a stage-timeout abandon. A stuck
+        worker cannot be interrupted, and the interpreter joins every
+        pool worker at exit: killed, it cannot hold the process.
         """
-        self._shutdown_pool(wait=wait, cancel=True)
+        # No public call reaches the workers before Python 3.14.
+        workers = list((getattr(self._pool, "_processes", None)
+                        or {}).values())
+        self._shutdown_pool(wait=False, cancel=True)
+        for worker in workers:
+            try:
+                worker.kill()
+            except (OSError, ValueError):  # already reaped
+                pass
 
     def _shutdown_pool(self, wait: bool, cancel: bool = False) -> None:
         pool, self._pool = self._pool, None
@@ -310,7 +312,7 @@ class EngineSession:
 
     # -- incremental re-study ------------------------------------------
 
-    def refresh(self, source: Any, config: StudyConfig | None = None):
+    def refresh(self, source: Any, config: StudyConfig):
         """Re-derive the full study of ``source``, incrementally.
 
         The delta-aware counterpart of
@@ -327,8 +329,7 @@ class EngineSession:
             ``(StudyResults, ExecutionReport)``.
         """
         from repro.engine.study_plan import execute_study_from_source
-        return execute_study_from_source(source, config or self.config,
-                                         session=self)
+        return execute_study_from_source(source, config, session=self)
 
     # -- run ledger ----------------------------------------------------
 

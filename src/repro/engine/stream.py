@@ -10,10 +10,11 @@ attaches each loaded project to its handle, so plain, fault-capturing
 and sampled feeds all carry it. It folds in what handle enumeration
 needs on the side —
 
-* **failure capture** — under a skip/retry error policy, a project
-  whose fingerprinting raises is quarantined as a
-  :class:`~repro.engine.faults.ProjectFailure` (after the retry
-  budget, for transient errors) instead of killing the enumeration;
+* **failure capture** — under a skip/retry error policy, each
+  fingerprint runs through :meth:`~repro.engine.faults.ErrorPolicy.run`
+  like a map item: retried, counted, and quarantined as a
+  :class:`~repro.engine.faults.ProjectFailure` instead of killing the
+  enumeration;
 * **run lineage** — a running digest over every ``(pid, fingerprint)``
   pair stands in for the handle list in the run ledger, since a
   consumed stream cannot be re-iterated.
@@ -30,7 +31,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
-import time
 from typing import Any, Iterator
 
 from repro.engine.faults import ProjectFailure
@@ -106,27 +106,16 @@ class HandleStream:
             yield from iter_source_handles(self.source)
             return
         # A generator cannot resume past an exception, so the
-        # capturing path bridges via project_ids() and retries each
-        # fingerprint itself.
+        # capturing path bridges via project_ids() and runs each
+        # fingerprint under the policy.
         for pid in self.source.project_ids():
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    handle = SourceHandle(
-                        pid=pid,
-                        fingerprint=self.source.fingerprint(pid))
-                except Exception as exc:
-                    if attempt < policy.attempts_for(exc):
-                        delay = policy.backoff_seconds(pid, attempt)
-                        if delay > 0:
-                            time.sleep(delay)
-                        continue
-                    self.failures.append(ProjectFailure.from_exception(
-                        pid, "handles", exc, attempts=attempt))
-                    break
+            handle = policy.run(
+                pid, "handles",
+                lambda _: SourceHandle(pid, self.source.fingerprint(pid)))
+            if isinstance(handle, ProjectFailure):
+                self.failures.append(handle)
+            else:
                 yield handle
-                break
 
 
 def sample_handles(handles: Any, sample: int, seed: int,

@@ -266,9 +266,11 @@ class TestQuarantineCap:
         from repro.engine.cache import prune_oldest
         assert prune_oldest(tmp_path / "nowhere", 4) == 0
 
-    def test_quarantine_respects_cap(self, tmp_path):
+    def test_quarantine_respects_cap(self, tmp_path, monkeypatch):
         import os
-        cache = ResultCache(tmp_path, quarantine_limit=2)
+        from repro.engine import cache as cache_module
+        monkeypatch.setattr(cache_module, "QUARANTINE_LIMIT", 2)
+        cache = ResultCache(tmp_path)
         before = obs.snapshot()
         for index in range(4):
             key = fingerprint("capped", index)

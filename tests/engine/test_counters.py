@@ -130,10 +130,11 @@ class TestWorkPlacement:
             root = export_small_corpus(tmp_path / f"corpus-{jobs}")
             config = StudyConfig(cache_dir=tmp_path / f"cache-{jobs}",
                                  jobs=jobs)
-            with EngineSession(config) as session:
-                session.refresh(CorpusDirSource(root))
+            with EngineSession() as session:
+                session.refresh(CorpusDirSource(root), config)
                 grow_corpus_dir(root, [0, 1], 2)
-                _, reports[jobs] = session.refresh(CorpusDirSource(root))
+                _, reports[jobs] = session.refresh(CorpusDirSource(root),
+                                                   config)
         assert placement_free(reports[2]) == placement_free(reports[1])
         assert reports[1].format_delta_summary() == (
             "delta: 6 unchanged / 2 appended / 0 rewritten; "
@@ -214,11 +215,11 @@ def pinned_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pinned")
     root = export_small_corpus(tmp / "corpus")
     config = StudyConfig(cache_dir=tmp / "cache")
-    with EngineSession(config) as session:
+    with EngineSession() as session:
         _, cold = execute_study_from_source(CorpusDirSource(root),
                                             config, session=session)
         grow_corpus_dir(root, [0, 1], 2)
-        _, refresh = session.refresh(CorpusDirSource(root))
+        _, refresh = session.refresh(CorpusDirSource(root), config)
     return {"reports": [cold, refresh], "records": session.runs,
             "cache": config.cache_dir}
 

@@ -38,6 +38,7 @@ from repro.engine import (
     read_ledger,
 )
 from repro.engine import delta as delta_mod
+from repro.engine import faults as faults_mod
 from repro.engine import study_plan
 from repro.engine.delta import DELTA_SUBDIR, commit_chain
 from repro.engine.executor import COLUMNS, total_cells
@@ -378,15 +379,15 @@ class TestMigrationStyleFallback:
 
 class TestFaultInjectedAppend:
     def test_retry_heals_and_stays_identical(self, corpus_root,
-                                             tmp_path):
+                                             tmp_path, monkeypatch):
+        monkeypatch.setattr(faults_mod, "BACKOFF_BASE", 0.0)
         cache = tmp_path / "cache"
         study(corpus_root, cache)
         grow_corpus_dir(corpus_root, [0], 2)
         pid = CorpusDirSource(corpus_root).project_ids()[0]
         config = StudyConfig(
             cache_dir=cache,
-            error_policy=ErrorPolicy.retry(max_retries=2,
-                                           backoff_base=0.0),
+            error_policy=ErrorPolicy("retry", max_retries=2),
             faults=FaultPlan.parse(f"source@{pid}*1"))
         results, report = execute_study_from_source(
             CorpusDirSource(corpus_root), config)
@@ -418,10 +419,10 @@ class TestLedgerRoundTrip:
                                             tmp_path):
         cache = tmp_path / "cache"
         config = StudyConfig(cache_dir=cache)
-        with EngineSession(config) as session:
-            session.refresh(CorpusDirSource(corpus_root))
+        with EngineSession() as session:
+            session.refresh(CorpusDirSource(corpus_root), config)
             grow_corpus_dir(corpus_root, [0], 2)
-            session.refresh(CorpusDirSource(corpus_root))
+            session.refresh(CorpusDirSource(corpus_root), config)
         runs = read_ledger(cache)
         assert len(runs) == 2
         cold, warm = runs

@@ -10,14 +10,21 @@ The acceptance bar of the fault-tolerance layer, exercised end-to-end:
   remaining projects;
 * pool-crash recovery (degraded run, complete results) and the
   all-items-failed guard;
+* a stage timeout that neither the run nor its process waits out;
 * handle-stage protection for lightweight sources whose fingerprinting
-  fails in the parent process.
+  fails in the parent process, retried and counted like a map item.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.engine import (
     ErrorPolicy,
     FaultPlan,
@@ -29,9 +36,9 @@ from repro.engine import (
     HandleStream,
     execute_plan,
     execute_study_from_source,
-    policy_from_name,
     read_ledger,
 )
+from repro.engine import faults as faults_mod
 from repro.errors import (
     EngineError,
     ParseError,
@@ -42,8 +49,14 @@ from repro.report.markdown import markdown_report
 from repro.sources import InMemorySource, SyntheticSource
 from tests.conftest import SMALL_POPULATION
 
-#: A zero-sleep retry policy so tests never wait on backoff.
-FAST_RETRY = ErrorPolicy.retry(max_retries=2, backoff_base=0.0)
+ROOT = Path(__file__).resolve().parents[2]
+
+
+@pytest.fixture
+def fast_retry(monkeypatch):
+    """A retry policy whose backoff never sleeps."""
+    monkeypatch.setattr(faults_mod, "BACKOFF_BASE", 0.0)
+    return ErrorPolicy("retry", max_retries=2)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +72,7 @@ def clean_report(source):
 
 
 def study(source, **kwargs):
-    kwargs.setdefault("error_policy", ErrorPolicy.skip())
+    kwargs.setdefault("error_policy", ErrorPolicy("skip"))
     return execute_study_from_source(source, StudyConfig(**kwargs))
 
 
@@ -98,20 +111,18 @@ class TestErrorPolicy:
             ErrorPolicy(mode="explode")
         with pytest.raises(EngineError):
             ErrorPolicy(mode="retry", max_retries=-1)
-        with pytest.raises(EngineError):
-            ErrorPolicy(backoff_base=-0.1)
 
     def test_attempts_for(self):
-        retry = ErrorPolicy.retry(max_retries=3)
+        retry = ErrorPolicy("retry", max_retries=3)
         assert retry.attempts_for(TransientSourceError("x")) == 4
         # Permanent failures never burn the retry budget.
         assert retry.attempts_for(ParseError("x")) == 1
         assert retry.attempts_for(SourceError("x")) == 1
-        assert ErrorPolicy.skip().attempts_for(
+        assert ErrorPolicy("skip").attempts_for(
             TransientSourceError("x")) == 1
 
     def test_backoff_deterministic_and_bounded(self):
-        policy = ErrorPolicy.retry(backoff_base=0.05)
+        policy = ErrorPolicy("retry")
         first = policy.backoff_seconds("proj", 1)
         assert first == policy.backoff_seconds("proj", 1)
         # Exponential envelope with ±25 % jitter.
@@ -122,14 +133,35 @@ class TestErrorPolicy:
         # for any fixed pair of ids; this pair differs).
         assert policy.backoff_seconds("a", 1) \
             != policy.backoff_seconds("b", 1)
-        assert policy.backoff_seconds("proj", 30) <= policy.backoff_cap
+        assert policy.backoff_seconds("proj", 30) \
+            <= faults_mod.BACKOFF_CAP
 
-    def test_policy_from_name(self):
-        assert policy_from_name("fail") == ErrorPolicy.fail_fast()
-        assert policy_from_name("skip") == ErrorPolicy.skip()
-        assert policy_from_name("retry", max_retries=5).max_retries == 5
-        with pytest.raises(EngineError):
-            policy_from_name("ignore")
+    def test_run_retries_transients_and_counts_them(self, fast_retry):
+        calls = []
+
+        def flaky(attempt):
+            calls.append(attempt)
+            if attempt < 3:
+                raise TransientSourceError("not yet")
+            return "done"
+
+        before = obs.snapshot()
+        assert fast_retry.run("p", "records", flaky) == "done"
+        assert calls == [1, 2, 3]
+        assert obs.since(before) == {"retries": 2}
+
+    def test_run_by_mode(self, fast_retry):
+        def broken(attempt):
+            raise TransientSourceError(f"attempt {attempt}")
+
+        with pytest.raises(TransientSourceError):
+            ErrorPolicy().run("p", "records", broken)
+        skipped = ErrorPolicy("skip").run("p", "handles", broken)
+        assert (skipped.project, skipped.stage, skipped.attempts) \
+            == ("p", "handles", 1)
+        exhausted = fast_retry.run("p", "records", broken)
+        assert exhausted.attempts == 3
+        assert exhausted.message == "attempt 3"
 
 
 class TestFaultSpec:
@@ -143,82 +175,66 @@ class TestFaultSpec:
 
     def test_matching(self):
         spec = FaultSpec(kind="parse", target="siesta-01")
-        assert spec.matches("siesta-01", "records", seed=0)
-        assert not spec.matches("siesta-02", "records", seed=0)
-        assert not spec.matches("siesta-01", "analysis", seed=0)
+        assert spec.matches("siesta-01", seed=0)
+        assert not spec.matches("siesta-02", seed=0)
         glob = FaultSpec(kind="parse", target="siesta-*")
-        assert glob.matches("siesta-02", "records", seed=0)
-        assert not glob.matches("flatliner-01", "records", seed=0)
+        assert glob.matches("siesta-02", seed=0)
+        assert not glob.matches("flatliner-01", seed=0)
 
     def test_sample_target_deterministic_and_seeded(self):
         spec = FaultSpec(kind="parse", target="~3")
         pids = [f"proj-{i:02d}" for i in range(60)]
-        picks = [p for p in pids if spec.matches(p, "records", seed=7)]
-        assert picks == [p for p in pids
-                         if spec.matches(p, "records", seed=7)]
+        picks = [p for p in pids if spec.matches(p, seed=7)]
+        assert picks == [p for p in pids if spec.matches(p, seed=7)]
         # Roughly 1-in-3, and a different seed picks differently.
         assert 5 <= len(picks) <= 35
-        assert picks != [p for p in pids
-                         if spec.matches(p, "records", seed=8)]
+        assert picks != [p for p in pids if spec.matches(p, seed=8)]
         everything = FaultSpec(kind="parse", target="~1")
-        assert all(everything.matches(p, "records", seed=0)
-                   for p in pids)
+        assert all(everything.matches(p, seed=0) for p in pids)
 
     def test_bad_sample_target(self):
         with pytest.raises(EngineError):
-            FaultSpec(kind="parse", target="~x").matches(
-                "p", "records", 0)
+            FaultSpec(kind="parse", target="~x").matches("p", 0)
         with pytest.raises(EngineError):
-            FaultSpec(kind="parse", target="~0").matches(
-                "p", "records", 0)
+            FaultSpec(kind="parse", target="~0").matches("p", 0)
 
 
 class TestFaultPlan:
-    def test_spec_roundtrip(self):
-        plan = FaultPlan(seed=7, faults=(
-            FaultSpec(kind="parse", target="flatliner-01"),
-            FaultSpec(kind="source", target="siesta-*", times=2),
-            FaultSpec(kind="cache", target="~10", stage="analysis"),
-        ))
-        assert FaultPlan.parse(plan.to_spec()) == plan
-        assert plan.to_spec() == ("seed=7;parse@flatliner-01;"
-                                  "source@siesta-**2;cache@~10#analysis")
+    def test_parse(self):
+        assert FaultPlan.parse(
+            "seed=7; parse@flatliner-01;source@siesta-**2;;cache@~10") \
+            == FaultPlan(seed=7, faults=(
+                FaultSpec(kind="parse", target="flatliner-01"),
+                FaultSpec(kind="source", target="siesta-*", times=2),
+                FaultSpec(kind="cache", target="~10")))
 
     def test_parse_rejects_garbage(self):
         for bad in ("seed=x", "parse", "parse@", "parse@p*x",
-                    "meteor@p"):
+                    "meteor@p", "parse@p#records", "source@p*2#records"):
             with pytest.raises(EngineError):
                 FaultPlan.parse(bad)
-
-    def test_from_env(self):
-        assert FaultPlan.from_env({}) is None
-        assert FaultPlan.from_env({"REPRO_FAULT_PLAN": "  "}) is None
-        plan = FaultPlan.from_env(
-            {"REPRO_FAULT_PLAN": "parse@p-01;seed=3"})
-        assert plan.seed == 3
-        assert plan.faults[0].target == "p-01"
 
     def test_check_raises_by_kind(self):
         plan = FaultPlan.parse("parse@a;source@b;crash@c;cache@d")
         with pytest.raises(ParseError):
-            plan.check("a", "records", attempt=1)
+            plan.check("a", attempt=1)
         with pytest.raises(TransientSourceError):
-            plan.check("b", "records", attempt=1)
+            plan.check("b", attempt=1)
         # In-parent "crash" raises instead of killing the test run.
         with pytest.raises(EngineError):
-            plan.check("c", "records", attempt=1)
+            plan.check("c", attempt=1)
         # Cache faults fire at the cache layer, never in check().
-        plan.check("d", "records", attempt=1)
-        assert plan.wants_cache_corruption("d", "records")
-        assert not plan.wants_cache_corruption("a", "records")
-        plan.check("unrelated", "records", attempt=1)
+        plan.check("d", attempt=1)
+        assert plan.wants_cache_corruption("d")
+        assert not plan.wants_cache_corruption("a")
+        plan.check("unrelated", attempt=1)
 
     def test_times_bounds_the_attempts(self):
         plan = FaultPlan.parse("source@p*2")
         for attempt in (1, 2):
             with pytest.raises(TransientSourceError):
-                plan.check("p", "records", attempt=attempt)
-        plan.check("p", "records", attempt=3)  # healed
+                plan.check("p", attempt=attempt)
+        plan.check("p", attempt=3)  # healed
 
     def test_bool(self):
         assert not FaultPlan()
@@ -230,12 +246,12 @@ class TestPolicyByFaultMatrix:
 
     def test_fail_parse_propagates(self, source):
         with pytest.raises(ParseError):
-            study(source, error_policy=ErrorPolicy.fail_fast(),
+            study(source, error_policy=ErrorPolicy(),
                   faults=FaultPlan.parse("parse@flatliner-01"))
 
     def test_fail_source_propagates(self, source):
         with pytest.raises(TransientSourceError):
-            study(source, error_policy=ErrorPolicy.fail_fast(),
+            study(source, error_policy=ErrorPolicy(),
                   faults=FaultPlan.parse("source@flatliner-01"))
 
     def test_skip_quarantines_and_continues(self, source):
@@ -256,26 +272,28 @@ class TestPolicyByFaultMatrix:
         assert report.failures[0].attempts == 1
         assert report.retries == 0
 
-    def test_retry_heals_transient(self, source, clean_report):
+    def test_retry_heals_transient(self, source, clean_report,
+                                   fast_retry):
         results, report = study(
-            source, error_policy=FAST_RETRY,
+            source, error_policy=fast_retry,
             faults=FaultPlan.parse("source@flatliner-01*2"))
         assert not report.failures
         assert report.retries == 2
         assert report.timing("records").counters["retries"] == 2
         assert markdown_report(results) == clean_report
 
-    def test_retry_budget_exhausted(self, source):
+    def test_retry_budget_exhausted(self, source, fast_retry):
         _, report = study(
-            source, error_policy=FAST_RETRY,
+            source, error_policy=fast_retry,
             faults=FaultPlan.parse("source@flatliner-01*9"))
         assert [f.project for f in report.failures] == ["flatliner-01"]
-        assert report.failures[0].attempts == 1 + FAST_RETRY.max_retries
+        assert report.failures[0].attempts == 1 + fast_retry.max_retries
         assert report.failures[0].error_type == "TransientSourceError"
 
-    def test_retry_never_replays_permanent_faults(self, source):
+    def test_retry_never_replays_permanent_faults(self, source,
+                                                  fast_retry):
         _, report = study(
-            source, error_policy=FAST_RETRY,
+            source, error_policy=fast_retry,
             faults=FaultPlan.parse("parse@flatliner-01*9"))
         assert report.failures[0].attempts == 1
         assert report.retries == 0
@@ -359,15 +377,36 @@ def _slow_fn(item):
     return item
 
 
-def _timeout_plan():
+def _stuck_fn(item):
+    time.sleep(20.0 if item == "slow" else 0.0)
+    return item
+
+
+def _timeout_plan(fn=_slow_fn):
     return StudyPlan(stages=(
-        MapStage(name="mapped", fn=_slow_fn, inputs=("items",)),))
+        MapStage(name="mapped", fn=fn, inputs=("items",)),))
+
+
+#: A process that maps ``_stuck_fn`` under a 0.5 s stage timeout and
+#: prints what survived.
+STUCK_SCRIPT = """
+import json
+from repro.engine import ErrorPolicy, StudyConfig, execute_plan
+from tests.engine.test_faults import _stuck_fn, _timeout_plan
+config = StudyConfig(jobs=2, chunk_size=1, stage_timeout=0.5,
+                     error_policy=ErrorPolicy("skip"))
+results, report = execute_plan(_timeout_plan(_stuck_fn),
+                               {"items": ["slow", "fast", "a", "b"]},
+                               config)
+print(json.dumps([results["mapped"], report.degraded,
+                  [f.error_type for f in report.failures]]))
+"""
 
 
 class TestStageTimeout:
     def test_timeout_skips_the_chunk(self):
         config = StudyConfig(jobs=2, chunk_size=1, stage_timeout=0.25,
-                             error_policy=ErrorPolicy.skip())
+                             error_policy=ErrorPolicy("skip"))
         results, report = execute_plan(
             _timeout_plan(), {"items": ["slow", "fast"]}, config)
         assert results["mapped"] == ["fast"]
@@ -380,6 +419,23 @@ class TestStageTimeout:
         with pytest.raises(EngineError, match="did not finish"):
             execute_plan(_timeout_plan(),
                          {"items": ["slow", "fast"]}, config)
+
+    def test_process_exits_without_the_stuck_worker(self):
+        # The abandoned worker is killed: the process does not wait out
+        # the 20 s item at interpreter exit.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep \
+            + env.get("PYTHONPATH", "")
+        started = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", STUCK_SCRIPT],
+                              capture_output=True, text=True, env=env,
+                              cwd=ROOT, timeout=60)
+        elapsed = time.perf_counter() - started
+        assert done.returncode == 0, done.stderr
+        mapped, degraded, errors = json.loads(done.stdout)
+        assert "slow" not in mapped and "fast" in mapped
+        assert degraded and errors == ["TimeoutError"]
+        assert elapsed < 10, elapsed
 
 
 class FlakySource(SyntheticSource):
@@ -418,11 +474,24 @@ class TestHandleStageProtection:
             == [("siesta-01", "handles")]
         assert len(results.records) == len(flaky) - 1
 
-    def test_retry_heals_handle_failures(self, clean_report):
+    def test_retry_heals_handle_failures(self, clean_report,
+                                         fast_retry):
         flaky = self.make(flaky_pids=["siesta-01"], fail_times=2)
-        results, report = study(flaky, error_policy=FAST_RETRY)
+        results, report = study(flaky, error_policy=fast_retry)
         assert not report.failures
         assert markdown_report(results) == clean_report
+
+    def test_handle_retries_count_like_map_retries(self, source,
+                                                   fast_retry):
+        flaky = self.make(flaky_pids=["siesta-01"], fail_times=2)
+        _, handle_heal = study(flaky, error_policy=fast_retry)
+        _, map_heal = study(
+            source, error_policy=fast_retry,
+            faults=FaultPlan.parse("source@siesta-01*2"))
+        for report in (handle_heal, map_heal):
+            assert report.retries == 2
+            total = report.format_table().splitlines()[-1]
+            assert total.endswith("| 0 fail / 2 retry")
 
     def test_ledger_records_handle_failures(self, tmp_path):
         # stderr, --timings and the ledger row name the same failures.

@@ -66,7 +66,7 @@ class TestSmallCorpusPaths:
 
     def test_session_hot(self, small_corpus, cold, tmp_path):
         config = StudyConfig(cache_dir=tmp_path)
-        with EngineSession(config) as session:
+        with EngineSession() as session:
             corpus_records(small_corpus, config, session)
             hot, report = corpus_records(small_corpus, config, session)
         assert report.hot_hits == len(small_corpus)

@@ -324,24 +324,38 @@ class TestSharedCacheDir:
 
     def test_reader_never_sees_torn_rows_during_writes(self, tmp_path):
         ledger = tmp_path / LEDGER_NAME
-        row = json.dumps({"run_id": 1, "payload": "x" * 256}) + "\n"
+        row = (json.dumps({"run_id": 1, "payload": "x" * 256})
+               + "\n").encode("utf-8")
+        # Each read parses the whole file, so the writer is bounded: an
+        # unbounded one grows the file (and every read) as fast as the
+        # scheduler lets it.
+        max_rows = 20_000
+        reading = threading.Event()
         stop = threading.Event()
 
         def write():
-            while not stop.is_set():
-                append_line(ledger, row.encode("utf-8"))
+            reading.wait()
+            for _ in range(max_rows):
+                if stop.is_set():
+                    return
+                append_line(ledger, row)
 
-        append_line(ledger, row.encode("utf-8"))
+        append_line(ledger, row)
         writer = threading.Thread(target=write)
         writer.start()
+        during = []  # row counts of reads made while the writer ran
         try:
-            seen = 0
             for _ in range(200):
                 records, torn = read_ledger_report(tmp_path)
+                reading.set()
                 assert torn == []
-                assert len(records) >= seen  # append-only, whole rows
-                seen = len(records)
+                if not writer.is_alive():
+                    break
+                during.append(len(records))
         finally:
+            reading.set()
             stop.set()
             writer.join()
-        assert seen > 0
+        assert during == sorted(during)  # append-only, whole rows
+        assert len(set(during)) > 1  # the reads overlapped the appends
+        assert len(read_ledger_report(tmp_path)[0]) <= max_rows + 1

@@ -33,6 +33,7 @@ from repro.engine import (
     read_ledger,
     source_session_key,
 )
+from repro.engine import session as session_module
 from repro.engine.session import LEDGER_NAME
 from repro.errors import EngineError
 from repro.history.repository import incremental_parse_disabled
@@ -122,7 +123,7 @@ class TestPoolPersistence:
         crash = FaultPlan.parse("crash@flatliner-01")
         with EngineSession() as session:
             degraded, r1 = study(source, session, jobs=2,
-                                 error_policy=ErrorPolicy.skip(),
+                                 error_policy=ErrorPolicy("skip"),
                                  faults=crash)
             assert r1.degraded
             assert r1.pool_spawns == 1
@@ -134,8 +135,9 @@ class TestPoolPersistence:
 
 
 class TestHotLayer:
-    def test_lru_eviction(self, tmp_path):
-        cache = HotResultCache(tmp_path, hot_entries=2)
+    def test_lru_eviction(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(session_module, "DEFAULT_HOT_ENTRIES", 2)
+        cache = HotResultCache(tmp_path)
         before = obs.snapshot()
         for key in ("a" * 64, "b" * 64, "c" * 64):
             cache.put(key, key[0])
@@ -169,14 +171,6 @@ class TestHotLayer:
         assert cache.get(key) is MISS
         assert obs.since(before) == {"hot_misses": 1, "quarantined": 1}
 
-    def test_zero_entries_disables_hot_layer(self, tmp_path):
-        cache = HotResultCache(tmp_path, hot_entries=0)
-        key = "f" * 64
-        cache.put(key, 1)
-        before = obs.snapshot()
-        assert cache.get(key) == 1
-        assert obs.since(before) == {"hot_misses": 1}
-
 
 class TestRunLedger:
     def test_two_runs_two_entries(self, source, tmp_path):
@@ -197,7 +191,7 @@ class TestRunLedger:
     def test_failures_recorded(self, source, tmp_path):
         with EngineSession() as session:
             study(source, session, cache_dir=tmp_path,
-                  error_policy=ErrorPolicy.skip(),
+                  error_policy=ErrorPolicy("skip"),
                   faults=FaultPlan.parse("parse@flatliner-01"))
         record = session.runs[0]
         assert len(record.failures) == 1

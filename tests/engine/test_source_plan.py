@@ -176,7 +176,7 @@ class TestShardedGoldenEquivalence:
         root = export_corpus_dir(small_corpus, tmp_path / "v2",
                                  shard_size=4)
         config = StudyConfig(cache_dir=tmp_path / "cache")
-        with EngineSession(config) as session:
+        with EngineSession() as session:
             cold, cold_report = execute_study_from_source(
                 CorpusDirSource(root), config, session=session)
             warm, warm_report = execute_study_from_source(

@@ -6,13 +6,13 @@ import tracemalloc
 import pytest
 
 from repro.engine import (
+    ErrorPolicy,
     HandleStream,
     MapStage,
     StudyConfig,
     StudyPlan,
     compute_records_from_source,
     execute_plan,
-    policy_from_name,
     sample_handles,
 )
 from repro.errors import EngineError
@@ -106,7 +106,7 @@ class TestFailureCapture:
                     raise ValueError("boom")
                 return super().fingerprint(pid)
 
-        stream = HandleStream(Flaky(4), policy=policy_from_name("skip"))
+        stream = HandleStream(Flaky(4), policy=ErrorPolicy("skip"))
         handles = list(stream)
         assert len(handles) == 3
         assert [f.project for f in stream.failures] == ["p-000002"]
@@ -122,7 +122,7 @@ class TestFailureCapture:
             def fingerprint(self, pid):
                 raise ValueError("boom")
 
-        stream = HandleStream(Flaky(2), policy=policy_from_name("fail"))
+        stream = HandleStream(Flaky(2), policy=ErrorPolicy("fail"))
         with pytest.raises(ValueError):
             list(stream)
 

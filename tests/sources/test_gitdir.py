@@ -160,7 +160,7 @@ class TestTipMemo:
         ``project_ids()`` and ``fingerprint(pid)``, and still checks
         HEAD once per enumeration."""
         source = GitDirSource(repo)
-        first = list(HandleStream(source, ErrorPolicy.skip()))
+        first = list(HandleStream(source, ErrorPolicy("skip")))
         assert first
         calls = []
         git = source._git
@@ -170,7 +170,7 @@ class TestTipMemo:
             return git(*args)
 
         source._git = counting
-        assert list(HandleStream(source, ErrorPolicy.skip())) == first
+        assert list(HandleStream(source, ErrorPolicy("skip"))) == first
         assert calls == ["rev-parse"]
         # Outside an enumeration every fingerprint checks HEAD.
         source.fingerprint(first[0].pid)

@@ -1,4 +1,4 @@
-"""CLI fault-tolerance flags, exit codes and the env fault plan."""
+"""CLI fault-tolerance flags, exit codes and the fault-plan flag."""
 
 import pytest
 
@@ -50,24 +50,33 @@ class TestExitCodes:
                          "--fault-plan", "source@flatliner-01")
         assert code == EXIT_PARTIAL
 
+    @pytest.mark.parametrize("mode", ["fail", "skip"])
+    def test_negative_retry_budget_is_an_error(self, corpus_path, capsys,
+                                               mode):
+        # The policy validates its budget whatever the mode.
+        code = run_study(corpus_path, "--on-error", mode,
+                         "--max-retries", "-1")
+        assert code == 1
+        assert "max_retries must be >= 0" in capsys.readouterr().err
+
     def test_bad_fault_plan_is_usage_error(self, corpus_path, capsys):
         code = run_study(corpus_path, "--fault-plan", "meteor@x")
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-
-class TestEnvFaultPlan:
-    def test_env_plan_applies(self, corpus_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "parse@flatliner-01")
-        code = run_study(corpus_path, "--on-error", "skip")
-        assert code == EXIT_PARTIAL
-        assert "flatliner-01" in capsys.readouterr().err
-
-    def test_flag_overrides_env(self, corpus_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "parse@~1")
+    def test_stage_suffix_is_rejected(self, corpus_path, capsys,
+                                      tmp_path):
+        # Faults fire in the map stage; a token naming a stage is an
+        # error before any work starts.
+        cache = tmp_path / "cache"
         code = run_study(corpus_path, "--on-error", "skip",
-                         "--fault-plan", "parse@flatliner-01")
-        assert code == EXIT_PARTIAL
+                         "--cache-dir", str(cache),
+                         "--fault-plan", "parse@x#records")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad fault token")
+        assert captured.out == ""
+        assert not cache.exists()
 
 
 class TestTimingsFaultColumn:
